@@ -22,7 +22,7 @@ import numpy as np
 from . import evaluate
 from .checkpoint import write_json_atomic
 from .cnn import CnnTrainConfig, load_cnn, save_cnn
-from .evaluate import ARM_MODES, ExperimentConfig, FoldModels, kfold_split
+from .evaluate import ARM_MODES, ExperimentConfig, FoldModels
 from .hgm import HgmTrainConfig, load_params, save_params
 from .ingest import (DEFAULT_WINDOWS, GenConfig, Vocabulary, fit_normalizer, generate_synthetic,
                      parse_records, synthetic_vocabulary, write_corpus)
@@ -224,20 +224,13 @@ def cmd_synth(config: RunConfig) -> int:
     return 0
 
 
-def _folds_for(config: RunConfig, ids, window: int):
-    return kfold_split(ids, config.k_folds, derive_seed(config.seed, "kfold", window=window))
-
-
 def cmd_train(config: RunConfig) -> int:
     records, vocab = _load_corpus(config)
-    records_by_id = {r.patient_id: r for r in records}
-    ids = [r.patient_id for r in records]
     exp = _experiment_config(config)
     needs_hgm = any(arm != "CNN" for arm in config.arms)
     for window in config.windows:
-        for fold_index, test_ids in enumerate(_folds_for(config, ids, window)):
-            test_set = set(test_ids)
-            train = [records_by_id[i] for i in ids if i not in test_set]
+        plan = evaluate.plan_folds(records, config.k_folds, config.seed, window)
+        for fold_index, train, _test in plan:
             models = evaluate.train_fold(train, config.arms, window, vocab, exp, fold_index)
             if needs_hgm:
                 save_params(models.hgm_params, _hgm_path(config, window, fold_index))
@@ -250,19 +243,12 @@ def cmd_train(config: RunConfig) -> int:
 
 def cmd_eval(config: RunConfig) -> int:
     records, vocab = _load_corpus(config)
-    records_by_id = {r.patient_id: r for r in records}
-    ids = [r.patient_id for r in records]
     needs_hgm = any(arm != "CNN" for arm in config.arms)
     for window in config.windows:
         fold_results = {arm: [] for arm in config.arms}
-        for fold_index, test_ids in enumerate(_folds_for(config, ids, window)):
-            test = [records_by_id[i] for i in test_ids]
+        plan = evaluate.plan_folds(records, config.k_folds, config.seed, window)
+        for fold_index, train, test in plan:
             labels = np.array([int(r.died) for r in test])
-            if labels.min() == labels.max():
-                logger.warning("fold %d has a single-class test set; skipping", fold_index)
-                continue
-            test_set = set(test_ids)
-            train = [records_by_id[i] for i in ids if i not in test_set]
             normalizer = fit_normalizer(train, window, vocab.n_labs)
             hgm_params = load_params(_hgm_path(config, window, fold_index)) if needs_hgm else None
             cnn_params = {
@@ -339,6 +325,7 @@ def main(argv=None) -> int:
             return cmd_eval(config)
         return cmd_run(config, jobs=args.jobs)
     except Exception as exc:  # single-line diagnostic, nonzero exit
+        logger.debug("%s failed", args.command, exc_info=True)
         print(f"hgm-ehr: error: {exc}", file=sys.stderr)
         return 1
 

@@ -94,6 +94,13 @@ def kfold_split(patient_ids, k: int, seed: int) -> list[list[str]]:
     return [[ids[i] for i in chunk] for chunk in np.array_split(order, k)]
 
 
+def _check_scores(scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    return scores
+
+
 def _check_binary(labels) -> tuple[int, int]:
     labels = np.asarray(labels)
     n_pos = int(np.sum(labels == 1))
@@ -105,7 +112,7 @@ def _check_binary(labels) -> tuple[int, int]:
 
 def auroc(scores, labels) -> float:
     """Mann-Whitney AUROC: (concordant + 0.5 * tied) / (n_pos * n_neg)."""
-    scores = np.asarray(scores, dtype=float)
+    scores = _check_scores(scores)
     labels = np.asarray(labels)
     n_pos, n_neg = _check_binary(labels)
     if n_pos == 0 or n_neg == 0:
@@ -129,7 +136,7 @@ def auprc(scores, labels) -> float:
 
     Scores sort descending with ties kept in input order (stable sort).
     """
-    scores = np.asarray(scores, dtype=float)
+    scores = _check_scores(scores)
     labels = np.asarray(labels)
     n_pos, _ = _check_binary(labels)
     if n_pos == 0:
@@ -143,7 +150,7 @@ def auprc(scores, labels) -> float:
 
 def roc_points(scores, labels):
     """(threshold, fpr, tpr) at every distinct score, descending."""
-    scores = np.asarray(scores, dtype=float)
+    scores = _check_scores(scores)
     labels = np.asarray(labels)
     n_pos, n_neg = _check_binary(labels)
     order = np.argsort(-scores, kind="stable")
@@ -166,7 +173,7 @@ def roc_points(scores, labels):
 
 def pr_points(scores, labels):
     """(threshold, recall, precision) at every distinct score, descending."""
-    scores = np.asarray(scores, dtype=float)
+    scores = _check_scores(scores)
     labels = np.asarray(labels)
     n_pos, _ = _check_binary(labels)
     order = np.argsort(-scores, kind="stable")
@@ -207,7 +214,10 @@ def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
     if any(arm != "CNN" for arm in arms):
         graph = build_graph(train_norm, vocab, window_hours)
         hgm_cfg = replace(config.hgm, seed=derive_seed(config.seed, "hgm", fold_index, window_hours))
-        hgm_params = train_hgm(graph, hgm_cfg)
+        try:
+            hgm_params = train_hgm(graph, hgm_cfg)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"fold {fold_index}, window {window_hours}h: {exc}") from exc
 
     cnn_params = {}
     for arm in arms:
@@ -232,10 +242,32 @@ def score_fold(models: FoldModels, test_records, arms, vocab: Vocabulary) -> dic
     return out
 
 
+def plan_folds(records, k_folds: int, seed: int, window_hours: int) -> list:
+    """The seeded patient-level split as (fold_index, train, test) record lists.
+
+    Folds whose test set is single-class cannot be scored, so they are
+    skipped with a warning and never trained.
+    """
+    records_by_id = {r.patient_id: r for r in records}
+    if len(records_by_id) != len(records):
+        raise ValueError("duplicate patient ids in records")
+    ids = [r.patient_id for r in records]
+    plan = []
+    for fold_index, test_ids in enumerate(
+            kfold_split(ids, k_folds, derive_seed(seed, "kfold", window=window_hours))):
+        test = [records_by_id[i] for i in test_ids]
+        if len({int(r.died) for r in test}) < 2:
+            logger.warning("fold %d has a single-class test set; skipping", fold_index)
+            continue
+        test_set = set(test_ids)
+        plan.append((fold_index, [records_by_id[i] for i in ids if i not in test_set], test))
+    if not plan:
+        raise ValueError("no evaluable folds (all test sets single-class)")
+    return plan
+
+
 def _fold_task(args):
-    records_by_id, train_ids, test_ids, arms, window_hours, vocab, config, fold_index = args
-    train = [records_by_id[i] for i in train_ids]
-    test = [records_by_id[i] for i in test_ids]
+    train, test, arms, window_hours, vocab, config, fold_index = args
     models = train_fold(train, arms, window_hours, vocab, config, fold_index)
     scores = score_fold(models, test, arms, vocab)
     labels = np.array([int(r.died) for r in test])
@@ -253,24 +285,9 @@ def run_experiments(records, vocab: Vocabulary, arms, window_hours: int,
     for arm in arms:
         if arm not in ARM_MODES:
             raise ValueError(f"unknown arm {arm!r}; expected one of {sorted(ARM_MODES)}")
-    records_by_id = {r.patient_id: r for r in records}
-    if len(records_by_id) != len(records):
-        raise ValueError("duplicate patient ids in records")
-    ids = [r.patient_id for r in records]
-    folds = kfold_split(ids, config.k_folds, derive_seed(config.seed, "kfold", window=window_hours))
-
-    tasks = []
-    for fold_index, test_ids in enumerate(folds):
-        test_set = set(test_ids)
-        labels = [int(records_by_id[i].died) for i in test_ids]
-        if len(set(labels)) < 2:
-            logger.warning("fold %d has a single-class test set; skipping", fold_index)
-            continue
-        train_ids = [i for i in ids if i not in test_set]
-        tasks.append((records_by_id, train_ids, test_ids, tuple(arms), window_hours,
-                      vocab, config, fold_index))
-    if not tasks:
-        raise ValueError("no evaluable folds (all test sets single-class)")
+    plan = plan_folds(records, config.k_folds, config.seed, window_hours)
+    tasks = [(train, test, tuple(arms), window_hours, vocab, config, fold_index)
+             for fold_index, train, test in plan]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -12,6 +12,11 @@ Relation scoring (neighbor side first where translated):
     diagnosed diagnosis j:  score = (c_u + r_pd) . c_j
     co-patient:             score = c_u . c_v
     temporal next node:     score = (c_u + r_tt) . c_next
+
+A training step reads the context's per-relation term arrays directly:
+lab and diagnosis terms select columns of W_i / W_d, patient-hour terms
+select rows of graph.xp, and the gradients come back as an HgmParams of
+the parameters' shapes.
 """
 
 from __future__ import annotations
@@ -35,12 +40,9 @@ def _tanh_deriv(y):
 
 
 def _sigmoid_act(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below.
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _sigmoid_deriv(y):
@@ -64,6 +66,9 @@ class Relation(Enum):
     DIAGNOSED = "diagnosed"
     CO_PATIENT = "co_patient"
     TEMPORAL = "temporal"
+
+
+PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
 
 
 @dataclass
@@ -107,16 +112,6 @@ class HgmParams:
             raise ValueError(f"unknown activation {self.activation!r}") from None
 
 
-@dataclass
-class HgmGrads:
-    w_p: np.ndarray
-    w_i: np.ndarray
-    w_d: np.ndarray
-    r_ip: np.ndarray
-    r_pd: np.ndarray
-    r_tt: np.ndarray
-
-
 @dataclass(frozen=True)
 class HgmTrainConfig:
     epochs: int = 5
@@ -148,13 +143,6 @@ def init_params(d, p_in, n_labs, n_diagnoses, activation="tanh", seed=0) -> HgmP
     return HgmParams(
         w_p=u(d, p_in), w_i=u(d, n_labs), w_d=u(d, n_diagnoses),
         r_ip=u(d), r_pd=u(d), r_tt=u(d), activation=activation,
-    )
-
-
-def zero_grads(params: HgmParams) -> HgmGrads:
-    return HgmGrads(
-        np.zeros_like(params.w_p), np.zeros_like(params.w_i), np.zeros_like(params.w_d),
-        np.zeros_like(params.r_ip), np.zeros_like(params.r_pd), np.zeros_like(params.r_tt),
     )
 
 
@@ -267,49 +255,8 @@ def exact_softmax_loss(params: HgmParams, graph: HeteroGraph, center: NodeId) ->
     return softmax_context_loss(neighbor_scores, candidates)
 
 
-def _context_groups(context: ContextSample):
-    """Flatten a context into per-relation (indices, targets) term groups.
-
-    Each positive contributes a target-1 term followed by target-0 terms for
-    its negatives, all scored under the positive's relation.
-    """
-    groups = {
-        Relation.TESTED: ([], []),
-        Relation.DIAGNOSED: ([], []),
-        Relation.CO_PATIENT: ([], []),
-        Relation.TEMPORAL: ([], []),
-    }
-
-    def push(relation, node, target):
-        idx, y = groups[relation]
-        idx.append(node.index)
-        y.append(target)
-
-    for pos, negs in zip(context.pos_labs, context.neg_labs):
-        push(Relation.TESTED, pos, 1.0)
-        for neg in negs:
-            push(Relation.TESTED, neg, 0.0)
-    for pos, negs in zip(context.pos_diagnoses, context.neg_diagnoses):
-        push(Relation.DIAGNOSED, pos, 1.0)
-        for neg in negs:
-            push(Relation.DIAGNOSED, neg, 0.0)
-    for pos, negs in zip(context.pos_patients, context.neg_patients):
-        push(Relation.CO_PATIENT, pos, 1.0)
-        for neg in negs:
-            push(Relation.CO_PATIENT, neg, 0.0)
-    if context.pos_temporal is not None:
-        push(Relation.TEMPORAL, context.pos_temporal, 1.0)
-        for neg in context.neg_temporal:
-            push(Relation.TEMPORAL, neg, 0.0)
-    return groups
-
-
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
-
-
-def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
-    return _sigmoid_act(np.asarray(x, dtype=float))
 
 
 def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample,
@@ -320,59 +267,56 @@ def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample
     a_u = params.w_p @ x_u
     c_u = act(a_u)
 
-    grads = zero_grads(params) if want_grad else None
+    grads = None
+    if want_grad:
+        grads = HgmParams(*(np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS),
+                          params.activation)
     dc_u = np.zeros(params.d)
     loss = 0.0
     pos_scores: list[float] = []
     neg_scores: list[float] = []
 
-    for relation, (indices, targets) in _context_groups(context).items():
-        if not indices:
+    for relation, (index, y) in zip(Relation, context.terms):
+        if not y.size:
             continue
-        y = np.array(targets)
         if relation is Relation.TESTED:
-            cols = np.array(indices, dtype=np.int64)
-            c_v = act(params.w_i[:, cols])
-            s = (c_v + params.r_ip[:, None]).T @ c_u
+            c_v = act(params.w_i[:, index])
+            c_vt = c_v + params.r_ip[:, None]
+            s = c_vt.T @ c_u
         elif relation is Relation.DIAGNOSED:
-            cols = np.array(indices, dtype=np.int64)
-            c_v = act(params.w_d[:, cols])
-            s = c_v.T @ (c_u + params.r_pd)
+            c_v = act(params.w_d[:, index])
+            c_ut = c_u + params.r_pd
+            s = c_v.T @ c_ut
         else:
-            rows = np.array([graph.ph_row(q, hh) for q, hh in indices], dtype=np.int64)
-            x_v = graph.xp[rows].T
+            x_v = graph.xp[index[:, 0] * graph.window_hours + index[:, 1]].T
             c_v = act(params.w_p @ x_v)
-            if relation is Relation.TEMPORAL:
-                s = c_v.T @ (c_u + params.r_tt)
-            else:
-                s = c_v.T @ c_u
+            c_ut = c_u + params.r_tt if relation is Relation.TEMPORAL else c_u
+            s = c_v.T @ c_ut
 
-        loss += float(np.sum(_softplus(-s[y == 1.0]))) + float(np.sum(_softplus(s[y == 0.0])))
+        pos = y == 1.0
+        loss += float(_softplus(-s[pos]).sum()) + float(_softplus(s[~pos]).sum())
         if want_scores:
-            pos_scores.extend(s[y == 1.0].tolist())
-            neg_scores.extend(s[y == 0.0].tolist())
+            pos_scores.extend(s[pos].tolist())
+            neg_scores.extend(s[~pos].tolist())
         if not want_grad:
             continue
 
-        g = _sigmoid_vec(s) - y
+        g = _sigmoid_act(s) - y
         if relation is Relation.TESTED:
-            grads.r_ip += float(np.sum(g)) * c_u
-            dc_u += (c_v + params.r_ip[:, None]) @ g
+            grads.r_ip += float(g.sum()) * c_u
+            dc_u += c_vt @ g
             d_cv = c_u[:, None] * g[None, :]
-            np.add.at(grads.w_i.T, cols, (d_cv * deriv(c_v)).T)
-        elif relation is Relation.DIAGNOSED:
-            grads.r_pd += c_v @ g
-            dc_u += c_v @ g
-            d_cv = (c_u + params.r_pd)[:, None] * g[None, :]
-            np.add.at(grads.w_d.T, cols, (d_cv * deriv(c_v)).T)
-        elif relation is Relation.TEMPORAL:
-            grads.r_tt += c_v @ g
-            dc_u += c_v @ g
-            d_cv = (c_u + params.r_tt)[:, None] * g[None, :]
-            grads.w_p += (d_cv * deriv(c_v)) @ x_v.T
+            np.add.at(grads.w_i.T, index, (d_cv * deriv(c_v)).T)
+            continue
+        c_vg = c_v @ g
+        dc_u += c_vg
+        d_cv = c_ut[:, None] * g[None, :]
+        if relation is Relation.DIAGNOSED:
+            grads.r_pd += c_vg
+            np.add.at(grads.w_d.T, index, (d_cv * deriv(c_v)).T)
         else:
-            dc_u += c_v @ g
-            d_cv = c_u[:, None] * g[None, :]
+            if relation is Relation.TEMPORAL:
+                grads.r_tt += c_vg
             grads.w_p += (d_cv * deriv(c_v)) @ x_v.T
 
     if want_grad:
@@ -389,8 +333,9 @@ def ns_loss(params: HgmParams, graph: HeteroGraph, context: ContextSample) -> fl
     return loss
 
 
-def ns_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample) -> HgmGrads:
-    """Exact analytic gradients of ns_loss; entries untouched by the context are zero."""
+def ns_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample) -> HgmParams:
+    """Exact analytic gradients of ns_loss, shaped as HgmParams; entries
+    untouched by the context are zero."""
     _, grads = _loss_and_grad(params, graph, context, want_grad=True)
     return grads
 
@@ -407,6 +352,8 @@ def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, on_epoch=None) -> HgmP
     Learning rate decays linearly from config.learning_rate to
     config.min_learning_rate over the full schedule. Untrainable centers
     (no diagnoses, no labs) are skipped and counted. Deterministic per seed.
+    Raises FloatingPointError when an epoch ends with a non-finite mean loss
+    or non-finite parameters.
     """
     config.validate()
     params = init_params(
@@ -435,13 +382,17 @@ def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, on_epoch=None) -> HgmP
             loss, grads = _loss_and_grad(params, graph, context, want_grad=True)
             epoch_loss += loss
             n_contexts += 1
-            params.w_p -= lr * grads.w_p
-            params.w_i -= lr * grads.w_i
-            params.w_d -= lr * grads.w_d
-            params.r_ip -= lr * grads.r_ip
-            params.r_pd -= lr * grads.r_pd
-            params.r_tt -= lr * grads.r_tt
+            for name in PARAM_FIELDS:
+                param = getattr(params, name)
+                param -= lr * getattr(grads, name)
         mean_loss = epoch_loss / max(1, n_contexts)
+        # Diverging runs overflow the scores, and so the loss, before the parameters.
+        if not (np.isfinite(mean_loss)
+                and all(np.all(np.isfinite(getattr(params, name))) for name in PARAM_FIELDS)):
+            raise FloatingPointError(
+                f"hgm: non-finite loss or parameters after epoch {epoch + 1}/{config.epochs} "
+                f"(step {step} of {total_steps})"
+            )
         logger.info("hgm epoch %d/%d mean loss %.4f", epoch + 1, config.epochs, mean_loss)
         if on_epoch is not None:
             on_epoch(epoch, mean_loss)

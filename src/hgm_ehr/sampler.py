@@ -6,11 +6,31 @@ shared diagnosis, and the temporal next node when it exists. Negatives:
 uniform draws from same-type nodes with no one-hop connection to the
 center (for patient-hour negatives: hour nodes of patients sharing no
 diagnosis with the center's patient).
+
+Every pool a draw can come from is built once per sampler, as a boolean
+row whose nonzero indices are the sorted pool: each patient's diagnoses and
+their complement, each patient-hour's observed labs and their complement
+and each patient's non-sharing patients. Each diagnosis's carriers are a
+sorted list. A context is drawn with one bounded-integer draw for all its
+diagnosis and lab positives, one per co-patient step (diagnosis, carrier,
+hour; the carrier bound depends on the diagnosis) and one for all its
+negatives. `Generator.integers` with an array of bounds consumes the bit
+stream exactly like the same bounds drawn one call at a time, and a bound
+of 1 consumes nothing, so the samples are those of drawing each positive
+and each negative block separately.
+
+A context holds its terms as arrays, one (index, target) pair per relation
+in the order tested, diagnosed, co-patient, temporal: each positive's
+target-1 term is followed by the target-0 terms of its negatives. Lab and
+diagnosis terms index their vocabularies; patient-hour terms are
+(patient, hour) rows. The NodeId tuples of the public fields are a view
+built from these arrays on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,21 +54,117 @@ class SamplerConfig:
             raise ValueError("all sampler counts must be >= 1")
 
 
-@dataclass(frozen=True)
+class Terms(NamedTuple):
+    """One relation's terms: node indices and their 1.0/0.0 targets."""
+
+    index: np.ndarray   # (n,) lab or diagnosis ids, or (n, 2) (patient, hour) rows
+    target: np.ndarray  # (n,) float
+
+
+# Node type of each relation's terms, in term order.
+_TERM_TYPES = (NodeType.LAB, NodeType.DIAGNOSIS, NodeType.PATIENT_HOUR, NodeType.PATIENT_HOUR)
+
+
+def _terms(positives, negatives, node_type: NodeType) -> Terms:
+    """Each positive followed by its negatives; positives (n,) or (n, 2), negatives (n, k[, 2])."""
+    n, k = negatives.shape[:2]
+    index = np.concatenate((positives[:, None], negatives), axis=1)
+    target = np.zeros((n, 1 + k))
+    target[:, 0] = 1.0
+    shape = (-1, 2) if node_type is NodeType.PATIENT_HOUR else (-1,)
+    return Terms(index.reshape(shape), target.reshape(-1))
+
+
+def _terms_from_nodes(positives, negatives, node_type: NodeType) -> Terms:
+    if len(positives) != len(negatives):
+        raise ValueError(f"{len(positives)} {node_type.value} positives but "
+                         f"{len(negatives)} negative groups")
+    index, target = [], []
+    for pos, negs in zip(positives, negatives):
+        for node, y in [(pos, 1.0)] + [(neg, 0.0) for neg in negs]:
+            if node.type is not node_type:
+                raise ValueError(f"expected a {node_type.value} node, got {node.type.value}")
+            index.append(node.index)
+            target.append(y)
+    index = np.array(index, dtype=np.int64)
+    if node_type is NodeType.PATIENT_HOUR:
+        index = index.reshape(-1, 2)
+    return Terms(index, np.array(target, dtype=float))
+
+
+def _nodes_from_terms(terms: Terms, node_type: NodeType):
+    """(positives, negative groups) as NodeId tuples."""
+    if node_type is NodeType.PATIENT_HOUR:
+        nodes = [NodeId(node_type, tuple(pair)) for pair in terms.index.tolist()]
+    else:
+        nodes = [NodeId(node_type, i) for i in terms.index.tolist()]
+    starts = np.flatnonzero(terms.target == 1.0).tolist()
+    ends = starts[1:] + [len(nodes)]
+    return (tuple(nodes[s] for s in starts),
+            tuple(tuple(nodes[s + 1:e]) for s, e in zip(starts, ends)))
+
+
 class ContextSample:
-    center: NodeId
-    pos_diagnoses: tuple
-    pos_labs: tuple
-    pos_patients: tuple
-    pos_temporal: NodeId | None
-    neg_diagnoses: tuple  # one tuple of negatives per positive
-    neg_labs: tuple
-    neg_patients: tuple
-    neg_temporal: tuple
+    """One skip-gram context around a patient-hour center.
+
+    Constructed from NodeId tuples, one tuple of negatives per positive (a
+    flat tuple for the single temporal positive). `terms` holds the context
+    as (tested, diagnosed, co-patient, temporal) Terms; the NodeId fields
+    are read-only views of them, built on first access.
+    """
+
+    def __init__(self, center: NodeId, pos_diagnoses=(), pos_labs=(), pos_patients=(),
+                 pos_temporal: NodeId | None = None, neg_diagnoses=(), neg_labs=(),
+                 neg_patients=(), neg_temporal=()):
+        if pos_temporal is None and neg_temporal:
+            raise ValueError("temporal negatives without a temporal positive")
+        temporal = (pos_temporal,) if pos_temporal is not None else ()
+        self.center = center
+        self.terms = (
+            _terms_from_nodes(pos_labs, neg_labs, NodeType.LAB),
+            _terms_from_nodes(pos_diagnoses, neg_diagnoses, NodeType.DIAGNOSIS),
+            _terms_from_nodes(pos_patients, neg_patients, NodeType.PATIENT_HOUR),
+            _terms_from_nodes(temporal, (neg_temporal,) if temporal else (),
+                              NodeType.PATIENT_HOUR),
+        )
+        self._views = None
+
+    @classmethod
+    def from_terms(cls, center: NodeId, terms) -> "ContextSample":
+        """Wrap (tested, diagnosed, co-patient, temporal) Terms without copying."""
+        context = cls.__new__(cls)
+        context.center = center
+        context.terms = tuple(terms)
+        context._views = None
+        return context
+
+    def _view(self, relation: int):
+        if self._views is None:
+            self._views = tuple(_nodes_from_terms(t, node_type)
+                                for t, node_type in zip(self.terms, _TERM_TYPES))
+        return self._views[relation]
+
+    pos_labs = property(lambda self: self._view(0)[0])
+    neg_labs = property(lambda self: self._view(0)[1])
+    pos_diagnoses = property(lambda self: self._view(1)[0])
+    neg_diagnoses = property(lambda self: self._view(1)[1])
+    pos_patients = property(lambda self: self._view(2)[0])
+    neg_patients = property(lambda self: self._view(2)[1])
+    pos_temporal = property(lambda self: next(iter(self._view(3)[0]), None))
+    neg_temporal = property(lambda self: next(iter(self._view(3)[1]), ()))
 
     def n_positives(self) -> int:
-        return (len(self.pos_diagnoses) + len(self.pos_labs) + len(self.pos_patients)
-                + (1 if self.pos_temporal is not None else 0))
+        return sum(int(np.count_nonzero(t.target == 1.0)) for t in self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ContextSample):
+            return NotImplemented
+        return self.center == other.center and all(
+            np.array_equal(a.index, b.index) and np.array_equal(a.target, b.target)
+            for a, b in zip(self.terms, other.terms))
+
+    def __repr__(self) -> str:
+        return f"ContextSample(center={self.center}, terms={self.terms})"
 
 
 class Sampler:
@@ -59,119 +175,94 @@ class Sampler:
         self.graph = graph
         self.config = config
         self.rng = np.random.default_rng(config.seed)
-        self._dx_patients: dict[int, np.ndarray] = {}
-        self._neg_patient_pool: dict[int, np.ndarray] = {}
+        diagnosed = np.zeros((graph.n_patients, graph.n_diagnoses), dtype=bool)
+        for p, dxs in graph.diagnosed_adj.items():
+            diagnosed[p, list(dxs)] = True
+        counts = diagnosed.astype(float)
+        self._diagnosed = diagnosed
+        self._undiagnosed = ~diagnosed
+        self._unobserved = ~graph.observed
+        self._nonsharing = counts @ counts.T == 0
+        np.fill_diagonal(self._nonsharing, False)
+        self._carriers = [np.flatnonzero(column).tolist() for column in diagnosed.T]
+        self._n_carriers = diagnosed.sum(axis=0)
 
-    def _patients_with_diagnosis(self, dx: int, exclude: int) -> np.ndarray:
-        pool = self._dx_patients.get(dx)
-        if pool is None:
-            pool = np.array(sorted(self.graph.diagnosed_rev.get(dx, ())), dtype=np.int64)
-            self._dx_patients[dx] = pool
-        return pool[pool != exclude]
-
-    def _nonsharing_patients(self, patient: int) -> np.ndarray:
-        pool = self._neg_patient_pool.get(patient)
-        if pool is None:
-            sharing = {patient}
-            for dx in self.graph.diagnosed_adj.get(patient, ()):
-                sharing.update(self.graph.diagnosed_rev[dx])
-            pool = np.array(
-                [q for q in range(self.graph.n_patients) if q not in sharing], dtype=np.int64
-            )
-            self._neg_patient_pool[patient] = pool
-        return pool
-
-    def _negative_pool(self, center: NodeId, node_type: NodeType):
-        p, h = center.index
-        if node_type is NodeType.DIAGNOSIS:
-            connected = self.graph.diagnosed_adj.get(p, set())
-            return np.array([d for d in range(self.graph.n_diagnoses) if d not in connected],
-                            dtype=np.int64)
-        if node_type is NodeType.LAB:
-            tested = self.graph.tested_adj.get((p, h), set())
-            return np.array([l for l in range(self.graph.n_labs) if l not in tested],
-                            dtype=np.int64)
-        return self._nonsharing_patients(p)
+    def _negative_pools(self, p: int, h: int):
+        """Diagnosis, lab and patient negative pools of center (p, h)."""
+        return (self._undiagnosed[p].nonzero()[0],
+                self._unobserved[self.graph.ph_row(p, h)].nonzero()[0],
+                self._nonsharing[p].nonzero()[0])
 
     def sample_negatives(self, center: NodeId, node_type: NodeType, count: int) -> tuple:
         """Uniform with-replacement draws from the center's non-neighbors."""
         if center.type is not NodeType.PATIENT_HOUR:
             raise ValueError("negatives are sampled around patient-hour centers")
-        pool = self._negative_pool(center, node_type)
+        dx_pool, lab_pool, patient_pool = self._negative_pools(*center.index)
+        pool = {NodeType.DIAGNOSIS: dx_pool, NodeType.LAB: lab_pool,
+                NodeType.PATIENT_HOUR: patient_pool}[node_type]
         if pool.size == 0:
             raise ValueError(f"empty negative pool for type {node_type.value}")
         if node_type is NodeType.PATIENT_HOUR:
-            patients = self.rng.choice(pool, size=count, replace=True)
-            hours = self.rng.integers(0, self.graph.window_hours, size=count)
-            return tuple(NodeId(node_type, (int(q), int(hh))) for q, hh in zip(patients, hours))
-        picks = self.rng.choice(pool, size=count, replace=True)
-        return tuple(NodeId(node_type, int(i)) for i in picks)
-
-    def _draw_negatives(self, center: NodeId, node_type: NodeType, n_positives: int):
-        # Inside a context an empty pool degrades to negative-free positives
-        # instead of erroring; direct sample_negatives keeps the strict contract.
-        k = self.config.negatives_per_positive
-        pool = self._negative_pool(center, node_type)
-        if pool.size == 0 or n_positives == 0:
-            return tuple(() for _ in range(n_positives))
-        return tuple(self.sample_negatives(center, node_type, k) for _ in range(n_positives))
+            draws = self.rng.integers(0, np.repeat((pool.size, self.graph.window_hours), count))
+            return tuple(NodeId(node_type, (q, hh))
+                         for q, hh in zip(pool[draws[:count]].tolist(), draws[count:].tolist()))
+        return tuple(NodeId(node_type, i)
+                     for i in pool[self.rng.integers(0, pool.size, size=count)].tolist())
 
     def sample_context(self, center: NodeId) -> ContextSample:
         """Draw one full skip-gram context around a patient-hour center."""
         if center.type is not NodeType.PATIENT_HOUR:
             raise ValueError("context centers must be patient-hour nodes")
-        graph = self.graph
+        cfg = self.config
+        integers = self.rng.integers
+        window = self.graph.window_hours
         p, h = center.index
-        dx_pool = np.array(sorted(graph.diagnosed_adj.get(p, ())), dtype=np.int64)
-        lab_pool = np.array(sorted(graph.tested_adj.get((p, h), ())), dtype=np.int64)
+        dx_pool = self._diagnosed[p].nonzero()[0]
+        lab_pool = self.graph.observed[self.graph.ph_row(p, h)].nonzero()[0]
         if dx_pool.size == 0 and lab_pool.size == 0:
             raise UntrainableCenterError(
                 f"patient-hour ({p}, {h}) has no diagnoses and no observed labs"
             )
 
-        pos_diagnoses: tuple = ()
-        if dx_pool.size:
-            picks = self.rng.choice(dx_pool, size=self.config.n_diagnoses, replace=True)
-            pos_diagnoses = tuple(NodeId(NodeType.DIAGNOSIS, int(d)) for d in picks)
-        pos_labs: tuple = ()
-        if lab_pool.size:
-            picks = self.rng.choice(lab_pool, size=self.config.n_labs, replace=True)
-            pos_labs = tuple(NodeId(NodeType.LAB, int(l)) for l in picks)
+        n_dx = cfg.n_diagnoses if dx_pool.size else 0
+        n_lab = cfg.n_labs if lab_pool.size else 0
+        draws = integers(0, np.repeat((dx_pool.size, lab_pool.size), (n_dx, n_lab)))
+        pos_diagnoses = dx_pool[draws[:n_dx]]
+        pos_labs = lab_pool[draws[n_dx:]]
 
         # Co-patients: re-draw a sampled diagnosis, then a uniform hour node of
         # another patient carrying it. Diagnoses whose only carrier is the
-        # center's patient cannot produce one and are skipped.
-        pos_patients: tuple = ()
-        eligible = [d.index for d in pos_diagnoses if self._patients_with_diagnosis(d.index, p).size]
-        if eligible:
-            out = []
-            for _ in range(self.config.n_copatients):
-                dx = eligible[int(self.rng.integers(0, len(eligible)))]
-                carriers = self._patients_with_diagnosis(dx, p)
-                q = int(carriers[int(self.rng.integers(0, carriers.size))])
-                hour = int(self.rng.integers(0, graph.window_hours))
-                out.append(NodeId(NodeType.PATIENT_HOUR, (q, hour)))
-            pos_patients = tuple(out)
+        # center's patient cannot produce one and are skipped. The carrier
+        # bound depends on the diagnosis drawn, so these draws go one by one.
+        eligible = pos_diagnoses[self._n_carriers[pos_diagnoses] > 1].tolist()
+        n_cp = cfg.n_copatients if eligible else 0
+        copatients = []
+        for _ in range(n_cp):
+            carriers = self._carriers[eligible[integers(0, len(eligible))]]
+            pick = int(integers(0, len(carriers) - 1))  # among carriers other than p
+            q = carriers[pick] if carriers[pick] < p else carriers[pick + 1]
+            copatients.append((q, int(integers(0, window))))
+        pos_patients = np.array(copatients, dtype=np.int64).reshape(n_cp, 2)
+        pos_temporal = np.array([(p, h - 1)] if h > 0 else [], dtype=np.int64).reshape(-1, 2)
 
-        nxt = graph.temporal_next.get((p, h))
-        pos_temporal = NodeId(NodeType.PATIENT_HOUR, nxt) if nxt is not None else None
+        # Negatives: k per positive, patient-hours as k patients then k hours.
+        k = cfg.negatives_per_positive
+        dx_neg, lab_neg, patient_neg = self._negative_pools(p, h)
+        k_dx = k if dx_neg.size else 0
+        k_lab = k if lab_neg.size else 0
+        k_ph = k if patient_neg.size else 0
+        n_ph = n_cp + len(pos_temporal)
+        bounds = (dx_neg.size, lab_neg.size) + (patient_neg.size, window) * n_ph
+        draws = integers(0, np.repeat(bounds, (k_dx * n_dx, k_lab * n_lab) + (k_ph, k_ph) * n_ph))
+        neg_diagnoses = dx_neg[draws[:k_dx * n_dx]].reshape(n_dx, k_dx)
+        offset = k_dx * n_dx + k_lab * n_lab
+        neg_labs = lab_neg[draws[k_dx * n_dx:offset]].reshape(n_lab, k_lab)
+        blocks = draws[offset:].reshape(n_ph, 2, k_ph)
+        neg_patient_hours = np.stack((patient_neg[blocks[:, 0]], blocks[:, 1]), axis=-1)
 
-        neg_diagnoses = self._draw_negatives(center, NodeType.DIAGNOSIS, len(pos_diagnoses))
-        neg_labs = self._draw_negatives(center, NodeType.LAB, len(pos_labs))
-        neg_patients = self._draw_negatives(center, NodeType.PATIENT_HOUR, len(pos_patients))
-        neg_temporal: tuple = ()
-        if pos_temporal is not None:
-            drawn = self._draw_negatives(center, NodeType.PATIENT_HOUR, 1)
-            neg_temporal = drawn[0]
-
-        return ContextSample(
-            center=center,
-            pos_diagnoses=pos_diagnoses,
-            pos_labs=pos_labs,
-            pos_patients=pos_patients,
-            pos_temporal=pos_temporal,
-            neg_diagnoses=neg_diagnoses,
-            neg_labs=neg_labs,
-            neg_patients=neg_patients,
-            neg_temporal=neg_temporal,
-        )
+        return ContextSample.from_terms(center, (
+            _terms(pos_labs, neg_labs, NodeType.LAB),
+            _terms(pos_diagnoses, neg_diagnoses, NodeType.DIAGNOSIS),
+            _terms(pos_patients, neg_patient_hours[:n_cp], NodeType.PATIENT_HOUR),
+            _terms(pos_temporal, neg_patient_hours[n_cp:], NodeType.PATIENT_HOUR),
+        ))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hgm_ehr
 from hgm_ehr.cli import load_run_config, main
 from hgm_ehr.seeds import derive_seed
 
@@ -164,6 +169,17 @@ class TestTrainEvalCommands:
         main(["run", "--config", str(cfg_path), "--out", str(run_out)])
         assert eval_report == (run_out / "report_HGM_CNN_6h.json").read_bytes()
 
+    def test_single_class_folds_are_not_trained(self, tmp_path):
+        # 12 patients in 6 folds: the test sets of folds 0 and 2 are single-class
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "run.ini", out, n_patients=12, folds=6, arms="CNN")
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpts = sorted(p.name for p in (out / "checkpoints").glob("*.json"))
+        assert ckpts == [f"cnn_CNN_w6_f{f}.json" for f in (1, 3, 4, 5)]
+        assert main(["eval", "--config", str(cfg_path)]) == 0
+        report = json.loads((out / "report_CNN_6h.json").read_text())
+        assert [f["fold"] for f in report["folds"]] == [1, 3, 4, 5]
+
     def test_eval_without_checkpoints_fails(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "run.ini", tmp_path / "out")
         code = main(["eval", "--config", str(cfg_path)])
@@ -203,6 +219,19 @@ dir = out
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert "not found" in err
+
+    def test_debug_log_carries_traceback(self, tmp_path):
+        env = dict(os.environ, HGM_EHR_LOG="debug",
+                   PYTHONPATH=os.pathsep.join([str(Path(hgm_ehr.__file__).parents[1]),
+                                               os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hgm_ehr.cli", "run", "--config", str(tmp_path / "absent.ini")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback (most recent call last)" in proc.stderr
+        assert "FileNotFoundError" in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("hgm-ehr: error:")]
+        assert errors == ["hgm-ehr: error: config file not found: " + str(tmp_path / "absent.ini")]
 
     def test_seed_override_changes_outputs(self, tmp_path):
         out_a = tmp_path / "a"

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from hgm_ehr import evaluate
 from hgm_ehr.cnn import CnnTrainConfig
 from hgm_ehr.evaluate import (ExperimentConfig, assemble_outcome, auprc, auroc, kfold_split,
                               pr_points, roc_points, run_experiment, run_experiments,
@@ -139,6 +140,28 @@ class TestAuprc:
             rank_enumeration_auprc(scores, labels), abs=1e-12)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteScoresRejected:
+    # a NaN score used to rank as a real one: auroc 0.75, auprc 0.5, and the
+    # curve loops never advanced past it
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_auroc(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            auroc([bad, 0.1, 0.2, 0.3], [1, 0, 1, 0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_auprc(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            auprc([bad, 0.1, 0.2, 0.3], [1, 0, 1, 0])
+
+    @pytest.mark.parametrize("points", [roc_points, pr_points])
+    def test_curve_points(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            points([float("nan"), 0.1, 0.2, 0.3], [1, 0, 1, 0])
+
+
 class TestCurvePoints:
     def test_roc_endpoints(self):
         pts = roc_points([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
@@ -216,6 +239,16 @@ class TestRunExperiment:
             rec.died = True
         with pytest.raises(ValueError, match="no evaluable folds"):
             run_experiment(records, vocab, "CNN", 6, fast_config(k=3))
+
+    def test_diverging_embeddings_name_fold_and_window(self, monkeypatch):
+        def diverge(graph, config, on_epoch=None):
+            raise FloatingPointError("hgm: non-finite loss or parameters after epoch 2/2")
+
+        monkeypatch.setattr(evaluate, "train_hgm", diverge)
+        records, vocab = small_corpus(n=12)
+        with pytest.raises(FloatingPointError,
+                           match=r"^fold 3, window 6h: hgm: non-finite .* epoch 2/2$"):
+            train_fold(records, ("HGM",), 6, vocab, fast_config(), 3)
 
     def test_std_is_sample_std(self):
         records, vocab = small_corpus()

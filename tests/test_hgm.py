@@ -10,7 +10,7 @@ from hgm_ehr.hgm import (HgmParams, HgmTrainConfig, Relation, embed_node, embed_
                          project, save_params, score, score_raw, softmax_context_loss,
                          train_hgm, translate)
 from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
-from hgm_ehr.sampler import ContextSample, Sampler, SamplerConfig
+from hgm_ehr.sampler import ContextSample, Sampler, SamplerConfig, UntrainableCenterError
 from hgm_ehr.seeds import derive_seed
 
 from conftest import make_record, toy_vocab
@@ -341,6 +341,55 @@ class TestTrainHgm:
         assert len(losses) == 10
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier * 1.05
+
+    def test_divergence_raises(self):
+        # relu at lr = 50 diverges: from epoch 9 the scores overflow and the
+        # loss is inf while |w_p| ~ 3.6e197 is still finite, which used to be
+        # returned with only a RuntimeWarning
+        cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
+        graph = build_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
+        train_cfg = HgmTrainConfig(epochs=12, d=4, seed=1, learning_rate=50.0, activation="relu")
+        message = r"^hgm: non-finite .* epoch \d+/12 \(step \d+ of 432\)"
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=message):
+            train_hgm(graph, train_cfg)
+
+    def test_matches_public_sgd_loop(self):
+        # train_hgm is plain SGD over the public sampler and gradient: one
+        # sample_context + ns_grad step per visit, untrainable visits skipped
+        # but counted in the linear learning-rate schedule
+        cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
+        records = generate_synthetic(cfg, seed=8) + [make_record("idle", [(0.5, 0, 1.0)], set())]
+        graph = build_graph(records, synthetic_vocabulary(cfg), 3)
+        train_cfg = HgmTrainConfig(epochs=3, d=6, seed=4, learning_rate=0.05,
+                                   sampler=SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=3,
+                                                         negatives_per_positive=2))
+        trained = train_hgm(graph, train_cfg)
+
+        params = init_params(train_cfg.d, graph.n_labs, graph.n_labs, graph.n_diagnoses,
+                             seed=derive_seed(train_cfg.seed, "hgm-init"))
+        sampler = Sampler(graph, SamplerConfig(
+            n_diagnoses=3, n_labs=3, n_copatients=3, negatives_per_positive=2,
+            seed=derive_seed(train_cfg.seed, "hgm-sampler")))
+        shuffle = np.random.default_rng(derive_seed(train_cfg.seed, "hgm-shuffle"))
+        centers = [ph(p, h) for p, h in graph.patient_hours()]
+        total = train_cfg.epochs * len(centers)
+        span = train_cfg.learning_rate - train_cfg.min_learning_rate
+        step = skipped = 0
+        for _ in range(train_cfg.epochs):
+            for i in shuffle.permutation(len(centers)):
+                lr = train_cfg.min_learning_rate + span * (1.0 - step / total)
+                step += 1
+                try:
+                    ctx = sampler.sample_context(centers[i])
+                except UntrainableCenterError:
+                    skipped += 1
+                    continue
+                grads = ns_grad(params, graph, ctx)
+                for name in PARAM_FIELDS:
+                    getattr(params, name)[...] -= lr * getattr(grads, name)
+        assert skipped > 0
+        for name in PARAM_FIELDS:
+            assert np.array_equal(getattr(trained, name), getattr(params, name)), name
 
     def test_untrainable_centers_skipped(self, caplog):
         records = [make_record("p0", [(0.5, 0, 1.0)], set()),  # hour 1 empty, no dx

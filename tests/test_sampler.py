@@ -3,7 +3,7 @@ import pytest
 
 from hgm_ehr.graph import NodeId, NodeType, build_graph, neighbors
 from hgm_ehr.ingest import GenConfig, generate_synthetic, synthetic_vocabulary
-from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError
+from hgm_ehr.sampler import ContextSample, Sampler, SamplerConfig, UntrainableCenterError
 
 from conftest import make_record, toy_vocab
 
@@ -172,3 +172,153 @@ def test_same_seed_same_samples(shared_dx_graph):
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(n_diagnoses=0).validate()
+
+
+class ReferenceSampler:
+    """The sampler as it was written before its pools became arrays: every
+    positive and every negative block is its own rng.choice/integers call and
+    every pool is rebuilt from the graph's adjacency dicts."""
+
+    def __init__(self, graph, config):
+        self.graph = graph
+        self.config = config
+        self.rng = np.random.default_rng(config.seed)
+
+    def _carriers(self, dx, exclude):
+        pool = np.array(sorted(self.graph.diagnosed_rev.get(dx, ())), dtype=np.int64)
+        return pool[pool != exclude]
+
+    def _negative_pool(self, p, h, node_type):
+        graph = self.graph
+        if node_type is NodeType.DIAGNOSIS:
+            connected = graph.diagnosed_adj.get(p, set())
+            return np.array([d for d in range(graph.n_diagnoses) if d not in connected],
+                            dtype=np.int64)
+        if node_type is NodeType.LAB:
+            tested = graph.tested_adj.get((p, h), set())
+            return np.array([l for l in range(graph.n_labs) if l not in tested], dtype=np.int64)
+        sharing = {p}
+        for dx in graph.diagnosed_adj.get(p, ()):
+            sharing.update(graph.diagnosed_rev[dx])
+        return np.array([q for q in range(graph.n_patients) if q not in sharing], dtype=np.int64)
+
+    def _draw_negatives(self, p, h, node_type, n_positives):
+        pool = self._negative_pool(p, h, node_type)
+        if pool.size == 0 or n_positives == 0:
+            return tuple(() for _ in range(n_positives))
+        out = []
+        for _ in range(n_positives):
+            k = self.config.negatives_per_positive
+            if node_type is NodeType.PATIENT_HOUR:
+                patients = self.rng.choice(pool, size=k, replace=True)
+                hours = self.rng.integers(0, self.graph.window_hours, size=k)
+                out.append(tuple(NodeId(node_type, (int(q), int(hh)))
+                                 for q, hh in zip(patients, hours)))
+            else:
+                picks = self.rng.choice(pool, size=k, replace=True)
+                out.append(tuple(NodeId(node_type, int(i)) for i in picks))
+        return tuple(out)
+
+    def sample_context(self, center):
+        graph = self.graph
+        p, h = center.index
+        dx_pool = np.array(sorted(graph.diagnosed_adj.get(p, ())), dtype=np.int64)
+        lab_pool = np.array(sorted(graph.tested_adj.get((p, h), ())), dtype=np.int64)
+        if dx_pool.size == 0 and lab_pool.size == 0:
+            raise UntrainableCenterError(f"({p}, {h})")
+        pos_diagnoses = ()
+        if dx_pool.size:
+            picks = self.rng.choice(dx_pool, size=self.config.n_diagnoses, replace=True)
+            pos_diagnoses = tuple(NodeId(NodeType.DIAGNOSIS, int(d)) for d in picks)
+        pos_labs = ()
+        if lab_pool.size:
+            picks = self.rng.choice(lab_pool, size=self.config.n_labs, replace=True)
+            pos_labs = tuple(NodeId(NodeType.LAB, int(l)) for l in picks)
+        pos_patients = ()
+        eligible = [d.index for d in pos_diagnoses if self._carriers(d.index, p).size]
+        if eligible:
+            out = []
+            for _ in range(self.config.n_copatients):
+                dx = eligible[int(self.rng.integers(0, len(eligible)))]
+                carriers = self._carriers(dx, p)
+                q = int(carriers[int(self.rng.integers(0, carriers.size))])
+                hour = int(self.rng.integers(0, graph.window_hours))
+                out.append(NodeId(NodeType.PATIENT_HOUR, (q, hour)))
+            pos_patients = tuple(out)
+        nxt = graph.temporal_next.get((p, h))
+        pos_temporal = NodeId(NodeType.PATIENT_HOUR, nxt) if nxt is not None else None
+        neg_diagnoses = self._draw_negatives(p, h, NodeType.DIAGNOSIS, len(pos_diagnoses))
+        neg_labs = self._draw_negatives(p, h, NodeType.LAB, len(pos_labs))
+        neg_patients = self._draw_negatives(p, h, NodeType.PATIENT_HOUR, len(pos_patients))
+        neg_temporal = ()
+        if pos_temporal is not None:
+            neg_temporal = self._draw_negatives(p, h, NodeType.PATIENT_HOUR, 1)[0]
+        return ContextSample(center, pos_diagnoses, pos_labs, pos_patients, pos_temporal,
+                             neg_diagnoses, neg_labs, neg_patients, neg_temporal)
+
+
+def edge_case_graphs():
+    """Empty hours, a diagnosis-free patient, diagnoses only their patient
+    carries and a fully tested hour; then two patients who share everything."""
+    records = [
+        make_record("p0", [(0.5, 0, 1.0), (0.5, 1, 1.0), (0.5, 2, 1.0), (0.5, 3, 1.0),
+                           (2.5, 1, 0.2)], {0, 1, 2}),
+        make_record("p1", [(1.5, 2, -1.0)], {1}),
+        make_record("p2", [(0.5, 3, 0.1)], set()),
+        make_record("p3", [(1.5, 0, 0.4), (2.5, 2, 0.1)], {2, 4}),
+        make_record("p4", [], {5}),
+    ]
+    sharing = [make_record("p0", [(0.5, 0, 1.0)], {0, 1}), make_record("p1", [], {0})]
+    return [build_graph(records, toy_vocab(n_labs=4, n_diagnoses=6), 3),
+            build_graph(sharing, toy_vocab(n_labs=4, n_diagnoses=6), 3)]
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_matches_reference_sampler_on_every_center(seed):
+    cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
+    synthetic = build_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
+    config = SamplerConfig(n_diagnoses=4, n_labs=3, n_copatients=5, negatives_per_positive=2,
+                           seed=seed)
+    untrainable = 0
+    for graph in [synthetic] + edge_case_graphs():
+        sampler = Sampler(graph, config)
+        reference = ReferenceSampler(graph, config)
+        for _ in range(2):  # a second pass continues both streams
+            for p, h in graph.patient_hours():
+                try:
+                    expected = reference.sample_context(ph(p, h))
+                except UntrainableCenterError:
+                    untrainable += 1
+                    with pytest.raises(UntrainableCenterError):
+                        sampler.sample_context(ph(p, h))
+                    continue
+                ctx = sampler.sample_context(ph(p, h))
+                assert ctx == expected
+                assert ctx.pos_patients == expected.pos_patients
+                assert ctx.neg_temporal == expected.neg_temporal
+        assert sampler.rng.integers(0, 2**62) == reference.rng.integers(0, 2**62)
+    assert untrainable > 0
+
+
+def test_context_views_round_trip():
+    center = ph(0, 1)
+    kwargs = dict(
+        pos_diagnoses=(NodeId(NodeType.DIAGNOSIS, 2),),
+        pos_labs=(NodeId(NodeType.LAB, 1), NodeId(NodeType.LAB, 0)),
+        pos_patients=(ph(1, 0),), pos_temporal=ph(0, 0),
+        neg_diagnoses=((NodeId(NodeType.DIAGNOSIS, 0), NodeId(NodeType.DIAGNOSIS, 4)),),
+        neg_labs=((NodeId(NodeType.LAB, 2),), ()),
+        neg_patients=((ph(2, 1), ph(2, 0)),), neg_temporal=(ph(3, 2),),
+    )
+    ctx = ContextSample(center, **kwargs)
+    for name, value in kwargs.items():
+        assert getattr(ctx, name) == value
+    assert ctx.n_positives() == 5
+    assert ctx == ContextSample(center, **kwargs)
+    assert ctx != ContextSample(center, **dict(kwargs, neg_temporal=()))
+    tested = ctx.terms[0]
+    assert tested.index.tolist() == [1, 2, 0]
+    assert tested.target.tolist() == [1.0, 0.0, 1.0]
+    assert ctx.terms[3].index.tolist() == [[0, 0], [3, 2]]
+    with pytest.raises(ValueError, match="negative groups"):
+        ContextSample(center, pos_labs=(NodeId(NodeType.LAB, 1),))
