@@ -316,7 +316,6 @@ def main(argv=None) -> int:
             config = replace(config, seed=args.seed)
         if args.out is not None:
             config = replace(config, out_dir=Path(args.out))
-        config.out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "synth":
             return cmd_synth(config)
         if args.command == "train":

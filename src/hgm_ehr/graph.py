@@ -1,18 +1,19 @@
 """Heterogeneous graph over patient-hour, lab and diagnosis nodes.
 
-Edges: tested (patient-hour -> lab observed that hour), diagnosed
-(patient -> diagnosis, inherited by all of the patient's hour nodes) and
+Edges: tested (patient-hour -> lab observed that hour), stored as the
+`observed` mask with one row per patient-hour, `patient * window_hours +
+hour`; diagnosed (patient -> diagnosis, inherited by all of the patient's
+hour nodes), stored as the `diagnosed` patient x diagnosis mask; and
 temporal (patient-hour at h -> same patient at h-1, one hour closer to the
-endpoint). Patient-patient similarity is not materialized; it is realized
-at sampling time as a two-hop walk through a shared diagnosis.
+endpoint), implied by the row layout. Patient-patient similarity is not
+materialized; it is realized at sampling time as a two-hop walk through a
+shared diagnosis.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -33,19 +34,15 @@ class NodeId(NamedTuple):
 
 @dataclass
 class HeteroGraph:
-    """Immutable after build; all adjacency maps are exact transposes."""
+    """Immutable after build; edges are read from `observed` and `diagnosed`."""
 
     window_hours: int
     n_labs: int
     n_diagnoses: int
     patient_ids: list[str]
-    xp: np.ndarray        # (n_patients * window_hours, n_labs) hour snapshot values
-    observed: np.ndarray  # same shape, bool mask
-    tested_adj: dict      # (patient, hour) -> set of lab ids
-    tested_rev: dict      # lab id -> set of (patient, hour)
-    diagnosed_adj: dict   # patient ordinal -> set of diagnosis ids
-    diagnosed_rev: dict   # diagnosis id -> set of patient ordinals
-    temporal_next: dict   # (patient, hour) -> (patient, hour - 1)
+    xp: np.ndarray         # (n_patients * window_hours, n_labs) hour snapshot values
+    observed: np.ndarray   # same shape, bool mask: the tested edges
+    diagnosed: np.ndarray  # (n_patients, n_diagnoses) bool: the diagnosed edges
 
     @property
     def n_patients(self) -> int:
@@ -69,44 +66,26 @@ def build_graph(records, vocab, window_hours: int) -> HeteroGraph:
     n = len(records)
     xp = np.zeros((n * window_hours, n_labs))
     observed = np.zeros((n * window_hours, n_labs), dtype=bool)
-    tested_adj = {}
-    tested_rev = {lab: set() for lab in range(n_labs)}
-    diagnosed_adj = {}
-    diagnosed_rev = {dx: set() for dx in range(vocab.n_diagnoses)}
-    temporal_next = {}
-    patient_ids = []
+    diagnosed = np.zeros((n, vocab.n_diagnoses), dtype=bool)
 
     for p, rec in enumerate(records):
-        patient_ids.append(rec.patient_id)
         for dx in rec.diagnoses:
             if not 0 <= dx < vocab.n_diagnoses:
                 raise ValueError(f"diagnosis id {dx} outside vocabulary of size {vocab.n_diagnoses}")
-        diagnosed_adj[p] = set(rec.diagnoses)
-        for dx in rec.diagnoses:
-            diagnosed_rev[dx].add(p)
+        diagnosed[p, list(rec.diagnoses)] = True
         for snap in bin_events(rec, window_hours, n_labs):
             row = p * window_hours + snap.hour
             xp[row] = snap.lab_values
             observed[row] = snap.lab_observed
-            labs = set(np.flatnonzero(snap.lab_observed).tolist())
-            tested_adj[(p, snap.hour)] = labs
-            for lab in labs:
-                tested_rev[lab].add((p, snap.hour))
-        for h in range(1, window_hours):
-            temporal_next[(p, h)] = (p, h - 1)
 
     return HeteroGraph(
         window_hours=window_hours,
         n_labs=n_labs,
         n_diagnoses=vocab.n_diagnoses,
-        patient_ids=patient_ids,
+        patient_ids=[rec.patient_id for rec in records],
         xp=xp,
         observed=observed,
-        tested_adj=tested_adj,
-        tested_rev=tested_rev,
-        diagnosed_adj=diagnosed_adj,
-        diagnosed_rev=diagnosed_rev,
-        temporal_next=temporal_next,
+        diagnosed=diagnosed,
     )
 
 
@@ -125,33 +104,31 @@ def neighbors(graph: HeteroGraph, node: NodeId, target_type: NodeType) -> list[N
 
     Patient-hour to patient-hour neighborhoods are the hour nodes of other
     patients sharing at least one diagnosis, plus the temporal next node.
+    Each is read as a boolean mask over the target type's nodes, in row order.
     """
-    result: set = set()
+    window = graph.window_hours
+    mask = np.zeros(0, dtype=bool)
     if node.type is NodeType.PATIENT_HOUR:
         p, h = node.index
         if target_type is NodeType.LAB:
-            result = set(graph.tested_adj.get((p, h), ()))
+            mask = graph.observed[graph.ph_row(p, h)]
         elif target_type is NodeType.DIAGNOSIS:
-            result = set(graph.diagnosed_adj.get(p, ()))
+            mask = graph.diagnosed[p]
         else:
-            for dx in graph.diagnosed_adj.get(p, ()):
-                for q in graph.diagnosed_rev[dx]:
-                    if q == p:
-                        continue
-                    for hour in range(graph.window_hours):
-                        result.add((q, hour))
-            nxt = graph.temporal_next.get((p, h))
-            if nxt is not None:
-                result.add(nxt)
-    elif node.type is NodeType.LAB:
-        if target_type is NodeType.PATIENT_HOUR:
-            result = set(graph.tested_rev.get(node.index, ()))
-    else:
-        if target_type is NodeType.PATIENT_HOUR:
-            for q in graph.diagnosed_rev.get(node.index, ()):
-                for hour in range(graph.window_hours):
-                    result.add((q, hour))
-    return [NodeId(target_type, idx) for idx in sorted(result)]
+            sharing = graph.diagnosed[:, graph.diagnosed[p]].any(axis=1)
+            sharing[p] = False
+            mask = np.repeat(sharing, window)
+            if h > 0:
+                mask[graph.ph_row(p, h - 1)] = True
+    elif target_type is NodeType.PATIENT_HOUR:
+        if node.type is NodeType.LAB:
+            mask = graph.observed[:, node.index]
+        else:
+            mask = np.repeat(graph.diagnosed[:, node.index], window)
+    indices = np.flatnonzero(mask).tolist()
+    if target_type is NodeType.PATIENT_HOUR:
+        indices = [divmod(row, window) for row in indices]
+    return [NodeId(target_type, i) for i in indices]
 
 
 def all_nodes(graph: HeteroGraph) -> list[NodeId]:
@@ -159,22 +136,3 @@ def all_nodes(graph: HeteroGraph) -> list[NodeId]:
     nodes += [NodeId(NodeType.LAB, i) for i in range(graph.n_labs)]
     nodes += [NodeId(NodeType.DIAGNOSIS, j) for j in range(graph.n_diagnoses)]
     return nodes
-
-
-def dump_jsonl(graph: HeteroGraph, path) -> None:
-    """Debugging dump, one node or edge per line. Not a stability contract."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for p, h in graph.patient_hours():
-            fh.write(json.dumps({"node": "patient_hour", "patient": p, "hour": h}) + "\n")
-        for i in range(graph.n_labs):
-            fh.write(json.dumps({"node": "lab", "index": i}) + "\n")
-        for j in range(graph.n_diagnoses):
-            fh.write(json.dumps({"node": "diagnosis", "index": j}) + "\n")
-        for (p, h), labs in graph.tested_adj.items():
-            for lab in sorted(labs):
-                fh.write(json.dumps({"edge": "tested", "patient": p, "hour": h, "lab": lab}) + "\n")
-        for p, dxs in graph.diagnosed_adj.items():
-            for dx in sorted(dxs):
-                fh.write(json.dumps({"edge": "diagnosed", "patient": p, "diagnosis": dx}) + "\n")
-        for src, dst in graph.temporal_next.items():
-            fh.write(json.dumps({"edge": "temporal", "from": list(src), "to": list(dst)}) + "\n")

@@ -125,6 +125,12 @@ class HgmTrainConfig:
     def validate(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.min_learning_rate < 0:
+            raise ValueError("min_learning_rate must be >= 0")
+        if self.min_learning_rate > self.learning_rate:
+            raise ValueError("min_learning_rate must not exceed learning_rate")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
         if self.d < 2:
             raise ValueError("embedding dimension must be >= 2")
         if self.epochs < 0:

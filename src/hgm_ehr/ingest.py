@@ -39,7 +39,7 @@ class PatientRecord:
     events: list[LabEvent]
     diagnoses: set[int]
     died: bool
-    end_hour: int
+    end_hour: int  # informational: parsed and written back, read by no stage
 
 
 @dataclass

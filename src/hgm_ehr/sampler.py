@@ -7,17 +7,18 @@ uniform draws from same-type nodes with no one-hop connection to the
 center (for patient-hour negatives: hour nodes of patients sharing no
 diagnosis with the center's patient).
 
-Every pool a draw can come from is built once per sampler, as a boolean
-row whose nonzero indices are the sorted pool: each patient's diagnoses and
-their complement, each patient-hour's observed labs and their complement
-and each patient's non-sharing patients. Each diagnosis's carriers are a
-sorted list. A context is drawn with one bounded-integer draw for all its
-diagnosis and lab positives, one per co-patient step (diagnosis, carrier,
-hour; the carrier bound depends on the diagnosis) and one for all its
-negatives. `Generator.integers` with an array of bounds consumes the bit
-stream exactly like the same bounds drawn one call at a time, and a bound
-of 1 consumes nothing, so the samples are those of drawing each positive
-and each negative block separately.
+Every pool a draw can come from is a boolean row whose nonzero indices are
+the sorted pool: a patient's row of the graph's `diagnosed` mask or its
+complement, a patient-hour's row of the `observed` mask or its complement,
+and a patient's row of the non-sharing-patient mask, which the sampler
+builds once, as it does each diagnosis's sorted carrier list. A context is
+drawn with one bounded-integer draw for all its diagnosis and lab
+positives, one per co-patient step (diagnosis, carrier, hour; the carrier
+bound depends on the diagnosis) and one for all its negatives.
+`Generator.integers` with an array of bounds consumes the bit stream
+exactly like the same bounds drawn one call at a time, and a bound of 1
+consumes nothing, so the samples are those of drawing each positive and
+each negative block separately.
 
 A context holds its terms as arrays, one (index, target) pair per relation
 in the order tested, diagnosed, co-patient, temporal: each positive's
@@ -175,22 +176,16 @@ class Sampler:
         self.graph = graph
         self.config = config
         self.rng = np.random.default_rng(config.seed)
-        diagnosed = np.zeros((graph.n_patients, graph.n_diagnoses), dtype=bool)
-        for p, dxs in graph.diagnosed_adj.items():
-            diagnosed[p, list(dxs)] = True
-        counts = diagnosed.astype(float)
-        self._diagnosed = diagnosed
-        self._undiagnosed = ~diagnosed
-        self._unobserved = ~graph.observed
+        counts = graph.diagnosed.astype(float)
         self._nonsharing = counts @ counts.T == 0
         np.fill_diagonal(self._nonsharing, False)
-        self._carriers = [np.flatnonzero(column).tolist() for column in diagnosed.T]
-        self._n_carriers = diagnosed.sum(axis=0)
+        self._carriers = [np.flatnonzero(column).tolist() for column in graph.diagnosed.T]
+        self._n_carriers = graph.diagnosed.sum(axis=0)
 
     def _negative_pools(self, p: int, h: int):
         """Diagnosis, lab and patient negative pools of center (p, h)."""
-        return (self._undiagnosed[p].nonzero()[0],
-                self._unobserved[self.graph.ph_row(p, h)].nonzero()[0],
+        return ((~self.graph.diagnosed[p]).nonzero()[0],
+                (~self.graph.observed[self.graph.ph_row(p, h)]).nonzero()[0],
                 self._nonsharing[p].nonzero()[0])
 
     def sample_negatives(self, center: NodeId, node_type: NodeType, count: int) -> tuple:
@@ -217,7 +212,7 @@ class Sampler:
         integers = self.rng.integers
         window = self.graph.window_hours
         p, h = center.index
-        dx_pool = self._diagnosed[p].nonzero()[0]
+        dx_pool = self.graph.diagnosed[p].nonzero()[0]
         lab_pool = self.graph.observed[self.graph.ph_row(p, h)].nonzero()[0]
         if dx_pool.size == 0 and lab_pool.size == 0:
             raise UntrainableCenterError(

@@ -88,6 +88,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown arm"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("min_learning_rate = -1.0", "min_learning_rate must be >= 0"),
+        ("min_learning_rate = 0.5", "must not exceed learning_rate"),
+        ("activation = softsign", "unknown activation"),
+    ], ids=["negative_min_learning_rate", "min_above_learning_rate", "unknown_activation"])
+    def test_bad_hgm_value_rejected(self, tmp_path, line, message):
+        path = write_config(tmp_path / "run.ini", tmp_path / "out")
+        path.write_text(path.read_text().replace("epochs = 2\n", f"epochs = 2\n{line}\n"))
+        with pytest.raises(ValueError, match=message):
+            load_run_config(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_run_config(tmp_path / "absent.ini")
@@ -219,6 +230,20 @@ dir = out
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert "not found" in err
+
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("run.ini").write_text("""\
+[data]
+source = files
+events = missing_events.csv
+diagnoses = missing_dx.csv
+outcomes = missing_outcomes.csv
+[output]
+dir = out
+""")
+        assert main(["run", "--config", "run.ini"]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     def test_debug_log_carries_traceback(self, tmp_path):
         env = dict(os.environ, HGM_EHR_LOG="debug",

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hgm_ehr.graph import (NodeId, NodeType, all_nodes, build_graph, dump_jsonl, multi_hot,
-                           neighbors)
+from hgm_ehr.graph import NodeId, NodeType, all_nodes, build_graph, multi_hot, neighbors
 from hgm_ehr.ingest import GenConfig, generate_synthetic, synthetic_vocabulary
 
 from conftest import make_record, toy_vocab
@@ -12,13 +11,49 @@ def ph(p, h):
     return NodeId(NodeType.PATIENT_HOUR, (p, h))
 
 
+def record_neighbors(records, n_labs, n_diagnoses, window):
+    """Each node's sorted neighbors by target type, read from the records alone.
+
+    An event t hours before the end tests its lab at hour int(t) when
+    t < window; every hour of a patient carries the patient's diagnoses;
+    the hours of two patients sharing a diagnosis are linked; hour h links
+    to hour h - 1 of the same patient.
+    """
+    hour_nodes = [ph(p, h) for p in range(len(records)) for h in range(window)]
+    nodes = (hour_nodes + [NodeId(NodeType.LAB, i) for i in range(n_labs)]
+             + [NodeId(NodeType.DIAGNOSIS, j) for j in range(n_diagnoses)])
+    edges = {node: {target_type: set() for target_type in NodeType} for node in nodes}
+
+    def link(a, b):
+        edges[a][b.type].add(b)
+        edges[b][a.type].add(a)
+
+    for p, rec in enumerate(records):
+        for ev in rec.events:
+            if ev.hours_before_end < window:
+                link(ph(p, int(ev.hours_before_end)), NodeId(NodeType.LAB, ev.lab_id))
+        for dx in rec.diagnoses:
+            for h in range(window):
+                link(ph(p, h), NodeId(NodeType.DIAGNOSIS, dx))
+        for h in range(1, window):
+            edges[ph(p, h)][NodeType.PATIENT_HOUR].add(ph(p, h - 1))
+        for q, other in enumerate(records):
+            if q != p and rec.diagnoses & other.diagnoses:
+                for h in range(window):
+                    edges[ph(p, h)][NodeType.PATIENT_HOUR].update(
+                        ph(q, hq) for hq in range(window))
+    return {node: {target_type: sorted(found, key=lambda n: n.index)
+                   for target_type, found in by_type.items()}
+            for node, by_type in edges.items()}
+
+
 class TestBuildGraph:
     def test_node_and_edge_counts(self):
         records = [make_record("p0", [], {1, 2})]
         graph = build_graph(records, toy_vocab(3, 4), 6)
         assert graph.n_patients == 1
         assert graph.xp.shape == (6, 3)
-        assert graph.diagnosed_adj[0] == {1, 2}
+        assert graph.diagnosed.tolist() == [[False, True, True, False]]
         # diagnoses attach at patient level, shared by every hour node
         for hour in range(6):
             assert [n.index for n in neighbors(graph, ph(0, hour), NodeType.DIAGNOSIS)] == [1, 2]
@@ -26,10 +61,10 @@ class TestBuildGraph:
     def test_tested_edges_exact(self):
         records = [make_record("p0", [(2.5, 3, 7.0)], set())]
         graph = build_graph(records, toy_vocab(5, 2), 6)
-        expected = {(p, h): set() for p in range(1) for h in range(6)}
-        expected[(0, 2)] = {3}
-        assert graph.tested_adj == expected
-        assert graph.tested_rev[3] == {(0, 2)}
+        expected = np.zeros((6, 5), dtype=bool)
+        expected[graph.ph_row(0, 2), 3] = True
+        assert np.array_equal(graph.observed, expected)
+        assert neighbors(graph, NodeId(NodeType.LAB, 3), NodeType.PATIENT_HOUR) == [ph(0, 2)]
 
     def test_corpus_scale_vocabulary_counts(self):
         vocab = toy_vocab(409, 3387)
@@ -44,24 +79,23 @@ class TestBuildGraph:
         assert graph.observed[graph.ph_row(0, 1), 0]
 
     def test_transpose_consistency_random(self):
+        """Every edge, seen from either end, is the one the records give."""
         cfg = GenConfig(n_patients=15, n_labs=8, n_diagnoses=10, window_hours=4)
         records = generate_synthetic(cfg, seed=7)
         graph = build_graph(records, synthetic_vocabulary(cfg), 4)
-        for key, labs in graph.tested_adj.items():
-            for lab in labs:
-                assert key in graph.tested_rev[lab]
-        for lab, keys in graph.tested_rev.items():
-            for key in keys:
-                assert lab in graph.tested_adj[key]
-        for p, dxs in graph.diagnosed_adj.items():
-            for dx in dxs:
-                assert p in graph.diagnosed_rev[dx]
-        for dx, ps in graph.diagnosed_rev.items():
-            for p in ps:
-                assert dx in graph.diagnosed_adj[p]
-        # tested_adj mirrors the observation masks exactly
-        for (p, h), labs in graph.tested_adj.items():
-            assert labs == set(np.flatnonzero(graph.observed[graph.ph_row(p, h)]).tolist())
+        expected = record_neighbors(records, cfg.n_labs, cfg.n_diagnoses, 4)
+        assert len(all_nodes(graph)) == len(expected)
+        for node in all_nodes(graph):
+            for target_type in NodeType:
+                assert neighbors(graph, node, target_type) == expected[node][target_type], \
+                    (node, target_type)
+        # tested and diagnosed edges from both ends, co-patient and temporal
+        # edges all occur, so none of the comparisons above is vacuous
+        kinds = {(node.type, other.type,
+                  node.type is other.type and node.index[0] == other.index[0])
+                 for node, by_type in expected.items()
+                 for found in by_type.values() for other in found}
+        assert len(kinds) == 6
 
     def test_order_independence(self):
         cfg = GenConfig(n_patients=10, n_labs=5, n_diagnoses=6, window_hours=3)
@@ -71,15 +105,16 @@ class TestBuildGraph:
         g2 = build_graph(records[::-1], vocab, 3)
 
         def keyed(graph):
-            tested = {(graph.patient_ids[p], h): labs for (p, h), labs in graph.tested_adj.items()}
-            diagnosed = {graph.patient_ids[p]: dxs for p, dxs in graph.diagnosed_adj.items()}
-            return tested, diagnosed
+            observed = graph.observed.reshape(graph.n_patients, graph.window_hours, -1)
+            return {pid: (observed[p].tolist(), graph.diagnosed[p].tolist())
+                    for p, pid in enumerate(graph.patient_ids)}
 
         assert keyed(g1) == keyed(g2)
 
     def test_temporal_links_only_consecutive_hours(self):
         graph = build_graph([make_record("p0", [], set())], toy_vocab(), 4)
-        assert graph.temporal_next == {(0, 1): (0, 0), (0, 2): (0, 1), (0, 3): (0, 2)}
+        got = [neighbors(graph, ph(0, h), NodeType.PATIENT_HOUR) for h in range(4)]
+        assert got == [[], [ph(0, 0)], [ph(0, 1)], [ph(0, 2)]]
 
 
 class TestMultiHot:
@@ -144,11 +179,3 @@ def test_all_nodes_covers_every_type(toy_graph):
     nodes = all_nodes(graph)
     assert len(nodes) == 2 * 2 + 3 + 3
     assert len({n for n in nodes}) == len(nodes)
-
-
-def test_dump_jsonl_writes_lines(tmp_path, toy_graph):
-    graph, _, _ = toy_graph
-    out = tmp_path / "graph.jsonl"
-    dump_jsonl(graph, out)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) > 10

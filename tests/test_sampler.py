@@ -149,9 +149,7 @@ def test_positives_are_neighbors_negatives_are_not():
                 assert all(n.index not in dx_neighbors for n in negs)
             for negs in ctx.neg_labs:
                 assert all(n.index not in lab_neighbors for n in negs)
-            sharing = set()
-            for dx in graph.diagnosed_adj[p]:
-                sharing |= graph.diagnosed_rev[dx]
+            sharing = sharing_patients(graph, center)
             for negs in list(ctx.neg_patients) + [ctx.neg_temporal]:
                 for n in negs:
                     assert n.index[0] != p
@@ -174,32 +172,43 @@ def test_config_validation():
         SamplerConfig(n_diagnoses=0).validate()
 
 
+def sharing_patients(graph, center):
+    """The center's patient and every patient sharing one of its diagnoses."""
+    sharing = {center.index[0]}
+    for dx in neighbors(graph, center, NodeType.DIAGNOSIS):
+        sharing.update(n.index[0] for n in neighbors(graph, dx, NodeType.PATIENT_HOUR))
+    return sharing
+
+
 class ReferenceSampler:
     """The sampler as it was written before its pools became arrays: every
     positive and every negative block is its own rng.choice/integers call and
-    every pool is rebuilt from the graph's adjacency dicts."""
+    every pool is rebuilt from the graph's one-hop neighborhoods."""
 
     def __init__(self, graph, config):
         self.graph = graph
         self.config = config
         self.rng = np.random.default_rng(config.seed)
 
+    def _indices(self, node, node_type):
+        return [n.index for n in neighbors(self.graph, node, node_type)]
+
     def _carriers(self, dx, exclude):
-        pool = np.array(sorted(self.graph.diagnosed_rev.get(dx, ())), dtype=np.int64)
+        carriers = sorted({q for q, _ in self._indices(NodeId(NodeType.DIAGNOSIS, dx),
+                                                       NodeType.PATIENT_HOUR)})
+        pool = np.array(carriers, dtype=np.int64)
         return pool[pool != exclude]
 
     def _negative_pool(self, p, h, node_type):
         graph = self.graph
         if node_type is NodeType.DIAGNOSIS:
-            connected = graph.diagnosed_adj.get(p, set())
+            connected = set(self._indices(ph(p, h), NodeType.DIAGNOSIS))
             return np.array([d for d in range(graph.n_diagnoses) if d not in connected],
                             dtype=np.int64)
         if node_type is NodeType.LAB:
-            tested = graph.tested_adj.get((p, h), set())
+            tested = set(self._indices(ph(p, h), NodeType.LAB))
             return np.array([l for l in range(graph.n_labs) if l not in tested], dtype=np.int64)
-        sharing = {p}
-        for dx in graph.diagnosed_adj.get(p, ()):
-            sharing.update(graph.diagnosed_rev[dx])
+        sharing = sharing_patients(graph, ph(p, h))
         return np.array([q for q in range(graph.n_patients) if q not in sharing], dtype=np.int64)
 
     def _draw_negatives(self, p, h, node_type, n_positives):
@@ -222,8 +231,8 @@ class ReferenceSampler:
     def sample_context(self, center):
         graph = self.graph
         p, h = center.index
-        dx_pool = np.array(sorted(graph.diagnosed_adj.get(p, ())), dtype=np.int64)
-        lab_pool = np.array(sorted(graph.tested_adj.get((p, h), ())), dtype=np.int64)
+        dx_pool = np.array(self._indices(center, NodeType.DIAGNOSIS), dtype=np.int64)
+        lab_pool = np.array(self._indices(center, NodeType.LAB), dtype=np.int64)
         if dx_pool.size == 0 and lab_pool.size == 0:
             raise UntrainableCenterError(f"({p}, {h})")
         pos_diagnoses = ()
@@ -245,8 +254,10 @@ class ReferenceSampler:
                 hour = int(self.rng.integers(0, graph.window_hours))
                 out.append(NodeId(NodeType.PATIENT_HOUR, (q, hour)))
             pos_patients = tuple(out)
-        nxt = graph.temporal_next.get((p, h))
-        pos_temporal = NodeId(NodeType.PATIENT_HOUR, nxt) if nxt is not None else None
+        # the temporal next node is the one hour neighbor of the center's own patient
+        own = [n for n in neighbors(graph, center, NodeType.PATIENT_HOUR) if n.index[0] == p]
+        assert len(own) <= 1
+        pos_temporal = own[0] if own else None
         neg_diagnoses = self._draw_negatives(p, h, NodeType.DIAGNOSIS, len(pos_diagnoses))
         neg_labs = self._draw_negatives(p, h, NodeType.LAB, len(pos_labs))
         neg_patients = self._draw_negatives(p, h, NodeType.PATIENT_HOUR, len(pos_patients))
