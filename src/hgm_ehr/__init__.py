@@ -5,10 +5,10 @@ and concatenated-feature arms."""
 from .cnn import CnnParams, CnnTrainConfig, FeatureMatrix, FeatureMode, build_features
 from .evaluate import (ARMS, ExperimentConfig, ExperimentReport, FoldReport, auprc, auroc,
                        kfold_split, run_experiment, run_experiments)
-from .graph import HeteroGraph, NodeId, NodeType, build_graph, multi_hot, neighbors
-from .hgm import (HgmParams, HgmTrainConfig, Relation, embed_patient_hour, exact_softmax_loss,
-                  ns_grad, ns_loss, project, score, train_hgm, translate)
-from .ingest import (GenConfig, HourSnapshot, LabEvent, PatientRecord, Vocabulary, bin_events,
+from .graph import HeteroGraph, NodeId, NodeType, build_graph, neighbors
+from .hgm import (HgmParams, HgmTrainConfig, Relation, embed_hours, exact_softmax_loss, ns_grad,
+                  ns_loss, project, score, train_hgm, translate)
+from .ingest import (EVENT_DTYPE, GenConfig, PatientRecord, Vocabulary, bin_events, event_array,
                      generate_synthetic, parse_records)
 from .sampler import ContextSample, Sampler, SamplerConfig
 

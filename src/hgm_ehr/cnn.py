@@ -1,10 +1,13 @@
 """Convolutional mortality classifier over hourly feature matrices.
 
-The input grid holds one row per hour bin, oldest hour first, features
-across the row. Filters span the full feature width and slide along time
-(valid padding), followed by ReLU, a global max-pool over time, a dense
-layer and a two-way softmax. Backpropagation is explicit; gradients flow
-only to each filter's argmax pool position (first index on ties).
+Features are assembled for a whole split at once from its binned
+(patient, hour, lab) tensor: raw lab means, patient-hour embeddings, or
+both side by side. Each patient's input grid holds one row per hour bin,
+oldest hour first, features across the row. Filters span the full feature
+width and slide along time (valid padding), followed by ReLU, a global
+max-pool over time, a dense layer and a two-way softmax. Backpropagation
+is explicit; gradients flow only to each filter's argmax pool position
+(first index on ties).
 """
 
 from __future__ import annotations
@@ -15,21 +18,16 @@ from enum import Enum
 import numpy as np
 
 from .checkpoint import load_container, save_container
-from .graph import multi_hot
-from .hgm import HgmParams, embed_patient_hour
-from .ingest import PatientRecord, Vocabulary, bin_events
+from .hgm import HgmParams, embed_hours
 from .seeds import derive_seed
 
 
 class FeatureMode(Enum):
-    RAW_LABS_DIAG = "raw_labs_diag"
     RAW_LABS = "raw_labs"
     EMBED_ONLY = "embed_only"
     EMBED_PLUS_LABS = "embed_plus_labs"
 
-    def feature_count(self, n_labs: int, n_diagnoses: int, embed_dim: int | None) -> int:
-        if self is FeatureMode.RAW_LABS_DIAG:
-            return n_labs + n_diagnoses
+    def feature_count(self, n_labs: int, embed_dim: int | None) -> int:
         if self is FeatureMode.RAW_LABS:
             return n_labs
         if embed_dim is None:
@@ -96,44 +94,26 @@ class CnnTrainConfig:
             raise ValueError("invalid training hyperparameters")
 
 
-def build_features(record: PatientRecord, window_hours: int, mode: FeatureMode,
-                   vocab: Vocabulary, hgm_params: HgmParams | None = None) -> FeatureMatrix:
-    """Assemble the (window_hours, F) grid for one patient.
+def build_features(binned, mode: FeatureMode, hgm_params: HgmParams | None = None) -> np.ndarray:
+    """Assemble the (P, T, F) feature grids of a binned split.
 
-    Rows run oldest to newest hour. The diagnosis block repeats the
-    patient's multi-hot at every row; the embedding block chains
-    embed_patient_hour forward from the oldest hour so fully-missing hours
-    inherit the previous hour's embedding plus the temporal translation.
+    `binned` is the (values, observed) pair of ingest.bin_events. Rows run
+    oldest to newest hour. The embedding block is hgm.embed_hours, so
+    fully-missing hours inherit the previous hour's embedding plus the
+    temporal translation; the lab block is the hour's lab means.
     """
     if mode.needs_embedding and hgm_params is None:
         raise ValueError(f"feature mode {mode.value} requires trained embedding parameters")
-    snapshots = bin_events(record, window_hours, vocab.n_labs)
-    hours_oldest_first = list(range(window_hours - 1, -1, -1))
-
-    embeddings = []
-    if mode.needs_embedding:
-        previous = None
-        for hour in hours_oldest_first:
-            emb = embed_patient_hour(hgm_params, snapshots[hour], previous)
-            embeddings.append(emb)
-            previous = emb
-
-    diag_block = None
-    if mode is FeatureMode.RAW_LABS_DIAG:
-        diag_block = multi_hot(record.diagnoses, vocab.n_diagnoses)
-
-    rows = []
-    for t, hour in enumerate(hours_oldest_first):
-        labs = snapshots[hour].lab_values
-        if mode is FeatureMode.RAW_LABS:
-            rows.append(labs)
-        elif mode is FeatureMode.RAW_LABS_DIAG:
-            rows.append(np.concatenate([labs, diag_block]))
-        elif mode is FeatureMode.EMBED_ONLY:
-            rows.append(embeddings[t])
-        else:
-            rows.append(np.concatenate([embeddings[t], labs]))
-    return FeatureMatrix(values=np.stack(rows), label=record.died)
+    values, observed = binned
+    # a C-ordered copy: each patient's rows are one (T, F) block, and the
+    # embedding matmul reads contiguous hour vectors
+    labs = np.ascontiguousarray(values[:, ::-1])
+    if mode is FeatureMode.RAW_LABS:
+        return labs
+    embeddings = embed_hours(hgm_params, labs, observed[:, ::-1])
+    if mode is FeatureMode.EMBED_ONLY:
+        return embeddings
+    return np.concatenate([embeddings, labs], axis=2)
 
 
 def init_cnn(n_features: int, config: CnnTrainConfig, seed: int | None = None) -> CnnParams:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cnn import CnnTrainConfig, FeatureMode, build_features, predict, train_cnn
+from .cnn import CnnTrainConfig, FeatureMatrix, FeatureMode, build_features, predict, train_cnn
 from .graph import build_graph
 from .hgm import HgmParams, HgmTrainConfig, train_hgm
-from .ingest import Vocabulary, fit_normalizer, normalize_records
+from .ingest import Vocabulary, bin_events, fit_normalizer, normalize_records
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -204,15 +204,25 @@ class FoldModels:
     cnn_params: dict  # arm -> CnnParams
 
 
+def _features(binned, arm: str, hgm_params, records) -> list[FeatureMatrix]:
+    """One FeatureMatrix per record, each a view of the arm's (P, T, F) features."""
+    features = build_features(binned, ARM_MODES[arm], hgm_params)
+    return [FeatureMatrix(x, rec.died) for x, rec in zip(features, records)]
+
+
 def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
                config: ExperimentConfig, fold_index: int) -> FoldModels:
-    """Fit normalizer, embeddings (when any arm needs them) and per-arm CNNs."""
+    """Fit normalizer, embeddings (when any arm needs them) and per-arm CNNs.
+
+    The training split is normalized and binned once; the graph and every
+    arm's features read that one tensor.
+    """
     normalizer = fit_normalizer(train_records, window_hours, vocab.n_labs)
-    train_norm = normalize_records(train_records, normalizer)
+    binned = bin_events(normalize_records(train_records, normalizer), window_hours, vocab.n_labs)
 
     hgm_params = None
     if any(arm != "CNN" for arm in arms):
-        graph = build_graph(train_norm, vocab, window_hours)
+        graph = build_graph(train_records, vocab, binned)
         hgm_cfg = replace(config.hgm, seed=derive_seed(config.seed, "hgm", fold_index, window_hours))
         try:
             hgm_params = train_hgm(graph, hgm_cfg)
@@ -221,24 +231,20 @@ def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
 
     cnn_params = {}
     for arm in arms:
-        mode = ARM_MODES[arm]
-        feats = [build_features(rec, window_hours, mode, vocab, hgm_params) for rec in train_norm]
         cnn_cfg = replace(config.cnn, seed=derive_seed(config.seed, f"cnn:{arm}", fold_index, window_hours))
-        cnn_params[arm] = train_cnn(feats, cnn_cfg)
+        cnn_params[arm] = train_cnn(_features(binned, arm, hgm_params, train_records), cnn_cfg)
     return FoldModels(fold_index, window_hours, normalizer, hgm_params, cnn_params)
 
 
 def score_fold(models: FoldModels, test_records, arms, vocab: Vocabulary) -> dict:
-    """Mortality scores for held-out patients, per arm."""
-    test_norm = normalize_records(test_records, models.normalizer)
+    """Mortality scores for held-out patients, per arm, from one binning of the split."""
+    binned = bin_events(normalize_records(test_records, models.normalizer),
+                        models.window_hours, vocab.n_labs)
     out = {}
     for arm in arms:
-        mode = ARM_MODES[arm]
         params = models.cnn_params[arm]
-        out[arm] = np.array([
-            predict(params, build_features(rec, models.window_hours, mode, vocab, models.hgm_params))
-            for rec in test_norm
-        ])
+        out[arm] = np.array([predict(params, m)
+                             for m in _features(binned, arm, models.hgm_params, test_records)])
     return out
 
 

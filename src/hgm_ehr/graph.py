@@ -18,8 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ingest import bin_events
-
 
 class NodeType(Enum):
     PATIENT_HOUR = "patient_hour"
@@ -40,7 +38,7 @@ class HeteroGraph:
     n_labs: int
     n_diagnoses: int
     patient_ids: list[str]
-    xp: np.ndarray         # (n_patients * window_hours, n_labs) hour snapshot values
+    xp: np.ndarray         # (n_patients * window_hours, n_labs) hourly lab means
     observed: np.ndarray   # same shape, bool mask: the tested edges
     diagnosed: np.ndarray  # (n_patients, n_diagnoses) bool: the diagnosed edges
 
@@ -60,43 +58,33 @@ class HeteroGraph:
                 yield (p, h)
 
 
-def build_graph(records, vocab, window_hours: int) -> HeteroGraph:
-    """Materialize the graph from patient records binned at window_hours."""
-    n_labs = vocab.n_labs
-    n = len(records)
-    xp = np.zeros((n * window_hours, n_labs))
-    observed = np.zeros((n * window_hours, n_labs), dtype=bool)
-    diagnosed = np.zeros((n, vocab.n_diagnoses), dtype=bool)
+def build_graph(records, vocab, binned) -> HeteroGraph:
+    """Materialize the graph of records from their binned (values, observed) pair.
 
+    `binned` is bin_events(records, window_hours, vocab.n_labs); `xp` and
+    `observed` are reshapes of it, not copies.
+    """
+    values, observed = binned
+    n, window_hours, n_labs = values.shape
+    if n != len(records) or n_labs != vocab.n_labs:
+        raise ValueError(f"binned shape {values.shape} does not match {len(records)} records "
+                         f"and {vocab.n_labs} labs")
+    diagnosed = np.zeros((n, vocab.n_diagnoses), dtype=bool)
     for p, rec in enumerate(records):
         for dx in rec.diagnoses:
             if not 0 <= dx < vocab.n_diagnoses:
                 raise ValueError(f"diagnosis id {dx} outside vocabulary of size {vocab.n_diagnoses}")
         diagnosed[p, list(rec.diagnoses)] = True
-        for snap in bin_events(rec, window_hours, n_labs):
-            row = p * window_hours + snap.hour
-            xp[row] = snap.lab_values
-            observed[row] = snap.lab_observed
 
     return HeteroGraph(
         window_hours=window_hours,
         n_labs=n_labs,
         n_diagnoses=vocab.n_diagnoses,
         patient_ids=[rec.patient_id for rec in records],
-        xp=xp,
-        observed=observed,
+        xp=values.reshape(n * window_hours, n_labs),
+        observed=observed.reshape(n * window_hours, n_labs),
         diagnosed=diagnosed,
     )
-
-
-def multi_hot(index_set, size: int) -> np.ndarray:
-    """Binary vector with 1.0 at every index in the set."""
-    vec = np.zeros(size)
-    for i in index_set:
-        if not 0 <= i < size:
-            raise ValueError(f"index {i} out of range for multi-hot of size {size}")
-        vec[i] = 1.0
-    return vec
 
 
 def neighbors(graph: HeteroGraph, node: NodeId, target_type: NodeType) -> list[NodeId]:

@@ -407,18 +407,22 @@ def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, on_epoch=None) -> HgmP
     return params
 
 
-def embed_patient_hour(params: HgmParams, snapshot, previous_embedding=None) -> np.ndarray:
-    """Embed one hour; fully-missing hours chain from the previous hour.
+def embed_hours(params: HgmParams, values: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Patient-hour embeddings, (P, T, d), from (P, T, n_labs) hours, oldest first.
 
-    Observed hour: activation(W_p . lab_values). Missing hour with a previous
-    embedding: previous + r_tt (the temporal translation). Missing with no
-    previous: zero vector.
+    An hour with any observed lab is activation(W_p . x), computed as a
+    stack of matrix-vector products: they give the same bits as one
+    `W_p @ x` per hour, which a single `X @ W_p.T` product does not. A
+    fully-missing hour chains from the previous hour: previous + r_tt (the
+    temporal translation), or the zero vector when there is no previous hour.
     """
-    if snapshot is not None and bool(np.any(snapshot.lab_observed)):
-        return project(params, NodeType.PATIENT_HOUR, snapshot.lab_values)
-    if previous_embedding is not None:
-        return np.asarray(previous_embedding, dtype=float) + params.r_tt
-    return np.zeros(params.d)
+    act, _ = params.activation_fns()
+    emb = act((params.w_p[None, None] @ values[..., None])[..., 0])
+    missing = ~observed.any(axis=2)
+    for t in range(values.shape[1]):
+        rows = missing[:, t]
+        emb[rows, t] = emb[rows, t - 1] + params.r_tt if t else 0.0
+    return emb
 
 
 def save_params(params: HgmParams, path) -> None:

@@ -1,8 +1,14 @@
 """Event-level clinical data: CSV parsing, synthetic generation, hourly binning.
 
-Hours count backwards from the endpoint (death or discharge): hour bin h
-covers events with hours_before_end in the half-open interval [h, h+1), so
-bin 0 is the hour immediately before the endpoint.
+Each patient's lab events are stored as columns: one structured array with
+fields `hours` (hours before the endpoint, death or discharge), `lab` (the
+lab's vocabulary id) and `value`, in file order. Hours count backwards from
+the endpoint: hour bin h covers events with hours in the half-open interval
+[h, h+1), so bin 0 is the hour immediately before the endpoint.
+
+A split is binned once: `bin_events` turns all of its records into one
+(patient, hour, lab) tensor of hourly means plus its observed mask, which
+the graph and every arm's features read.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,40 +26,33 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_WINDOWS = (6, 12, 24, 48)
 
+EVENT_DTYPE = np.dtype([("hours", np.float64), ("lab", np.int64), ("value", np.float64)])
+
+
+def event_array(events=()) -> np.ndarray:
+    """One record's events, given as (hours, lab, value) tuples, as a structured array."""
+    return np.array(list(events), dtype=EVENT_DTYPE)
+
 
 class DataFormatError(ValueError):
     """An input file violates the expected CSV schema."""
 
 
-@dataclass(frozen=True)
-class LabEvent:
-    patient_id: str
-    hours_before_end: float
-    lab_id: int
-    value: float
-
-
 @dataclass
 class PatientRecord:
     patient_id: str
-    events: list[LabEvent]
+    events: np.ndarray  # EVENT_DTYPE columns hours, lab, value; one entry per event
     diagnoses: set[int]
     died: bool
     end_hour: int  # informational: parsed and written back, read by no stage
 
-
-@dataclass
-class HourSnapshot:
-    """Per-hour lab averages for one patient.
-
-    lab_values[i] is the mean of lab i's events inside this hour bin, 0.0
-    where unobserved; lab_observed carries the explicit missingness mask.
-    """
-
-    patient_id: str
-    hour: int
-    lab_values: np.ndarray
-    lab_observed: np.ndarray
+    def __eq__(self, other):
+        if not isinstance(other, PatientRecord):
+            return NotImplemented
+        return (self.patient_id == other.patient_id and self.diagnoses == other.diagnoses
+                and self.died == other.died and self.end_hour == other.end_hour
+                and self.events.dtype == other.events.dtype
+                and np.array_equal(self.events, other.events))
 
 
 class Vocabulary:
@@ -134,6 +133,7 @@ def parse_records(events_file, diagnoses_file, outcomes_file, vocab: Vocabulary 
     """
     vocab = vocab if vocab is not None else Vocabulary()
     records: dict[str, PatientRecord] = {}
+    events: dict[str, list] = {}
 
     rows = _open_rows(outcomes_file)
     for line_no, row in rows:
@@ -153,7 +153,8 @@ def parse_records(events_file, diagnoses_file, outcomes_file, vocab: Vocabulary 
             raise DataFormatError(f"{outcomes_file}:{line_no}: end_hour must be non-negative")
         if pid in records:
             raise DataFormatError(f"{outcomes_file}:{line_no}: duplicate patient {pid!r}")
-        records[pid] = PatientRecord(pid, [], set(), died_s == "1", end_hour)
+        records[pid] = PatientRecord(pid, event_array(), set(), died_s == "1", end_hour)
+        events[pid] = []
 
     for line_no, row in _open_rows(events_file):
         if line_no == 1:
@@ -162,8 +163,7 @@ def parse_records(events_file, diagnoses_file, outcomes_file, vocab: Vocabulary 
         if len(row) != 4:
             raise DataFormatError(f"{events_file}:{line_no}: expected 4 columns, got {len(row)}")
         pid, hours_s, lab_name, value_s = row
-        record = records.get(pid)
-        if record is None:
+        if pid not in records:
             raise DataFormatError(f"{events_file}:{line_no}: patient {pid!r} not present in outcomes file")
         try:
             hours = float(hours_s)
@@ -174,7 +174,9 @@ def parse_records(events_file, diagnoses_file, outcomes_file, vocab: Vocabulary 
             raise DataFormatError(f"{events_file}:{line_no}: hours_before_end must be finite and >= 0")
         if not math.isfinite(value):
             raise DataFormatError(f"{events_file}:{line_no}: value must be finite")
-        record.events.append(LabEvent(pid, hours, vocab.lab_id(lab_name, add=True), value))
+        events[pid].append((hours, vocab.lab_id(lab_name, add=True), value))
+    for pid, record in records.items():
+        record.events = event_array(events[pid])
 
     for line_no, row in _open_rows(diagnoses_file):
         if line_no == 1:
@@ -214,8 +216,9 @@ def write_corpus(records, vocab: Vocabulary, out_dir) -> dict[str, Path]:
         writer = csv.writer(fh)
         writer.writerow(["patient_id", "hours_before_end", "lab_name", "value"])
         for rec in records:
-            for ev in rec.events:
-                writer.writerow([rec.patient_id, repr(ev.hours_before_end), vocab.labs[ev.lab_id], repr(ev.value)])
+            # tolist() gives Python floats, whose repr is the shortest round-trip form
+            for hours, lab, value in rec.events.tolist():
+                writer.writerow([rec.patient_id, repr(hours), vocab.labs[lab], repr(value)])
     with paths["diagnoses"].open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["patient_id", "diagnosis_name"])
@@ -226,31 +229,50 @@ def write_corpus(records, vocab: Vocabulary, out_dir) -> dict[str, Path]:
     return paths
 
 
-def bin_events(record: PatientRecord, window_hours: int, n_labs: int) -> list[HourSnapshot]:
-    """Bin a record's events into hourly snapshots over the last window_hours.
+def _split_events(records, n_labs: int) -> tuple[np.ndarray, np.ndarray]:
+    """All events of a split in record order, and the record index of each.
 
-    Returns exactly window_hours snapshots indexed by hour bin 0..window-1
-    (hours before the endpoint). Within-hour duplicates are averaged;
-    events at or beyond window_hours are dropped.
+    A lab id outside [0, n_labs) or negative or non-finite hours raise
+    ValueError naming the patient.
+    """
+    events = np.concatenate([event_array()] + [rec.events for rec in records])
+    patient = np.repeat(np.arange(len(records)), [len(rec.events) for rec in records])
+    hours, lab = events["hours"], events["lab"]
+    bad_lab = (lab < 0) | (lab >= n_labs)
+    bad_hours = ~np.isfinite(hours) | (hours < 0)
+    for bad, problem in ((bad_lab, f"lab id outside vocabulary of size {n_labs}"),
+                         (bad_hours, "hours_before_end must be finite and >= 0")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"patient {records[patient[i]].patient_id!r}: {problem} "
+                             f"(lab {lab[i]}, hours {hours[i]})")
+    return events, patient
+
+
+def bin_events(records, window_hours: int, n_labs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bin a split's events into hourly lab means over the last window_hours.
+
+    Returns (values, observed), both (n_records, window_hours, n_labs):
+    values[p, h, i] is the mean of record p's lab-i events in hour bin h
+    (hours before the endpoint, so h = 0 is the last hour), 0.0 where
+    unobserved; observed is the explicit missingness mask. Events at or
+    beyond window_hours are dropped. Each cell sums its events in record
+    order, as a per-event loop would. A lab id outside [0, n_labs) or
+    negative or non-finite hours raise ValueError naming the patient.
     """
     if window_hours < 1:
         raise ValueError("window_hours must be >= 1")
-    sums = np.zeros((window_hours, n_labs))
-    counts = np.zeros((window_hours, n_labs), dtype=np.int64)
-    for ev in record.events:
-        if ev.hours_before_end >= window_hours:
-            continue
-        if not 0 <= ev.lab_id < n_labs:
-            raise ValueError(f"lab id {ev.lab_id} outside vocabulary of size {n_labs}")
-        h = int(ev.hours_before_end)
-        sums[h, ev.lab_id] += ev.value
-        counts[h, ev.lab_id] += 1
-    snapshots = []
-    for h in range(window_hours):
-        observed = counts[h] > 0
-        values = np.where(observed, sums[h] / np.maximum(counts[h], 1), 0.0)
-        snapshots.append(HourSnapshot(record.patient_id, h, values, observed))
-    return snapshots
+    events, patient = _split_events(records, n_labs)
+    hours, lab = events["hours"], events["lab"]
+    keep = hours < window_hours
+    cell = (patient[keep] * window_hours + hours[keep].astype(np.int64)) * n_labs + lab[keep]
+    shape = (len(records), window_hours, n_labs)
+    size = math.prod(shape)
+    sums = np.bincount(cell, weights=events["value"][keep], minlength=size).reshape(shape)
+    counts = np.bincount(cell, minlength=size).reshape(shape)
+    observed = counts > 0
+    values = np.where(observed, sums / np.maximum(counts, 1), 0.0)
+    return values, observed
 
 
 @dataclass
@@ -265,18 +287,14 @@ def fit_normalizer(records, window_hours: int, n_labs: int) -> LabNormalizer:
     """Fit per-lab mean/std over in-window event values.
 
     Labs never observed in the split get mean 0, std 1; near-constant labs
-    get std 1 to avoid blow-ups.
+    get std 1 to avoid blow-ups. Bad lab ids or hours raise as in bin_events.
     """
-    sums = np.zeros(n_labs)
-    sumsq = np.zeros(n_labs)
-    counts = np.zeros(n_labs)
-    for rec in records:
-        for ev in rec.events:
-            if ev.hours_before_end >= window_hours:
-                continue
-            sums[ev.lab_id] += ev.value
-            sumsq[ev.lab_id] += ev.value * ev.value
-            counts[ev.lab_id] += 1
+    events, _ = _split_events(records, n_labs)
+    events = events[events["hours"] < window_hours]
+    lab, value = events["lab"], events["value"]
+    sums = np.bincount(lab, weights=value, minlength=n_labs)
+    sumsq = np.bincount(lab, weights=value * value, minlength=n_labs)
+    counts = np.bincount(lab, minlength=n_labs)
     seen = counts > 0
     mean = np.where(seen, sums / np.maximum(counts, 1), 0.0)
     var = np.where(seen, sumsq / np.maximum(counts, 1) - mean * mean, 1.0)
@@ -286,23 +304,18 @@ def fit_normalizer(records, window_hours: int, n_labs: int) -> LabNormalizer:
 
 
 def normalize_records(records, normalizer: LabNormalizer) -> list[PatientRecord]:
-    """Apply the per-lab affine transform to every event value.
+    """Copies of the records with every event value z-scored per lab.
 
     Z-scoring commutes with within-hour averaging, so normalizing events is
-    equivalent to normalizing binned snapshots.
+    equivalent to normalizing binned hours (up to rounding, so it is done
+    per event).
     """
     out = []
     for rec in records:
-        events = [
-            LabEvent(
-                ev.patient_id,
-                ev.hours_before_end,
-                ev.lab_id,
-                (ev.value - normalizer.mean[ev.lab_id]) / normalizer.std[ev.lab_id],
-            )
-            for ev in rec.events
-        ]
-        out.append(PatientRecord(rec.patient_id, events, set(rec.diagnoses), rec.died, rec.end_hour))
+        events = rec.events.copy()
+        lab = events["lab"]
+        events["value"] = (events["value"] - normalizer.mean[lab]) / normalizer.std[lab]
+        out.append(replace(rec, events=events, diagnoses=set(rec.diagnoses)))
     return out
 
 
@@ -408,7 +421,7 @@ def generate_synthetic(config: GenConfig, seed: int) -> list[PatientRecord]:
         diagnoses.update((n_risk_dx + np.flatnonzero(bg_draws < bg_rate)).tolist())
 
         offsets = rng.normal(0.0, _PATIENT_OFFSET_SD, size=config.n_labs)
-        events: list[LabEvent] = []
+        events = []
         for h in range(total_hours):
             if rng.random() < config.hour_skip_prob:
                 continue
@@ -420,6 +433,6 @@ def generate_synthetic(config: GenConfig, seed: int) -> list[PatientRecord]:
                 for _ in range(n_events):
                     t = h + rng.random()
                     value = lab_baseline[lab] + offsets[lab] + drift + config.noise_sd * rng.normal()
-                    events.append(LabEvent(pid, float(t), lab, float(value)))
-        records.append(PatientRecord(pid, events, diagnoses, bool(died), end_hour))
+                    events.append((float(t), lab, float(value)))
+        records.append(PatientRecord(pid, event_array(events), diagnoses, bool(died), end_hour))
     return records

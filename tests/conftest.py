@@ -3,7 +3,7 @@ import pytest
 
 from hgm_ehr.graph import NodeId, NodeType, build_graph
 from hgm_ehr.hgm import exact_softmax_loss
-from hgm_ehr.ingest import LabEvent, PatientRecord, Vocabulary
+from hgm_ehr.ingest import PatientRecord, Vocabulary, bin_events, event_array
 
 HGM_PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
 
@@ -12,11 +12,16 @@ def make_record(pid, events, diagnoses, died=False, end_hour=20):
     """events: iterable of (hours_before_end, lab_id, value)."""
     return PatientRecord(
         patient_id=pid,
-        events=[LabEvent(pid, float(t), lab, float(v)) for t, lab, v in events],
+        events=event_array((float(t), lab, float(v)) for t, lab, v in events),
         diagnoses=set(diagnoses),
         died=died,
         end_hour=end_hour,
     )
+
+
+def binned_graph(records, vocab, window_hours):
+    """build_graph over the records binned at window_hours (values as given)."""
+    return build_graph(records, vocab, bin_events(records, window_hours, vocab.n_labs))
 
 
 def toy_vocab(n_labs=3, n_diagnoses=3):
@@ -43,7 +48,7 @@ def toy_records():
 def toy_graph():
     records = toy_records()
     vocab = toy_vocab()
-    return build_graph(records, vocab, 2), vocab, records
+    return binned_graph(records, vocab, 2), vocab, records
 
 
 @pytest.fixture
@@ -55,7 +60,7 @@ def shared_dx_graph():
         make_record("p2", [(0.5, 3, 0.1)], {3}, died=False),
     ]
     vocab = toy_vocab(n_labs=4, n_diagnoses=4)
-    return build_graph(records, vocab, 2), vocab, records
+    return binned_graph(records, vocab, 2), vocab, records
 
 
 def patient_hour_centers(graph):

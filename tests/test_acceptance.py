@@ -15,12 +15,13 @@ from hgm_ehr import cli
 from hgm_ehr.cnn import CnnParams, CnnTrainConfig, FeatureMatrix, FeatureMode, backward, \
     build_features, ce_loss, forward
 from hgm_ehr.evaluate import ExperimentConfig, auprc, auroc, run_experiments
-from hgm_ehr.graph import NodeId, NodeType, build_graph
+from hgm_ehr.graph import NodeId, NodeType
 from hgm_ehr.hgm import HgmTrainConfig, context_scores, init_params, ns_grad, ns_loss, train_hgm
-from hgm_ehr.ingest import GenConfig, generate_synthetic, parse_records, synthetic_vocabulary
+from hgm_ehr.ingest import (GenConfig, bin_events, generate_synthetic, parse_records,
+                            synthetic_vocabulary)
 from hgm_ehr.sampler import Sampler, SamplerConfig
 
-from conftest import exact_loss_fd_step, toy_records, toy_vocab, total_exact_loss
+from conftest import binned_graph, exact_loss_fd_step, toy_records, toy_vocab, total_exact_loss
 from test_eval import rank_enumeration_auprc
 from test_hgm import PARAM_FIELDS, random_instance, random_params
 
@@ -126,7 +127,7 @@ def test_criterion_2_metric_oracles():
 
 def test_criterion_3_full_softmax_oracle_and_separation():
     start = time.perf_counter()
-    graph = build_graph(toy_records(), toy_vocab(), 2)
+    graph = binned_graph(toy_records(), toy_vocab(), 2)
     centers = [NodeId(NodeType.PATIENT_HOUR, (p, h)) for p, h in graph.patient_hours()]
 
     params = random_params(4, 3, 3, 3, seed=2, scale=0.8)
@@ -244,9 +245,9 @@ def test_criterion_7_imputation_contract():
     rec = make_record("p", [(2.4, 1, 0.7), (0.2, 2, -1.1)], {0}, died=True)
     checked = 0
     for mode in (FeatureMode.EMBED_ONLY, FeatureMode.EMBED_PLUS_LABS):
-        m = build_features(rec, 3, mode, vocab, params)
-        prev_col = m.values[0, :8]
-        missing_col = m.values[1, :8]
+        m = build_features(bin_events([rec], 3, vocab.n_labs), mode, params)[0]
+        prev_col = m[0, :8]
+        missing_col = m[1, :8]
         if not np.array_equal(missing_col, prev_col + params.r_tt):
             report(7, False, f"mode {mode.value}: imputed column differs at bit level")
         checked += 1

@@ -7,8 +7,10 @@ from hgm_ehr import cnn
 from hgm_ehr.cnn import (CnnParams, CnnTrainConfig, FeatureMatrix, FeatureMode, backward,
                          build_features, ce_loss, forward, init_cnn, load_cnn, predict, save_cnn,
                          train_cnn)
-from hgm_ehr.hgm import init_params
-from hgm_ehr.ingest import GenConfig, Vocabulary, bin_events, generate_synthetic
+from hgm_ehr.graph import NodeType, build_graph
+from hgm_ehr.hgm import init_params, project
+from hgm_ehr.ingest import (GenConfig, bin_events, fit_normalizer, generate_synthetic,
+                            normalize_records, synthetic_vocabulary)
 from hgm_ehr.seeds import derive_seed
 
 from conftest import make_record, toy_vocab
@@ -226,76 +228,128 @@ class TestTrainCnn:
             train_cnn([], CnnTrainConfig(epochs=1))
 
 
+def features(records, window, mode, n_labs=3, params=None):
+    return build_features(bin_events(records, window, n_labs), mode, params)
+
+
+def reference_features(records, normalizer, window, n_labs, params):
+    """Per-patient, per-hour features read straight from each record's event columns.
+
+    Each in-window event is z-scored and summed into its (hour, lab) cell in
+    event order, then averaged; an hour with an observed lab is projected,
+    a fully-missing one is the previous hour's embedding plus r_tt (zeros
+    first). Returns {mode: (P, T, F)}, oldest hour first, plus the per-hour
+    (values, observed) pair.
+    """
+    values = np.zeros((len(records), window, n_labs))
+    observed = np.zeros((len(records), window, n_labs), dtype=bool)
+    embeddings = np.zeros((len(records), window, params.d))
+    for p, rec in enumerate(records):
+        sums = {}
+        for hours, lab, value in rec.events.tolist():
+            if hours < window:
+                z = (value - normalizer.mean[lab]) / normalizer.std[lab]
+                total, count = sums.get((int(hours), lab), (0.0, 0))
+                sums[(int(hours), lab)] = (total + z, count + 1)
+        for (hour, lab), (total, count) in sums.items():
+            values[p, hour, lab] = total / count
+            observed[p, hour, lab] = True
+        previous = None
+        for t, hour in enumerate(range(window - 1, -1, -1)):
+            if observed[p, hour].any():
+                emb = project(params, NodeType.PATIENT_HOUR, values[p, hour])
+            elif previous is not None:
+                emb = previous + params.r_tt
+            else:
+                emb = np.zeros(params.d)
+            embeddings[p, t] = previous = emb
+    labs = values[:, ::-1]
+    return {
+        FeatureMode.RAW_LABS: labs,
+        FeatureMode.EMBED_ONLY: embeddings,
+        FeatureMode.EMBED_PLUS_LABS: np.concatenate([embeddings, labs], axis=2),
+    }, (values, observed)
+
+
 class TestBuildFeatures:
-    def vocab(self):
-        return toy_vocab(n_labs=3, n_diagnoses=4)
-
-    def test_raw_labs_diag_width(self):
-        vocab = Vocabulary(labs=[f"l{i}" for i in range(409)],
-                           diagnoses=[f"d{i}" for i in range(3387)])
-        rec = make_record("p", [(0.5, 7, 1.0)], {5}, died=True)
-        m = build_features(rec, 6, FeatureMode.RAW_LABS_DIAG, vocab)
-        assert m.values.shape == (6, 3796)
-
     def test_embed_plus_labs_width(self):
         params = init_params(8, 3, 3, 4, seed=0)
         rec = make_record("p", [(0.5, 0, 1.0)], {1})
-        m = build_features(rec, 6, FeatureMode.EMBED_PLUS_LABS, self.vocab(), params)
-        assert m.values.shape == (6, 11)
-        assert FeatureMode.EMBED_PLUS_LABS.feature_count(3, 4, 8) == 11
+        m = features([rec], 6, FeatureMode.EMBED_PLUS_LABS, params=params)
+        assert m.shape == (1, 6, 11)
+        assert FeatureMode.EMBED_PLUS_LABS.feature_count(3, 8) == 11
 
     def test_rows_run_oldest_to_newest(self):
         rec = make_record("p", [(0.2, 0, 5.0), (2.5, 1, 7.0)], set())
-        m = build_features(rec, 3, FeatureMode.RAW_LABS, self.vocab())
-        assert m.values.shape == (3, 3)
-        assert m.values[0, 1] == 7.0  # hour 2, oldest, first row
-        assert m.values[2, 0] == 5.0  # hour 0, newest, last row
+        m = features([rec], 3, FeatureMode.RAW_LABS)[0]
+        assert m.shape == (3, 3)
+        assert m[0, 1] == 7.0  # hour 2, oldest, first row
+        assert m[2, 0] == 5.0  # hour 0, newest, last row
 
-    def test_diagnosis_block_repeats_every_row(self):
-        rec = make_record("p", [(0.5, 0, 1.0)], {0, 2}, died=True)
-        m = build_features(rec, 4, FeatureMode.RAW_LABS_DIAG, self.vocab())
-        for t in range(4):
-            assert m.values[t, 3:].tolist() == [1.0, 0.0, 1.0, 0.0]
+    def test_label_carried(self, monkeypatch):
+        # train_fold feeds train_cnn one FeatureMatrix per record: the record's
+        # died flag and its row of the arm's features
+        from hgm_ehr import evaluate
 
-    def test_label_carried(self):
-        rec = make_record("p", [(0.5, 0, 1.0)], set(), died=True)
-        assert build_features(rec, 2, FeatureMode.RAW_LABS, self.vocab()).label is True
+        cfg = GenConfig(n_patients=8, n_labs=3, n_diagnoses=4, window_hours=4, prevalence=0.5)
+        records = generate_synthetic(cfg, seed=6)
+        seen = []
+        monkeypatch.setattr(evaluate, "train_cnn", lambda feats, config: seen.append(feats))
+        evaluate.train_fold(records, ("CNN",), 4, toy_vocab(3, 4), evaluate.ExperimentConfig(), 0)
+        normalized = normalize_records(records, fit_normalizer(records, 4, 3))
+        expected = features(normalized, 4, FeatureMode.RAW_LABS)
+        assert [m.label for m in seen[0]] == [rec.died for rec in records]
+        for m, x in zip(seen[0], expected):
+            assert np.array_equal(m.values, x)
 
     def test_missing_hour_embedding_chains_previous_plus_translation(self):
         params = init_params(6, 3, 3, 4, seed=1)
         # hour 2 (oldest) and hour 0 observed; hour 1 fully missing
         rec = make_record("p", [(2.5, 0, 1.0), (0.5, 1, 2.0)], {1})
-        m = build_features(rec, 3, FeatureMode.EMBED_ONLY, self.vocab(), params)
-        snaps = bin_events(rec, 3, 3)
-        from hgm_ehr.hgm import embed_patient_hour
-        oldest = embed_patient_hour(params, snaps[2])
-        assert np.array_equal(m.values[0], oldest)
-        assert np.array_equal(m.values[1], oldest + params.r_tt)  # bit-level imputation
-        assert np.array_equal(m.values[2], embed_patient_hour(params, snaps[0]))
+        values, observed = bin_events([rec], 3, 3)
+        m = build_features((values, observed), FeatureMode.EMBED_ONLY, params)[0]
+        oldest = project(params, NodeType.PATIENT_HOUR, values[0, 2])
+        assert np.array_equal(m[0], oldest)
+        assert np.array_equal(m[1], oldest + params.r_tt)  # bit-level imputation
+        assert np.array_equal(m[2], project(params, NodeType.PATIENT_HOUR, values[0, 0]))
 
     def test_leading_missing_hours_start_from_zero(self):
         params = init_params(5, 3, 3, 4, seed=2)
         rec = make_record("p", [(0.5, 0, 1.0)], set())
-        m = build_features(rec, 3, FeatureMode.EMBED_ONLY, self.vocab(), params)
-        assert np.array_equal(m.values[0], np.zeros(5))
-        assert np.array_equal(m.values[1], params.r_tt)  # zero + r_tt
+        m = features([rec], 3, FeatureMode.EMBED_ONLY, params=params)[0]
+        assert np.array_equal(m[0], np.zeros(5))
+        assert np.array_equal(m[1], params.r_tt)  # zero + r_tt
 
     def test_embedding_mode_requires_params(self):
         rec = make_record("p", [(0.5, 0, 1.0)], set())
         with pytest.raises(ValueError, match="requires trained embedding"):
-            build_features(rec, 3, FeatureMode.EMBED_ONLY, self.vocab())
+            features([rec], 3, FeatureMode.EMBED_ONLY)
 
     def test_column_count_always_window(self):
         cfg = GenConfig(n_patients=5, n_labs=4, n_diagnoses=5, window_hours=6)
         records = generate_synthetic(cfg, seed=3)
-        vocab = Vocabulary(labs=[f"l{i}" for i in range(4)],
-                           diagnoses=[f"d{i}" for i in range(5)])
         params = init_params(4, 4, 4, 5, seed=4)
-        for rec in records:
-            for mode in FeatureMode:
-                m = build_features(rec, 6, mode, vocab, params)
-                assert m.values.shape[0] == 6
-                assert m.values.shape[1] == mode.feature_count(4, 5, 4)
+        for mode in FeatureMode:
+            m = features(records, 6, mode, n_labs=4, params=params)
+            assert m.shape == (5, 6, mode.feature_count(4, 4))
+
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "relu"])
+    def test_features_and_graph_match_per_event_oracle(self, activation):
+        cfg = GenConfig(n_patients=30, n_labs=6, n_diagnoses=8, window_hours=8,
+                        hour_skip_prob=0.5, duplicate_event_prob=0.4)
+        records = generate_synthetic(cfg, seed=21)
+        vocab = synthetic_vocabulary(cfg)
+        normalizer = fit_normalizer(records, 8, 6)
+        params = init_params(7, 6, 6, 8, activation=activation, seed=5)
+        params.w_p *= 50.0  # out of the activation's near-linear range
+        expected, (values, observed) = reference_features(records, normalizer, 8, 6, params)
+        assert not observed.any(axis=2).all()  # some hours are imputed
+        binned = bin_events(normalize_records(records, normalizer), 8, 6)
+        for mode in FeatureMode:
+            assert np.array_equal(build_features(binned, mode, params), expected[mode]), mode
+        graph = build_graph(records, vocab, binned)
+        assert np.array_equal(graph.xp, values.reshape(-1, 6))
+        assert np.array_equal(graph.observed, observed.reshape(-1, 6))
 
 
 class TestCnnCheckpoint:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hgm_ehr.graph import NodeId, NodeType, all_nodes, build_graph, multi_hot, neighbors
-from hgm_ehr.ingest import GenConfig, generate_synthetic, synthetic_vocabulary
+from hgm_ehr.graph import NodeId, NodeType, all_nodes, build_graph, neighbors
+from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
 
-from conftest import make_record, toy_vocab
+from conftest import binned_graph, make_record, toy_records, toy_vocab
 
 
 def ph(p, h):
@@ -29,9 +29,9 @@ def record_neighbors(records, n_labs, n_diagnoses, window):
         edges[b][a.type].add(a)
 
     for p, rec in enumerate(records):
-        for ev in rec.events:
-            if ev.hours_before_end < window:
-                link(ph(p, int(ev.hours_before_end)), NodeId(NodeType.LAB, ev.lab_id))
+        for hours, lab, _value in rec.events.tolist():
+            if hours < window:
+                link(ph(p, int(hours)), NodeId(NodeType.LAB, lab))
         for dx in rec.diagnoses:
             for h in range(window):
                 link(ph(p, h), NodeId(NodeType.DIAGNOSIS, dx))
@@ -50,7 +50,7 @@ def record_neighbors(records, n_labs, n_diagnoses, window):
 class TestBuildGraph:
     def test_node_and_edge_counts(self):
         records = [make_record("p0", [], {1, 2})]
-        graph = build_graph(records, toy_vocab(3, 4), 6)
+        graph = binned_graph(records, toy_vocab(3, 4), 6)
         assert graph.n_patients == 1
         assert graph.xp.shape == (6, 3)
         assert graph.diagnosed.tolist() == [[False, True, True, False]]
@@ -60,7 +60,7 @@ class TestBuildGraph:
 
     def test_tested_edges_exact(self):
         records = [make_record("p0", [(2.5, 3, 7.0)], set())]
-        graph = build_graph(records, toy_vocab(5, 2), 6)
+        graph = binned_graph(records, toy_vocab(5, 2), 6)
         expected = np.zeros((6, 5), dtype=bool)
         expected[graph.ph_row(0, 2), 3] = True
         assert np.array_equal(graph.observed, expected)
@@ -68,21 +68,30 @@ class TestBuildGraph:
 
     def test_corpus_scale_vocabulary_counts(self):
         vocab = toy_vocab(409, 3387)
-        graph = build_graph([make_record("p0", [], set())], vocab, 6)
+        graph = binned_graph([make_record("p0", [], set())], vocab, 6)
         assert graph.n_labs == 409
         assert graph.n_diagnoses == 3387
 
     def test_xp_mirrors_snapshots(self):
         records = [make_record("p0", [(1.2, 0, 2.0), (1.9, 0, 4.0)], set())]
-        graph = build_graph(records, toy_vocab(2, 1), 3)
+        graph = binned_graph(records, toy_vocab(2, 1), 3)
         assert graph.x_patient_hour(0, 1)[0] == pytest.approx(3.0)
         assert graph.observed[graph.ph_row(0, 1), 0]
+
+    def test_xp_is_a_view_of_the_binned_pair(self):
+        records = toy_records()
+        values, observed = bin_events(records, 2, 3)
+        graph = build_graph(records, toy_vocab(), (values, observed))
+        assert graph.xp.base is values and graph.observed.base is observed
+        assert np.array_equal(graph.xp, values.reshape(4, 3))
+        with pytest.raises(ValueError, match="does not match"):
+            build_graph(records[:1], toy_vocab(), (values, observed))
 
     def test_transpose_consistency_random(self):
         """Every edge, seen from either end, is the one the records give."""
         cfg = GenConfig(n_patients=15, n_labs=8, n_diagnoses=10, window_hours=4)
         records = generate_synthetic(cfg, seed=7)
-        graph = build_graph(records, synthetic_vocabulary(cfg), 4)
+        graph = binned_graph(records, synthetic_vocabulary(cfg), 4)
         expected = record_neighbors(records, cfg.n_labs, cfg.n_diagnoses, 4)
         assert len(all_nodes(graph)) == len(expected)
         for node in all_nodes(graph):
@@ -101,8 +110,8 @@ class TestBuildGraph:
         cfg = GenConfig(n_patients=10, n_labs=5, n_diagnoses=6, window_hours=3)
         records = generate_synthetic(cfg, seed=3)
         vocab = synthetic_vocabulary(cfg)
-        g1 = build_graph(records, vocab, 3)
-        g2 = build_graph(records[::-1], vocab, 3)
+        g1 = binned_graph(records, vocab, 3)
+        g2 = binned_graph(records[::-1], vocab, 3)
 
         def keyed(graph):
             observed = graph.observed.reshape(graph.n_patients, graph.window_hours, -1)
@@ -112,38 +121,45 @@ class TestBuildGraph:
         assert keyed(g1) == keyed(g2)
 
     def test_temporal_links_only_consecutive_hours(self):
-        graph = build_graph([make_record("p0", [], set())], toy_vocab(), 4)
+        graph = binned_graph([make_record("p0", [], set())], toy_vocab(), 4)
         got = [neighbors(graph, ph(0, h), NodeType.PATIENT_HOUR) for h in range(4)]
         assert got == [[], [ph(0, 0)], [ph(0, 1)], [ph(0, 2)]]
 
 
 class TestMultiHot:
+    """A patient's diagnosis multi-hot is its row of graph.diagnosed."""
+
+    @staticmethod
+    def diagnosis_row(index_set, size):
+        graph = binned_graph([make_record("p0", [], index_set)], toy_vocab(2, size), 1)
+        return graph.diagnosed[0]
+
     def test_basic(self):
-        assert multi_hot({1, 3}, 5).tolist() == [0, 1, 0, 1, 0]
+        assert self.diagnosis_row({1, 3}, 5).tolist() == [0, 1, 0, 1, 0]
 
     def test_empty(self):
-        assert multi_hot(set(), 4).tolist() == [0, 0, 0, 0]
+        assert self.diagnosis_row(set(), 4).tolist() == [0, 0, 0, 0]
 
     def test_full_width_all_ones(self):
-        vec = multi_hot(set(range(409)), 409)
+        vec = self.diagnosis_row(set(range(409)), 409)
         assert vec.shape == (409,)
         assert np.all(vec == 1.0)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            multi_hot({4}, 4)
+        with pytest.raises(ValueError, match="diagnosis id 4 outside vocabulary of size 4"):
+            self.diagnosis_row({4}, 4)
 
     def test_support_round_trip(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             size = int(rng.integers(1, 30))
             idx = set(rng.choice(size, size=rng.integers(0, size), replace=False).tolist())
-            assert set(np.flatnonzero(multi_hot(idx, size)).tolist()) == idx
+            assert set(np.flatnonzero(self.diagnosis_row(idx, size)).tolist()) == idx
 
 
 class TestNeighbors:
     def test_no_observed_labs_gives_empty(self):
-        graph = build_graph([make_record("p0", [], {0})], toy_vocab(), 2)
+        graph = binned_graph([make_record("p0", [], {0})], toy_vocab(), 2)
         assert neighbors(graph, ph(0, 0), NodeType.LAB) == []
 
     def test_shared_diagnosis_copatients(self, shared_dx_graph):
@@ -156,20 +172,20 @@ class TestNeighbors:
         assert not any(q == 0 for q, _ in indices)  # own patient excluded
 
     def test_temporal_neighbor_included(self):
-        graph = build_graph([make_record("p0", [], {0})], toy_vocab(), 6)
+        graph = binned_graph([make_record("p0", [], {0})], toy_vocab(), 6)
         got = neighbors(graph, ph(0, 3), NodeType.PATIENT_HOUR)
         assert NodeId(NodeType.PATIENT_HOUR, (0, 2)) in got
 
     def test_lab_reverse_neighbors(self):
         records = [make_record("p0", [(0.5, 1, 2.0)], set()),
                    make_record("p1", [(1.5, 1, 3.0)], set())]
-        graph = build_graph(records, toy_vocab(), 2)
+        graph = binned_graph(records, toy_vocab(), 2)
         got = neighbors(graph, NodeId(NodeType.LAB, 1), NodeType.PATIENT_HOUR)
         assert [n.index for n in got] == [(0, 0), (1, 1)]
 
     def test_diagnosis_neighbors_are_all_patient_hours(self):
         records = [make_record("p0", [], {2}), make_record("p1", [], {0})]
-        graph = build_graph(records, toy_vocab(), 2)
+        graph = binned_graph(records, toy_vocab(), 2)
         got = neighbors(graph, NodeId(NodeType.DIAGNOSIS, 2), NodeType.PATIENT_HOUR)
         assert [n.index for n in got] == [(0, 0), (0, 1)]
 

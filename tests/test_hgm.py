@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hgm_ehr import hgm
-from hgm_ehr.graph import NodeId, NodeType, all_nodes, build_graph, neighbors
-from hgm_ehr.hgm import (HgmParams, HgmTrainConfig, Relation, embed_node, embed_patient_hour,
+from hgm_ehr.graph import NodeId, NodeType, all_nodes, neighbors
+from hgm_ehr.hgm import (HgmParams, HgmTrainConfig, Relation, embed_hours, embed_node,
                          exact_softmax_loss, init_params, load_params, ns_grad, ns_loss,
                          project, save_params, score, score_raw, softmax_context_loss,
                          train_hgm, translate)
@@ -13,7 +13,7 @@ from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_
 from hgm_ehr.sampler import ContextSample, Sampler, SamplerConfig, UntrainableCenterError
 from hgm_ehr.seeds import derive_seed
 
-from conftest import make_record, toy_vocab
+from conftest import binned_graph, make_record, toy_vocab
 
 PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
 
@@ -240,7 +240,7 @@ def random_instance(seed, activation="tanh"):
         n_diagnoses=int(rng.integers(3, 8)), window_hours=int(rng.integers(2, 4)),
     )
     records = generate_synthetic(cfg, seed=int(rng.integers(0, 2**31)))
-    graph = build_graph(records, synthetic_vocabulary(cfg), cfg.window_hours)
+    graph = binned_graph(records, synthetic_vocabulary(cfg), cfg.window_hours)
     sampler = Sampler(graph, SamplerConfig(
         n_diagnoses=int(rng.integers(1, 4)), n_labs=int(rng.integers(1, 4)),
         n_copatients=int(rng.integers(1, 4)), negatives_per_positive=int(rng.integers(1, 4)),
@@ -347,7 +347,7 @@ class TestTrainHgm:
         # loss is inf while |w_p| ~ 3.6e197 is still finite, which used to be
         # returned with only a RuntimeWarning
         cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
-        graph = build_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
+        graph = binned_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
         train_cfg = HgmTrainConfig(epochs=12, d=4, seed=1, learning_rate=50.0, activation="relu")
         message = r"^hgm: non-finite .* epoch \d+/12 \(step \d+ of 432\)"
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=message):
@@ -359,7 +359,7 @@ class TestTrainHgm:
         # but counted in the linear learning-rate schedule
         cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
         records = generate_synthetic(cfg, seed=8) + [make_record("idle", [(0.5, 0, 1.0)], set())]
-        graph = build_graph(records, synthetic_vocabulary(cfg), 3)
+        graph = binned_graph(records, synthetic_vocabulary(cfg), 3)
         train_cfg = HgmTrainConfig(epochs=3, d=6, seed=4, learning_rate=0.05,
                                    sampler=SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=3,
                                                          negatives_per_positive=2))
@@ -394,7 +394,7 @@ class TestTrainHgm:
     def test_untrainable_centers_skipped(self, caplog):
         records = [make_record("p0", [(0.5, 0, 1.0)], set()),  # hour 1 empty, no dx
                    make_record("p1", [(0.5, 1, 2.0), (1.5, 1, 1.0)], {0})]
-        graph = build_graph(records, toy_vocab(), 2)
+        graph = binned_graph(records, toy_vocab(), 2)
         cfg = HgmTrainConfig(epochs=2, d=2, seed=1, sampler=SamplerConfig(
             n_diagnoses=1, n_labs=1, n_copatients=1, negatives_per_positive=1))
         with caplog.at_level("INFO", logger="hgm_ehr.hgm"):
@@ -403,28 +403,42 @@ class TestTrainHgm:
 
 
 class TestEmbedPatientHour:
+    """embed_hours over (P, T, n_labs) hours, oldest first."""
+
     def test_observed_hour_is_projection(self, toy_graph):
         graph, vocab, records = toy_graph
         params = random_params(4, 3, 3, 3, seed=8)
-        snap = bin_events(records[0], 2, 3)[0]
-        out = embed_patient_hour(params, snap)
-        assert np.array_equal(out, project(params, NodeType.PATIENT_HOUR, snap.lab_values))
+        values, observed = bin_events(records, 2, 3)
+        out = embed_hours(params, values, observed)
+        assert observed.any(axis=2).all()
+        for p in range(2):
+            for t in range(2):
+                assert np.array_equal(out[p, t],
+                                      project(params, NodeType.PATIENT_HOUR, values[p, t]))
 
     def test_missing_hour_uses_previous_plus_temporal(self):
         params = random_params(4, 3, 3, 3, seed=9)
-        prev = np.array([0.1, -0.2, 0.3, 0.7])
-        out = embed_patient_hour(params, None, prev)
-        assert np.array_equal(out, prev + params.r_tt)
+        values = np.array([[[0.1, -0.2, 0.3], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+        observed = np.array([[[True, True, True], [False] * 3, [False] * 3]])
+        out = embed_hours(params, values, observed)
+        assert np.array_equal(out[0, 1], out[0, 0] + params.r_tt)
+        assert np.array_equal(out[0, 2], out[0, 1] + params.r_tt)
 
     def test_missing_hour_empty_snapshot_counts_as_missing(self):
-        params = random_params(4, 3, 3, 3, seed=10)
-        snap = bin_events(make_record("p", [], set()), 2, 3)[1]
-        prev = np.array([1.0, 1.0, 1.0, 1.0])
-        assert np.array_equal(embed_patient_hour(params, snap, prev), prev + params.r_tt)
+        # missingness is read from the mask, not the values: an observed
+        # all-zero hour is projected, an unobserved one is imputed
+        params = random_params(4, 3, 3, 3, seed=10, activation="sigmoid")
+        values = np.array([[[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+        observed = np.array([[[True] * 3, [False] * 3, [False, True, False]]])
+        out = embed_hours(params, values, observed)
+        assert np.array_equal(out[0, 1], out[0, 0] + params.r_tt)
+        assert np.array_equal(out[0, 2], project(params, NodeType.PATIENT_HOUR, values[0, 2]))
 
     def test_missing_without_previous_is_zero(self):
-        params = random_params(4, 3, 3, 3, seed=11)
-        assert np.array_equal(embed_patient_hour(params, None), np.zeros(4))
+        params = random_params(4, 3, 3, 3, seed=11, activation="sigmoid")
+        out = embed_hours(params, np.zeros((2, 2, 3)), np.zeros((2, 2, 3), dtype=bool))
+        assert np.array_equal(out[:, 0], np.zeros((2, 4)))
+        assert np.array_equal(out[:, 1], np.tile(params.r_tt, (2, 1)))
 
 
 class TestCheckpoint:

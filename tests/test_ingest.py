@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hgm_ehr.evaluate import auroc
-from hgm_ehr.ingest import (DataFormatError, GenConfig, LabEvent, Vocabulary, bin_events,
+from hgm_ehr.ingest import (EVENT_DTYPE, DataFormatError, GenConfig, Vocabulary, bin_events,
                             fit_normalizer, generate_synthetic, normalize_records, parse_records,
                             synthetic_vocabulary, write_corpus)
 
@@ -30,7 +30,7 @@ class TestParseRecords:
         rec = records[0]
         assert rec.died is True
         assert rec.end_hour == 50
-        assert rec.events == []
+        assert rec.events.dtype == EVENT_DTYPE and len(rec.events) == 0
 
     def test_events_map_directly(self, tmp_path):
         files = write_corpus_files(
@@ -42,7 +42,7 @@ class TestParseRecords:
         records, vocab = parse_records(*files)
         rec = records[0]
         assert len(rec.events) == 2
-        assert rec.events[0] == LabEvent("p1", 2.0, 0, 140.0)
+        assert rec.events[0].tolist() == (2.0, 0, 140.0)
         assert rec.diagnoses == {0}
         assert vocab.n_labs == 1 and vocab.n_diagnoses == 1
 
@@ -85,7 +85,7 @@ class TestParseRecords:
         vocab = Vocabulary(labs=["old_lab"], diagnoses=[])
         records, vocab = parse_records(*files, vocab=vocab)
         assert vocab.labs == ["old_lab", "new_lab"]
-        assert records[0].events[0].lab_id == 1
+        assert records[0].events["lab"][0] == 1
 
 
 class TestVocabulary:
@@ -105,35 +105,36 @@ class TestVocabulary:
 class TestBinEvents:
     def test_within_hour_duplicates_averaged(self):
         rec = make_record("p", [(3.2, 5, 2.0), (3.8, 5, 4.0)], set())
-        snaps = bin_events(rec, 6, 10)
-        assert snaps[3].lab_values[5] == pytest.approx(3.0)
-        assert snaps[3].lab_observed[5]
+        values, observed = bin_events([rec], 6, 10)
+        assert values[0, 3, 5] == pytest.approx(3.0)
+        assert observed[0, 3, 5]
 
     def test_no_events_yields_all_unobserved(self):
-        snaps = bin_events(make_record("p", [], set()), 6, 4)
-        assert len(snaps) == 6
-        assert not any(s.lab_observed.any() for s in snaps)
-        assert all(np.all(s.lab_values == 0.0) for s in snaps)
+        values, observed = bin_events([make_record("p", [], set())], 6, 4)
+        assert values.shape == observed.shape == (1, 6, 4)
+        assert not observed.any()
+        assert np.all(values == 0.0)
 
     def test_out_of_window_event_dropped(self):
-        snaps = bin_events(make_record("p", [(7.5, 2, 9.0)], set()), 6, 4)
-        assert not any(s.lab_observed.any() for s in snaps)
+        _, observed = bin_events([make_record("p", [(7.5, 2, 9.0)], set())], 6, 4)
+        assert not observed.any()
 
     def test_window_boundary_is_half_open(self):
         # an event at exactly window_hours is outside; at window-epsilon it is in bin window-1
         rec = make_record("p", [(6.0, 0, 1.0), (5.999, 1, 2.0)], set())
-        snaps = bin_events(rec, 6, 2)
-        assert not snaps[5].lab_observed[0]
-        assert snaps[5].lab_observed[1]
+        _, observed = bin_events([rec], 6, 2)
+        assert not observed[0, 5, 0]
+        assert observed[0, 5, 1]
 
     def test_output_length_equals_window(self):
         rng = np.random.default_rng(0)
         for window in (1, 6, 12):
-            events = [(float(rng.uniform(0, window + 3)), int(rng.integers(0, 5)),
-                       float(rng.normal())) for _ in range(40)]
-            snaps = bin_events(make_record("p", events, set()), window, 5)
-            assert len(snaps) == window
-            assert [s.hour for s in snaps] == list(range(window))
+            records = [make_record(f"p{i}", [(float(rng.uniform(0, window + 3)),
+                                              int(rng.integers(0, 5)), float(rng.normal()))
+                                             for _ in range(40)], set())
+                       for i in range(3)]
+            values, observed = bin_events(records, window, 5)
+            assert values.shape == observed.shape == (3, window, 5)
 
     def test_observed_count_bounded_by_in_window_events(self):
         rng = np.random.default_rng(1)
@@ -141,22 +142,48 @@ class TestBinEvents:
             events = [(float(rng.uniform(0, 9)), int(rng.integers(0, 5)), float(rng.normal()))
                       for _ in range(rng.integers(0, 30))]
             rec = make_record("p", events, set())
-            snaps = bin_events(rec, 6, 5)
-            observed = sum(int(s.lab_observed.sum()) for s in snaps)
+            _, observed = bin_events([rec], 6, 5)
             in_window = sum(1 for t, _, _ in events if t < 6)
-            assert observed <= in_window
+            assert int(observed.sum()) <= in_window
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         events = [(float(rng.uniform(0, 6)), int(rng.integers(0, 4)), float(rng.normal()))
                   for _ in range(25)]
-        base = bin_events(make_record("p", events, set()), 6, 4)
+        base_values, base_observed = bin_events([make_record("p", events, set())], 6, 4)
         for _ in range(5):
             perm = [events[i] for i in rng.permutation(len(events))]
-            shuffled = bin_events(make_record("p", perm, set()), 6, 4)
-            for a, b in zip(base, shuffled):
-                assert np.array_equal(a.lab_observed, b.lab_observed)
-                assert np.allclose(a.lab_values, b.lab_values)
+            values, observed = bin_events([make_record("p", perm, set())], 6, 4)
+            assert np.array_equal(observed, base_observed)
+            assert np.allclose(values, base_values)
+
+    def test_split_equals_records_binned_alone(self):
+        # no event leaks into a neighbouring patient, hour or lab cell
+        cfg = GenConfig(n_patients=12, n_labs=5, n_diagnoses=4, window_hours=6)
+        records = generate_synthetic(cfg, seed=11)
+        values, observed = bin_events(records, 6, 5)
+        for p, rec in enumerate(records):
+            alone_values, alone_observed = bin_events([rec], 6, 5)
+            assert np.array_equal(values[p], alone_values[0])
+            assert np.array_equal(observed[p], alone_observed[0])
+
+    @pytest.mark.parametrize("lab", [-1, 4])
+    def test_lab_outside_vocabulary_names_patient(self, lab):
+        records = [make_record("ok", [(0.5, 0, 1.0)], set()),
+                   make_record("bad", [(0.5, 1, 1.0), (1.5, lab, 2.0)], set())]
+        message = r"patient 'bad': lab id outside vocabulary of size 4"
+        for stage in (bin_events, fit_normalizer):
+            with pytest.raises(ValueError, match=message):
+                stage(records, 6, 4)
+
+    @pytest.mark.parametrize("hours", [-1.5, float("nan"), float("inf")])
+    def test_bad_hours_name_patient(self, hours):
+        # -1.5 used to land in bin window-1 through int(-1.5) == -1
+        records = [make_record("ok", [(0.5, 0, 1.0)], set()),
+                   make_record("bad", [(hours, 1, 1.0)], set())]
+        for stage in (bin_events, fit_normalizer):
+            with pytest.raises(ValueError, match=r"patient 'bad': hours_before_end must be finite"):
+                stage(records, 6, 4)
 
 
 class TestNormalizer:
@@ -166,8 +193,8 @@ class TestNormalizer:
         assert norm.mean[0] == pytest.approx(3.0)
         assert norm.mean[1] == 0.0 and norm.std[1] == 1.0
         out = normalize_records(recs, norm)
-        values = [e.value for e in out[0].events]
-        assert values == pytest.approx([-1.0, 1.0])
+        assert out[0].events["value"].tolist() == pytest.approx([-1.0, 1.0])
+        assert recs[0].events["value"].tolist() == [2.0, 4.0]  # the input is not rewritten
 
     def test_out_of_window_events_excluded_from_stats(self):
         recs = [make_record("p0", [(0.5, 0, 2.0), (9.0, 0, 100.0)], set())]
@@ -221,8 +248,8 @@ class TestGenerateSynthetic:
     def test_events_respect_vocab_and_hours(self):
         cfg = GenConfig(n_patients=10, n_labs=4, n_diagnoses=6, window_hours=6)
         for rec in generate_synthetic(cfg, seed=9):
-            assert all(0 <= e.lab_id < 4 for e in rec.events)
-            assert all(e.hours_before_end >= 0 for e in rec.events)
+            assert np.all((0 <= rec.events["lab"]) & (rec.events["lab"] < 4))
+            assert np.all(rec.events["hours"] >= 0)
             assert all(0 <= d < 6 for d in rec.diagnoses)
 
 

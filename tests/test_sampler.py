@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from hgm_ehr.graph import NodeId, NodeType, build_graph, neighbors
+from hgm_ehr.graph import NodeId, NodeType, neighbors
 from hgm_ehr.ingest import GenConfig, generate_synthetic, synthetic_vocabulary
 from hgm_ehr.sampler import ContextSample, Sampler, SamplerConfig, UntrainableCenterError
 
-from conftest import make_record, toy_vocab
+from conftest import binned_graph, make_record, toy_vocab
 
 
 def ph(p, h):
@@ -46,7 +46,7 @@ def test_single_neighbor_repeats(shared_dx_graph):
 def test_untrainable_center_raises():
     # patient with no diagnoses and an empty hour
     records = [make_record("p0", [(0.5, 0, 1.0)], set())]
-    graph = build_graph(records, toy_vocab(), 2)
+    graph = binned_graph(records, toy_vocab(), 2)
     sampler = Sampler(graph, SamplerConfig(seed=0))
     with pytest.raises(UntrainableCenterError):
         sampler.sample_context(ph(0, 1))
@@ -65,7 +65,7 @@ def test_copatients_come_from_sampled_diagnoses(shared_dx_graph):
 def test_copatient_pool_may_be_empty():
     records = [make_record("p0", [(0.5, 0, 1.0)], {0}),
                make_record("p1", [(0.5, 1, 1.0)], {1})]
-    graph = build_graph(records, toy_vocab(), 2)
+    graph = binned_graph(records, toy_vocab(), 2)
     sampler = Sampler(graph, SamplerConfig(seed=0))
     ctx = sampler.sample_context(ph(0, 0))
     assert ctx.pos_patients == ()
@@ -76,7 +76,7 @@ class TestSampleNegatives:
     def test_draws_come_from_complement(self):
         records = [make_record("p0", [(0.5, 0, 1.0)], {1, 3}),
                    make_record("p1", [(0.5, 1, 1.0)], {0})]
-        graph = build_graph(records, toy_vocab(3, 5), 2)
+        graph = binned_graph(records, toy_vocab(3, 5), 2)
         sampler = Sampler(graph, SamplerConfig(seed=4))
         for _ in range(30):
             negs = sampler.sample_negatives(ph(0, 0), NodeType.DIAGNOSIS, 3)
@@ -84,7 +84,7 @@ class TestSampleNegatives:
 
     def test_lab_negatives_avoid_tested(self):
         records = [make_record("p0", [(0.5, 1, 1.0)], {0})]
-        graph = build_graph(records, toy_vocab(4, 2), 2)
+        graph = binned_graph(records, toy_vocab(4, 2), 2)
         sampler = Sampler(graph, SamplerConfig(seed=4))
         negs = sampler.sample_negatives(ph(0, 0), NodeType.LAB, 50)
         assert all(n.index in {0, 2, 3} for n in negs)
@@ -98,7 +98,7 @@ class TestSampleNegatives:
 
     def test_fully_connected_center_errors(self):
         records = [make_record("p0", [(0.5, 0, 1.0)], {0, 1, 2})]
-        graph = build_graph(records, toy_vocab(3, 3), 2)
+        graph = binned_graph(records, toy_vocab(3, 3), 2)
         sampler = Sampler(graph, SamplerConfig(seed=0))
         with pytest.raises(ValueError, match="empty negative pool"):
             sampler.sample_negatives(ph(0, 0), NodeType.DIAGNOSIS, 2)
@@ -106,7 +106,7 @@ class TestSampleNegatives:
     def test_uniformity_over_eligible_pool(self):
         # 100k draws over the 3 eligible diagnoses: each count within 3 sigma
         records = [make_record("p0", [(0.5, 0, 1.0)], {1, 3})]
-        graph = build_graph(records, toy_vocab(3, 5), 2)
+        graph = binned_graph(records, toy_vocab(3, 5), 2)
         sampler = Sampler(graph, SamplerConfig(seed=6))
         n = 100_000
         draws = sampler.sample_negatives(ph(0, 0), NodeType.DIAGNOSIS, n)
@@ -122,7 +122,7 @@ class TestSampleNegatives:
 def test_positives_are_neighbors_negatives_are_not():
     cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
     records = generate_synthetic(cfg, seed=8)
-    graph = build_graph(records, synthetic_vocabulary(cfg), 3)
+    graph = binned_graph(records, synthetic_vocabulary(cfg), 3)
     sampler = Sampler(graph, SamplerConfig(n_diagnoses=4, n_labs=4, n_copatients=4,
                                            negatives_per_positive=3, seed=9))
     checked = 0
@@ -280,14 +280,14 @@ def edge_case_graphs():
         make_record("p4", [], {5}),
     ]
     sharing = [make_record("p0", [(0.5, 0, 1.0)], {0, 1}), make_record("p1", [], {0})]
-    return [build_graph(records, toy_vocab(n_labs=4, n_diagnoses=6), 3),
-            build_graph(sharing, toy_vocab(n_labs=4, n_diagnoses=6), 3)]
+    return [binned_graph(records, toy_vocab(n_labs=4, n_diagnoses=6), 3),
+            binned_graph(sharing, toy_vocab(n_labs=4, n_diagnoses=6), 3)]
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_matches_reference_sampler_on_every_center(seed):
     cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
-    synthetic = build_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
+    synthetic = binned_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
     config = SamplerConfig(n_diagnoses=4, n_labs=3, n_copatients=5, negatives_per_positive=2,
                            seed=seed)
     untrainable = 0
