@@ -11,16 +11,18 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import hashlib
+import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluate
-from .checkpoint import write_json_atomic
+from .checkpoint import load_container, save_container, write_json_atomic
 from .cnn import CnnTrainConfig, load_cnn, save_cnn
 from .evaluate import ARM_MODES, ExperimentConfig, FoldModels
 from .hgm import HgmTrainConfig, load_params, save_params
@@ -213,6 +215,35 @@ def _cnn_path(config: RunConfig, arm: str, window: int, fold: int) -> Path:
     return _checkpoint_dir(config) / f"cnn_{arm}_w{window}_f{fold}.json"
 
 
+def _fingerprint_path(config: RunConfig) -> Path:
+    return config.out_dir / "fold_fingerprints.json"
+
+
+def _fold_fingerprint(config: RunConfig, window: int, fold_index: int, train, vocab) -> str:
+    """sha256 over everything that decides a fold's checkpoints.
+
+    That is the seed, the fold count, the window, the fold index, the
+    training patients (sorted ids, then each one's events, diagnoses and
+    outcome), the vocabulary and the hgm/cnn configs. The normalizer is a
+    function of the training events, so eval can refit it and need not store it.
+    """
+    train = sorted(train, key=lambda r: r.patient_id)
+    digest = hashlib.sha256(json.dumps({
+        "seed": config.seed, "k_folds": config.k_folds, "window": window, "fold": fold_index,
+        "train_ids": [r.patient_id for r in train],
+        "labs": vocab.labs, "diagnoses": vocab.diagnoses,
+        "hgm": asdict(config.hgm), "cnn": asdict(config.cnn),
+    }, sort_keys=True).encode())
+    for rec in train:
+        digest.update(rec.events.tobytes())
+        digest.update(repr((sorted(rec.diagnoses), bool(rec.died))).encode())
+    return digest.hexdigest()
+
+
+def _fold_key(window: int, fold_index: int) -> str:
+    return f"w{window}_f{fold_index}"
+
+
 def cmd_synth(config: RunConfig) -> int:
     if config.source != "synthetic":
         raise ValueError("synth requires [data] source = synthetic")
@@ -228,6 +259,7 @@ def cmd_train(config: RunConfig) -> int:
     records, vocab = _load_corpus(config)
     exp = _experiment_config(config)
     needs_hgm = any(arm != "CNN" for arm in config.arms)
+    fingerprints = {}
     for window in config.windows:
         plan = evaluate.plan_folds(records, config.k_folds, config.seed, window)
         for fold_index, train, _test in plan:
@@ -236,7 +268,11 @@ def cmd_train(config: RunConfig) -> int:
                 save_params(models.hgm_params, _hgm_path(config, window, fold_index))
             for arm in config.arms:
                 save_cnn(models.cnn_params[arm], _cnn_path(config, arm, window, fold_index))
+            fingerprints[_fold_key(window, fold_index)] = _fold_fingerprint(
+                config, window, fold_index, train, vocab)
             logger.info("trained window=%d fold=%d", window, fold_index)
+    save_container(_fingerprint_path(config), kind="fingerprints",
+                   payload={"folds": fingerprints})
     print(f"train: checkpoints in {_checkpoint_dir(config)}")
     return 0
 
@@ -244,10 +280,21 @@ def cmd_train(config: RunConfig) -> int:
 def cmd_eval(config: RunConfig) -> int:
     records, vocab = _load_corpus(config)
     needs_hgm = any(arm != "CNN" for arm in config.arms)
+    fingerprint_path = _fingerprint_path(config)
+    fingerprints = (load_container(fingerprint_path, kind="fingerprints")["folds"]
+                    if fingerprint_path.exists() else {})
     for window in config.windows:
         fold_results = {arm: [] for arm in config.arms}
         plan = evaluate.plan_folds(records, config.k_folds, config.seed, window)
         for fold_index, train, test in plan:
+            stored = fingerprints.get(_fold_key(window, fold_index))
+            if stored != _fold_fingerprint(config, window, fold_index, train, vocab):
+                problem = ("have no training fingerprint" if stored is None
+                           else "were trained on other data or another config")
+                raise ValueError(
+                    f"window {window}h fold {fold_index}: checkpoints "
+                    f"{_checkpoint_dir(config) / f'*_w{window}_f{fold_index}.json'} {problem} "
+                    f"(fingerprints: {fingerprint_path})")
             labels = np.array([int(r.died) for r in test])
             normalizer = fit_normalizer(train, window, vocab.n_labs)
             hgm_params = load_params(_hgm_path(config, window, fold_index)) if needs_hgm else None

@@ -7,7 +7,10 @@ oldest hour first, features across the row. Filters span the full feature
 width and slide along time (valid padding), followed by ReLU, a global
 max-pool over time, a dense layer and a two-way softmax. Backpropagation
 is explicit; gradients flow only to each filter's argmax pool position
-(first index on ties).
+(first index on ties). The pooled values and each filter's argmax window
+are gathered with one `take` at flat offsets, not a generic gather along
+an axis of the strided window view: the same elements in the same order,
+so the same bits, without that kernel's per-element indexing overhead.
 """
 
 from __future__ import annotations
@@ -151,16 +154,19 @@ def _batch_forward(params: CnnParams, batch: np.ndarray):
     z = np.einsum("fac,bjca->bjf", params.filters, windows) + params.conv_bias
     relu = np.maximum(z, 0.0)
     pool_idx = relu.argmax(axis=1)
-    pooled = np.take_along_axis(relu, pool_idx[:, None, :], axis=1)[:, 0, :]
+    # pooled[b, f] = relu[b, pool_idx[b, f], f], gathered at flat offsets
+    n_batch, n_windows, _ = relu.shape
+    rows = np.arange(n_batch)[:, None] * n_windows + pool_idx
+    pooled = relu.ravel().take(rows * n_filters + np.arange(n_filters))
     logits = pooled @ params.dense_w + params.dense_b
     probs = _softmax_rows(logits)
-    return probs, (windows, z, pool_idx, pooled)
+    return probs, (pool_idx, pooled)
 
 
 def _batch_backward(params: CnnParams, batch, labels, weights):
     """Summed weighted cross-entropy gradients over the batch."""
-    probs, (windows, z, pool_idx, pooled) = _batch_forward(params, batch)
-    n = batch.shape[0]
+    probs, (pool_idx, pooled) = _batch_forward(params, batch)
+    n, t_steps, n_features = batch.shape
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(n), labels] = 1.0
     d_logits = (probs - one_hot) * weights[:, None]
@@ -169,10 +175,14 @@ def _batch_backward(params: CnnParams, batch, labels, weights):
     d_dense_b = d_logits.sum(axis=0)
     d_pooled = d_logits @ params.dense_w.T
 
-    z_at = np.take_along_axis(z, pool_idx[:, None, :], axis=1)[:, 0, :]
-    d_z = d_pooled * (z_at > 0)
-    win_at = np.take_along_axis(windows, pool_idx[:, :, None, None], axis=1)
-    d_filters = np.einsum("bf,bfca->fac", d_z, win_at)
+    # pooled = max(z, 0) at the argmax, so pooled > 0 exactly where z > 0 there
+    d_z = d_pooled * (pooled > 0)
+    # win_at[b, f, a, c] = batch[b, pool_idx[b, f] + a, c]: each filter's
+    # argmax window, as rows of the batch flattened to (B*T, C)
+    rows = (np.arange(n)[:, None, None] * t_steps + pool_idx[:, :, None]
+            + np.arange(params.filters.shape[1]))
+    win_at = batch.reshape(n * t_steps, n_features).take(rows, axis=0)
+    d_filters = np.einsum("bf,bfac->fac", d_z, win_at)
     d_bias = d_z.sum(axis=0)
     return probs, CnnGrads(d_filters, d_bias, d_dense_w, d_dense_b)
 

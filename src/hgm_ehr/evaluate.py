@@ -272,12 +272,26 @@ def plan_folds(records, k_folds: int, seed: int, window_hours: int) -> list:
     return plan
 
 
-def _fold_task(args):
-    train, test, arms, window_hours, vocab, config, fold_index = args
+def _run_fold(fold, arms, window_hours: int, vocab: Vocabulary, config: ExperimentConfig):
+    fold_index, train, test = fold
     models = train_fold(train, arms, window_hours, vocab, config, fold_index)
     scores = score_fold(models, test, arms, vocab)
     labels = np.array([int(r.died) for r in test])
     return fold_index, scores, labels
+
+
+# A pool worker's fold plan and run settings, set once by _init_worker.
+_worker_state = None
+
+
+def _init_worker(plan, arms, window_hours: int, vocab: Vocabulary, config: ExperimentConfig):
+    global _worker_state
+    _worker_state = ({fold[0]: fold for fold in plan}, arms, window_hours, vocab, config)
+
+
+def _worker_fold(fold_index: int):
+    folds, *settings = _worker_state
+    return _run_fold(folds[fold_index], *settings)
 
 
 def run_experiments(records, vocab: Vocabulary, arms, window_hours: int,
@@ -292,14 +306,15 @@ def run_experiments(records, vocab: Vocabulary, arms, window_hours: int,
         if arm not in ARM_MODES:
             raise ValueError(f"unknown arm {arm!r}; expected one of {sorted(ARM_MODES)}")
     plan = plan_folds(records, config.k_folds, config.seed, window_hours)
-    tasks = [(train, test, tuple(arms), window_hours, vocab, config, fold_index)
-             for fold_index, train, test in plan]
+    settings = (tuple(arms), window_hours, vocab, config)
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_fold_task, tasks))
+        # Each worker receives the records once; a task is only its fold index.
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(plan, *settings)) as pool:
+            results = list(pool.map(_worker_fold, [fold[0] for fold in plan]))
     else:
-        results = [_fold_task(t) for t in tasks]
+        results = [_run_fold(fold, *settings) for fold in plan]
     results.sort(key=lambda r: r[0])
 
     return {

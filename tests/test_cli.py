@@ -191,6 +191,51 @@ class TestTrainEvalCommands:
         report = json.loads((out / "report_CNN_6h.json").read_text())
         assert [f["fold"] for f in report["folds"]] == [1, 3, 4, 5]
 
+    def test_eval_refuses_checkpoints_of_another_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "run.ini", out, n_patients=18, folds=2, arms="CNN")
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path), "--seed", "10"]) == 1
+        err = capsys.readouterr().err
+        assert "window 6h fold 0" in err and "other data or another config" in err
+        assert "cnn_w6_f0" not in err and "*_w6_f0.json" in err
+        assert not list(out.glob("report_*.json"))
+
+    def test_eval_refuses_checkpoints_of_another_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        main(["synth", "--config", str(write_config(tmp_path / "synth.ini", corpus,
+                                                    n_patients=18))])
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "run.ini", out, folds=2, arms="CNN")
+        cfg_path.write_text(cfg_path.read_text().replace("source = synthetic", f"""\
+source = files
+events = {corpus / "events.csv"}
+diagnoses = {corpus / "diagnoses.csv"}
+outcomes = {corpus / "outcomes.csv"}
+vocabulary = {corpus / "vocabulary.json"}"""))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        # one in-window lab value changes; patient ids, hours and vocabulary do not
+        lines = (corpus / "events.csv").read_text().splitlines()
+        patient, hours, lab, _value = lines[1].split(",")
+        assert float(hours) < 6
+        lines[1] = ",".join([patient, hours, lab, "0.25"])
+        (corpus / "events.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path)]) == 1
+        assert "other data or another config" in capsys.readouterr().err
+        assert not list(out.glob("report_*.json"))
+
+    def test_eval_refuses_checkpoints_without_fingerprint(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "run.ini", out, n_patients=18, folds=2, arms="CNN")
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        (out / "fold_fingerprints.json").unlink()
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path)]) == 1
+        assert "window 6h fold 0" in capsys.readouterr().err
+        assert not list(out.glob("report_*.json"))
+
     def test_eval_without_checkpoints_fails(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "run.ini", tmp_path / "out")
         code = main(["eval", "--config", str(cfg_path)])

@@ -367,3 +367,95 @@ class TestCnnCheckpoint:
         from hgm_ehr.hgm import load_params
         with pytest.raises(ValueError, match="kind"):
             load_params(tmp_path / "cnn.json")
+
+
+def generic_batch_backward(params, batch, labels, weights):
+    """The max-pool forward and backward with axis gathers, as a bitwise reference."""
+    n_filters, kernel, _ = params.filters.shape
+    windows = np.lib.stride_tricks.sliding_window_view(batch, kernel, axis=1)
+    z = np.einsum("fac,bjca->bjf", params.filters, windows) + params.conv_bias
+    relu = np.maximum(z, 0.0)
+    pool_idx = relu.argmax(axis=1)
+    pooled = np.take_along_axis(relu, pool_idx[:, None, :], axis=1)[:, 0, :]
+    probs = cnn._softmax_rows(pooled @ params.dense_w + params.dense_b)
+    one_hot = np.zeros_like(probs)
+    one_hot[np.arange(batch.shape[0]), labels] = 1.0
+    d_logits = (probs - one_hot) * weights[:, None]
+    d_pooled = d_logits @ params.dense_w.T
+    z_at = np.take_along_axis(z, pool_idx[:, None, :], axis=1)[:, 0, :]
+    d_z = d_pooled * (z_at > 0)
+    win_at = np.take_along_axis(windows, pool_idx[:, :, None, None], axis=1)
+    d_filters = np.einsum("bf,bfca->fac", d_z, win_at)
+    return probs, cnn.CnnGrads(d_filters, d_z.sum(axis=0), pooled.T @ d_logits,
+                               d_logits.sum(axis=0))
+
+
+class TestFlatGatherMatchesGenericKernels:
+    def assert_same_bits(self, params, batch, labels, weights):
+        probs, grads = cnn._batch_backward(params, batch, labels, weights)
+        ref_probs, ref = generic_batch_backward(params, batch, labels, weights)
+        assert np.array_equal(probs, ref_probs)
+        for name in GRAD_FIELDS:
+            got, want = getattr(grads, name), getattr(ref, name)
+            assert got.shape == want.shape and np.array_equal(got, want), name
+
+    def random_batch(self, rng, n, t, c, n_filters, kernel):
+        params = random_cnn(rng, n_filters=n_filters, kernel=kernel, n_features=c)
+        return (params, rng.normal(size=(n, t, c)), rng.integers(0, 2, n),
+                rng.uniform(0.5, 2.0, n))
+
+    @pytest.mark.parametrize("n, t, c, n_filters, kernel", [
+        (32, 48, 30, 16, 3),   # raw labs at 48 h
+        (32, 12, 46, 16, 3),   # embeddings beside labs at 12 h
+        (32, 6, 158, 32, 3),   # d = 128 beside 30 labs at 6 h
+        (7, 5, 4, 3, 1),       # kernel 1
+        (7, 5, 4, 3, 5),       # kernel = T: one window
+        (1, 6, 4, 3, 2),       # one example
+    ])
+    def test_random_batches(self, n, t, c, n_filters, kernel):
+        rng = np.random.default_rng(n * 1000 + t * 10 + kernel)
+        for _ in range(3):
+            self.assert_same_bits(*self.random_batch(rng, n, t, c, n_filters, kernel))
+
+    def test_tied_pool_maxima_take_the_first_window(self):
+        # filter 0 reads column 0 only, which ties at 2.0 in hours 0 and 2; the
+        # windows differ in column 1, so routing to another tie changes the gradient
+        params = CnnParams(
+            filters=np.array([[[1.0, 0.0]], [[0.0, 0.5]]]),
+            conv_bias=np.array([0.0, 0.1]),
+            dense_w=np.array([[1.0, -1.0], [0.5, 0.25]]),
+            dense_b=np.zeros(2),
+        )
+        batch = np.array([[[2.0, 5.0], [1.0, 1.0], [2.0, 7.0]],
+                          [[3.0, 1.0], [3.0, 1.0], [3.0, 4.0]]])
+        labels, weights = np.array([1, 0]), np.array([1.0, 2.0])
+        self.assert_same_bits(params, batch, labels, weights)
+        probs, grads = cnn._batch_backward(params, batch, labels, weights)
+        # filter 0's gradient is the d_z-weighted sum of each example's hour-0 row
+        d_z = ((probs - np.eye(2)[labels]) * weights[:, None]) @ params.dense_w[0]
+        assert np.allclose(grads.filters[0, 0], d_z @ batch[:, 0, :], rtol=0, atol=1e-15)
+
+    def test_tied_maxima_in_random_integer_grids(self):
+        rng = np.random.default_rng(11)
+        for kernel in (1, 2, 3):
+            params = CnnParams(
+                filters=rng.integers(-1, 2, (4, kernel, 5)).astype(float),
+                conv_bias=np.zeros(4),
+                dense_w=rng.normal(size=(4, 2)),
+                dense_b=np.zeros(2),
+            )
+            batch = rng.integers(0, 3, (9, 6, 5)).astype(float)
+            self.assert_same_bits(params, batch, rng.integers(0, 2, 9), np.ones(9))
+
+    def test_non_contiguous_feature_matrix_view(self):
+        rng = np.random.default_rng(12)
+        params = random_cnn(rng, n_filters=3, kernel=2, n_features=4)
+        grid = rng.normal(size=(3, 8, 9))
+        view = grid[1, ::2, 1::2]          # (4, 4), strided in both axes
+        assert not view.flags.c_contiguous
+        m = FeatureMatrix(view, True)
+        grads = backward(params, m, 1, 1.5)
+        _, ref = generic_batch_backward(params, view[None], np.array([1]), np.array([1.5]))
+        for name in GRAD_FIELDS:
+            assert np.array_equal(getattr(grads, name), getattr(ref, name)), name
+        assert np.array_equal(forward(params, m), forward(params, FeatureMatrix(view.copy(), True)))

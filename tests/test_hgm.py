@@ -499,3 +499,73 @@ def test_exact_and_sampled_losses_agree_in_ordering(toy_graph):
             compared += 1
             assert (diffs.mean() < 0) == (exact_totals[i] < exact_totals[j])
     assert compared >= 3
+
+
+def scatter_add_ns_grad(params, graph, context):
+    """ns_grad with lab/diagnosis gradients scattered by np.add.at into zeros."""
+    act, deriv = params.activation_fns()
+    x_u = graph.x_patient_hour(*context.center.index)
+    c_u = act(params.w_p @ x_u)
+    grads = HgmParams(*(np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS),
+                      params.activation)
+    dc_u = np.zeros(params.d)
+    for relation, (index, y) in zip(Relation, context.terms):
+        if not y.size:
+            continue
+        if relation is Relation.TESTED:
+            c_v = act(params.w_i[:, index])
+            c_vt = c_v + params.r_ip[:, None]
+            g = hgm._sigmoid_act(c_vt.T @ c_u) - y
+            grads.r_ip += float(g.sum()) * c_u
+            dc_u += c_vt @ g
+            np.add.at(grads.w_i.T, index, ((c_u[:, None] * g[None, :]) * deriv(c_v)).T)
+            continue
+        if relation is Relation.DIAGNOSED:
+            c_v = act(params.w_d[:, index])
+            c_ut = c_u + params.r_pd
+        else:
+            x_v = graph.xp[index[:, 0] * graph.window_hours + index[:, 1]].T
+            c_v = act(params.w_p @ x_v)
+            c_ut = c_u + params.r_tt if relation is Relation.TEMPORAL else c_u
+        g = hgm._sigmoid_act(c_v.T @ c_ut) - y
+        c_vg = c_v @ g
+        dc_u += c_vg
+        d_cv = (c_ut[:, None] * g[None, :]) * deriv(c_v)
+        if relation is Relation.DIAGNOSED:
+            grads.r_pd += c_vg
+            np.add.at(grads.w_d.T, index, d_cv.T)
+        else:
+            if relation is Relation.TEMPORAL:
+                grads.r_tt += c_vg
+            grads.w_p += d_cv @ x_v.T
+    grads.w_p += np.outer(dc_u * deriv(c_u), x_u)
+    return grads
+
+
+class TestNsGradMatchesScatterAdd:
+    @pytest.mark.parametrize("d", [16, 128])
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "relu"])
+    def test_sampled_and_repeated_contexts(self, d, activation):
+        cfg = GenConfig(n_patients=12, n_labs=5, n_diagnoses=6, window_hours=3)
+        graph = binned_graph(generate_synthetic(cfg, seed=d), synthetic_vocabulary(cfg), 3)
+        params = random_params(d, 5, 5, 6, activation=activation, seed=d + 1, scale=2.0 / d)
+        sampler = Sampler(graph, SamplerConfig(n_diagnoses=4, n_labs=4, n_copatients=2,
+                                               negatives_per_positive=3, seed=d))
+        contexts = []
+        for center in (ph(p, h) for p in range(graph.n_patients) for h in range(3)):
+            try:
+                contexts.append(sampler.sample_context(center))
+            except UntrainableCenterError:
+                pass
+        contexts.append(make_context(
+            ph(0, 1), pos_labs=(lab_node(1), lab_node(1), lab_node(4)),
+            neg_labs=((lab_node(1), lab_node(0)), (lab_node(4),), (lab_node(1), lab_node(1))),
+            pos_diagnoses=(dx_node(2), dx_node(2)), neg_diagnoses=((dx_node(5),), (dx_node(2),))))
+        repeated = 0
+        for ctx in contexts:
+            for t in ctx.terms[:2]:
+                repeated += len(t.index) > len(np.unique(t.index))
+            got, want = ns_grad(params, graph, ctx), scatter_add_ns_grad(params, graph, ctx)
+            for name in PARAM_FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert len(contexts) > 20 and repeated > 20
