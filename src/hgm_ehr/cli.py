@@ -17,9 +17,8 @@ import logging
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from . import evaluate
 from .checkpoint import load_container, save_container, write_json_atomic
@@ -258,13 +257,12 @@ def cmd_synth(config: RunConfig) -> int:
 def cmd_train(config: RunConfig) -> int:
     records, vocab = _load_corpus(config)
     exp = _experiment_config(config)
-    needs_hgm = any(arm != "CNN" for arm in config.arms)
     fingerprints = {}
     for window in config.windows:
         plan = evaluate.plan_folds(records, config.k_folds, config.seed, window)
         for fold_index, train, _test in plan:
             models = evaluate.train_fold(train, config.arms, window, vocab, exp, fold_index)
-            if needs_hgm:
+            if models.hgm_params is not None:
                 save_params(models.hgm_params, _hgm_path(config, window, fold_index))
             for arm in config.arms:
                 save_cnn(models.cnn_params[arm], _cnn_path(config, arm, window, fold_index))
@@ -277,53 +275,45 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(config: RunConfig) -> int:
-    records, vocab = _load_corpus(config)
-    needs_hgm = any(arm != "CNN" for arm in config.arms)
-    fingerprint_path = _fingerprint_path(config)
-    fingerprints = (load_container(fingerprint_path, kind="fingerprints")["folds"]
-                    if fingerprint_path.exists() else {})
-    for window in config.windows:
-        fold_results = {arm: [] for arm in config.arms}
-        plan = evaluate.plan_folds(records, config.k_folds, config.seed, window)
-        for fold_index, train, test in plan:
-            stored = fingerprints.get(_fold_key(window, fold_index))
-            if stored != _fold_fingerprint(config, window, fold_index, train, vocab):
-                problem = ("have no training fingerprint" if stored is None
-                           else "were trained on other data or another config")
-                raise ValueError(
-                    f"window {window}h fold {fold_index}: checkpoints "
-                    f"{_checkpoint_dir(config) / f'*_w{window}_f{fold_index}.json'} {problem} "
-                    f"(fingerprints: {fingerprint_path})")
-            labels = np.array([int(r.died) for r in test])
-            normalizer = fit_normalizer(train, window, vocab.n_labs)
-            hgm_params = load_params(_hgm_path(config, window, fold_index)) if needs_hgm else None
-            cnn_params = {
-                arm: load_cnn(_cnn_path(config, arm, window, fold_index)) for arm in config.arms
-            }
-            models = FoldModels(fold_index, window, normalizer, hgm_params, cnn_params)
-            scores = evaluate.score_fold(models, test, config.arms, vocab)
-            for arm in config.arms:
-                fold_results[arm].append((fold_index, scores[arm], labels))
-        for arm in config.arms:
-            outcome = evaluate.assemble_outcome(arm, window, fold_results[arm])
-            _write_outcome(config.out_dir, outcome)
-    print(f"eval: reports in {config.out_dir}")
-    return 0
+def _load_fold(config: RunConfig, fingerprints: dict, train, arms, window: int, vocab,
+               exp: ExperimentConfig, fold_index: int) -> FoldModels:
+    """train_fold's stand-in for eval: the fold's checkpoints, if its fingerprint matches."""
+    stored = fingerprints.get(_fold_key(window, fold_index))
+    if stored != _fold_fingerprint(config, window, fold_index, train, vocab):
+        problem = ("have no training fingerprint" if stored is None
+                   else "were trained on other data or another config")
+        raise ValueError(
+            f"window {window}h fold {fold_index}: checkpoints "
+            f"{_checkpoint_dir(config) / f'*_w{window}_f{fold_index}.json'} {problem} "
+            f"(fingerprints: {_fingerprint_path(config)})")
+    normalizer = fit_normalizer(train, window, vocab.n_labs)
+    hgm_params = (load_params(_hgm_path(config, window, fold_index))
+                  if any(ARM_MODES[arm].needs_embedding for arm in arms) else None)
+    cnn_params = {arm: load_cnn(_cnn_path(config, arm, window, fold_index)) for arm in arms}
+    return FoldModels(fold_index, window, normalizer, hgm_params, cnn_params)
 
 
-def cmd_run(config: RunConfig, jobs: int = 1) -> int:
+def _report(config: RunConfig, command: str, jobs: int = 1, fit=None) -> int:
+    """Cross-validate every window, writing reports and curves and printing a summary."""
     records, vocab = _load_corpus(config)
     exp = _experiment_config(config)
     for window in config.windows:
-        outcomes = evaluate.run_experiments(records, vocab, config.arms, window, exp, jobs=jobs)
+        outcomes = evaluate.run_experiments(records, vocab, config.arms, window, exp,
+                                            jobs=jobs, fit=fit)
         for arm in config.arms:
             _write_outcome(config.out_dir, outcomes[arm])
             report = outcomes[arm].report
-            print(f"run: {arm} {window}h AUROC {report.mean_auroc:.3f}"
+            print(f"{command}: {arm} {window}h AUROC {report.mean_auroc:.3f}"
                   f" +/- {report.std_auroc:.3f} AUPRC {report.mean_auprc:.3f}"
                   f" +/- {report.std_auprc:.3f}")
     return 0
+
+
+def cmd_eval(config: RunConfig) -> int:
+    fingerprint_path = _fingerprint_path(config)
+    fingerprints = (load_container(fingerprint_path, kind="fingerprints")["folds"]
+                    if fingerprint_path.exists() else {})
+    return _report(config, "eval", fit=partial(_load_fold, config, fingerprints))
 
 
 def _setup_logging() -> None:
@@ -350,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the run config file")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
-        cmd.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
+        if name == "run":
+            cmd.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
     return parser
 
 
@@ -369,7 +360,7 @@ def main(argv=None) -> int:
             return cmd_train(config)
         if args.command == "eval":
             return cmd_eval(config)
-        return cmd_run(config, jobs=args.jobs)
+        return _report(config, "run", jobs=args.jobs)
     except Exception as exc:  # single-line diagnostic, nonzero exit
         logger.debug("%s failed", args.command, exc_info=True)
         print(f"hgm-ehr: error: {exc}", file=sys.stderr)

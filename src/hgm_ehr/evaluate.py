@@ -94,39 +94,41 @@ def kfold_split(patient_ids, k: int, seed: int) -> list[list[str]]:
     return [[ids[i] for i in chunk] for chunk in np.array_split(order, k)]
 
 
-def _check_scores(scores) -> np.ndarray:
+def _checked(scores, labels):
+    """Scores (finite floats) and binary labels as arrays, with (n_pos, n_neg)."""
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    return scores
-
-
-def _check_binary(labels) -> tuple[int, int]:
     labels = np.asarray(labels)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos + n_neg != labels.size:
         raise ValueError("labels must be binary")
-    return n_pos, n_neg
+    return scores, labels, n_pos, n_neg
+
+
+def _tie_runs(scores, labels):
+    """Stable descending sort of scores, cut into runs of equal scores.
+
+    Returns (order, starts, ends, cum_pos): run r covers sorted positions
+    [starts[r], ends[r]), and cum_pos[i] counts the positives at positions <= i.
+    """
+    order = np.argsort(-scores, kind="stable")
+    ordered = scores[order]
+    # a run ends where the next score differs, and at the last score
+    ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], ordered.size > 0)) + 1
+    return order, np.append(0, ends)[:-1], ends, np.cumsum(labels[order] == 1)
 
 
 def auroc(scores, labels) -> float:
     """Mann-Whitney AUROC: (concordant + 0.5 * tied) / (n_pos * n_neg)."""
-    scores = _check_scores(scores)
-    labels = np.asarray(labels)
-    n_pos, n_neg = _check_binary(labels)
+    scores, labels, n_pos, n_neg = _checked(scores, labels)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC requires both classes")
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
+    order, starts, ends, _ = _tie_runs(scores, labels)
+    # a run's ascending positions are [n - end, n - start); average rank, 1-based
     ranks = np.empty(scores.size)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat((2 * scores.size - starts - ends - 1) / 2.0 + 1.0, ends - starts)
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -136,61 +138,32 @@ def auprc(scores, labels) -> float:
 
     Scores sort descending with ties kept in input order (stable sort).
     """
-    scores = _check_scores(scores)
-    labels = np.asarray(labels)
-    n_pos, _ = _check_binary(labels)
+    scores, labels, n_pos, _ = _checked(scores, labels)
     if n_pos == 0:
         raise ValueError("AUPRC requires at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    sorted_labels = labels[order]
-    cum_pos = np.cumsum(sorted_labels == 1)
+    order, _, _, cum_pos = _tie_runs(scores, labels)
     precision = cum_pos / np.arange(1, scores.size + 1)
-    return float(precision[sorted_labels == 1].mean())
+    return float(precision[labels[order] == 1].mean())
 
 
 def roc_points(scores, labels):
     """(threshold, fpr, tpr) at every distinct score, descending."""
-    scores = _check_scores(scores)
-    labels = np.asarray(labels)
-    n_pos, n_neg = _check_binary(labels)
-    order = np.argsort(-scores, kind="stable")
-    points = [(float("inf"), 0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < scores.size:
-        j = i
-        thr = scores[order[i]]
-        while j < scores.size and scores[order[j]] == thr:
-            if labels[order[j]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((float(thr), fp / max(n_neg, 1), tp / max(n_pos, 1)))
-        i = j
-    return points
+    scores, labels, n_pos, n_neg = _checked(scores, labels)
+    order, starts, ends, cum_pos = _tie_runs(scores, labels)
+    tp = cum_pos[ends - 1]
+    # a run's threshold is its first score: 0.0 and -0.0 tie, and the first is kept
+    return [(float("inf"), 0.0, 0.0)] + list(zip(
+        scores[order[starts]].tolist(), ((ends - tp) / max(n_neg, 1)).tolist(),
+        (tp / max(n_pos, 1)).tolist()))
 
 
 def pr_points(scores, labels):
     """(threshold, recall, precision) at every distinct score, descending."""
-    scores = _check_scores(scores)
-    labels = np.asarray(labels)
-    n_pos, _ = _check_binary(labels)
-    order = np.argsort(-scores, kind="stable")
-    points = []
-    tp = 0
-    seen = 0
-    i = 0
-    while i < scores.size:
-        j = i
-        thr = scores[order[i]]
-        while j < scores.size and scores[order[j]] == thr:
-            tp += int(labels[order[j]] == 1)
-            seen += 1
-            j += 1
-        points.append((float(thr), tp / max(n_pos, 1), tp / seen))
-        i = j
-    return points
+    scores, labels, n_pos, _ = _checked(scores, labels)
+    order, starts, ends, cum_pos = _tie_runs(scores, labels)
+    tp = cum_pos[ends - 1]
+    return list(zip(scores[order[starts]].tolist(), (tp / max(n_pos, 1)).tolist(),
+                    (tp / ends).tolist()))
 
 
 @dataclass
@@ -221,7 +194,7 @@ def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
     binned = bin_events(normalize_records(train_records, normalizer), window_hours, vocab.n_labs)
 
     hgm_params = None
-    if any(arm != "CNN" for arm in arms):
+    if any(ARM_MODES[arm].needs_embedding for arm in arms):
         graph = build_graph(train_records, vocab, binned)
         hgm_cfg = replace(config.hgm, seed=derive_seed(config.seed, "hgm", fold_index, window_hours))
         try:
@@ -272,9 +245,10 @@ def plan_folds(records, k_folds: int, seed: int, window_hours: int) -> list:
     return plan
 
 
-def _run_fold(fold, arms, window_hours: int, vocab: Vocabulary, config: ExperimentConfig):
+def _run_fold(fold, arms, window_hours: int, vocab: Vocabulary, config: ExperimentConfig, fit):
     fold_index, train, test = fold
-    models = train_fold(train, arms, window_hours, vocab, config, fold_index)
+    # train_fold is looked up per call, so a patched evaluate.train_fold is the one run
+    models = (fit or train_fold)(train, arms, window_hours, vocab, config, fold_index)
     scores = score_fold(models, test, arms, vocab)
     labels = np.array([int(r.died) for r in test])
     return fold_index, scores, labels
@@ -284,9 +258,9 @@ def _run_fold(fold, arms, window_hours: int, vocab: Vocabulary, config: Experime
 _worker_state = None
 
 
-def _init_worker(plan, arms, window_hours: int, vocab: Vocabulary, config: ExperimentConfig):
+def _init_worker(plan, *settings):
     global _worker_state
-    _worker_state = ({fold[0]: fold for fold in plan}, arms, window_hours, vocab, config)
+    _worker_state = ({fold[0]: fold for fold in plan}, *settings)
 
 
 def _worker_fold(fold_index: int):
@@ -295,18 +269,24 @@ def _worker_fold(fold_index: int):
 
 
 def run_experiments(records, vocab: Vocabulary, arms, window_hours: int,
-                    config: ExperimentConfig, jobs: int = 1) -> dict:
+                    config: ExperimentConfig, jobs: int = 1, fit=None) -> dict:
     """Evaluate several arms over one shared k-fold split.
 
     Embeddings are trained once per fold and reused by every arm that needs
     them. Folds whose test set is single-class are skipped with a warning.
     Returns {arm: ArmOutcome}.
+
+    fit gives a fold's models: it is called as train_fold is, with
+    (train_records, arms, window_hours, vocab, config, fold_index), and
+    returns a FoldModels. None trains them with train_fold; eval passes a
+    loader of checkpoints instead. With jobs > 1 fit is sent to every worker,
+    so it must pickle: a module-level function or a functools.partial of one.
     """
     for arm in arms:
         if arm not in ARM_MODES:
             raise ValueError(f"unknown arm {arm!r}; expected one of {sorted(ARM_MODES)}")
     plan = plan_folds(records, config.k_folds, config.seed, window_hours)
-    settings = (tuple(arms), window_hours, vocab, config)
+    settings = (tuple(arms), window_hours, vocab, config, fit)
 
     if jobs > 1:
         # Each worker receives the records once; a task is only its fold index.
@@ -356,8 +336,3 @@ def assemble_outcome(arm: str, window_hours: int, fold_results) -> ArmOutcome:
         labels=np.concatenate(pooled_labels),
     )
 
-
-def run_experiment(records, vocab: Vocabulary, arm: str, window_hours: int,
-                   config: ExperimentConfig) -> ExperimentReport:
-    """Single-arm wrapper over run_experiments."""
-    return run_experiments(records, vocab, [arm], window_hours, config)[arm].report

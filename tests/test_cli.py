@@ -169,16 +169,27 @@ class TestTrainEvalCommands:
         for p in sorted((out_a / "checkpoints").glob("*.json")):
             assert p.read_bytes() == (out_b / "checkpoints" / p.name).read_bytes()
 
-    def test_eval_matches_run_predictions(self, tmp_path):
+    def test_eval_matches_run_predictions(self, tmp_path, capsys):
         # checkpoint reload reproduces the in-memory pipeline exactly
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path / "run.ini", out, n_patients=18, folds=2)
-        main(["train", "--config", str(cfg_path)])
-        main(["eval", "--config", str(cfg_path)])
-        eval_report = (out / "report_HGM_CNN_6h.json").read_bytes()
+        cfg_path = write_config(tmp_path / "run.ini", out, n_patients=18, folds=2,
+                                arms="HGM,CNN,HGM_CNN")
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path)]) == 0
+        eval_lines = capsys.readouterr().out.splitlines()
         run_out = tmp_path / "run_out"
-        main(["run", "--config", str(cfg_path), "--out", str(run_out)])
-        assert eval_report == (run_out / "report_HGM_CNN_6h.json").read_bytes()
+        assert main(["run", "--config", str(cfg_path), "--out", str(run_out)]) == 0
+        run_lines = capsys.readouterr().out.splitlines()
+        assert len(eval_lines) == 3
+        assert [line.removeprefix("eval: ") for line in eval_lines] == \
+               [line.removeprefix("run: ") for line in run_lines]
+        names = sorted(p.name for p in run_out.iterdir())
+        assert names == sorted(f"{kind}_{arm}_6h.{ext}" for arm in ("HGM", "CNN", "HGM_CNN")
+                               for kind, ext in (("report", "json"), ("roc", "csv"),
+                                                 ("pr", "csv")))
+        for name in names:
+            assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
 
     def test_single_class_folds_are_not_trained(self, tmp_path):
         # 12 patients in 6 folds: the test sets of folds 0 and 2 are single-class
@@ -235,6 +246,15 @@ vocabulary = {corpus / "vocabulary.json"}"""))
         assert main(["eval", "--config", str(cfg_path)]) == 1
         assert "window 6h fold 0" in capsys.readouterr().err
         assert not list(out.glob("report_*.json"))
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_jobs_belongs_to_run_only(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path / "run.ini", tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_eval_without_checkpoints_fails(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "run.ini", tmp_path / "out")

@@ -1,3 +1,4 @@
+import functools
 import logging
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hgm_ehr import evaluate
 from hgm_ehr.cnn import CnnTrainConfig
 from hgm_ehr.evaluate import (ExperimentConfig, assemble_outcome, auprc, auroc, kfold_split,
-                              pr_points, roc_points, run_experiment, run_experiments,
+                              pr_points, roc_points, run_experiments,
                               score_fold, train_fold)
 from hgm_ehr.hgm import HgmTrainConfig
 from hgm_ehr.ingest import GenConfig, generate_synthetic, synthetic_vocabulary
@@ -173,6 +174,96 @@ class TestCurvePoints:
         assert pts[-1][1] == 1.0
 
 
+def loop_auroc(scores, labels):
+    # the per-run Python loop that evaluate.auroc replaced, kept as a reference
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUROC requires both classes")
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    pos_rank_sum = float(ranks[labels == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def loop_curve(scores, labels, roc):
+    # the per-run Python loops that roc_points and pr_points replaced
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = labels.size - n_pos
+    order = np.argsort(-scores, kind="stable")
+    points = [(float("inf"), 0.0, 0.0)] if roc else []
+    tp = fp = 0
+    i = 0
+    while i < scores.size:
+        j = i
+        thr = scores[order[i]]
+        while j < scores.size and scores[order[j]] == thr:
+            if labels[order[j]] == 1:
+                tp += 1
+            else:
+                fp += 1
+            j += 1
+        if roc:
+            points.append((float(thr), fp / max(n_neg, 1), tp / max(n_pos, 1)))
+        else:
+            points.append((float(thr), tp / max(n_pos, 1), tp / (tp + fp)))
+        i = j
+    return points
+
+
+def outcome_repr(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestTieRunsMatchLoops:
+    @pytest.mark.parametrize("kind", ["continuous", "coarse", "few_values", "signed_zeros",
+                                      "all_equal", "single_class"])
+    def test_outputs_repr_identical(self, kind):
+        rng = np.random.default_rng(["continuous", "coarse", "few_values", "signed_zeros",
+                                     "all_equal", "single_class"].index(kind))
+        for _ in range(150):
+            n = int(rng.integers(1, 301))
+            labels = rng.integers(0, 2, n)
+            if kind == "continuous":
+                scores = rng.normal(size=n)
+            elif kind == "coarse":
+                scores = np.round(rng.normal(size=n), 1)
+            elif kind == "few_values":
+                scores = rng.integers(0, 4, n) * 0.25
+            elif kind == "signed_zeros":
+                scores = rng.choice([0.0, -0.0, 0.5, -0.5], n)
+            elif kind == "all_equal":
+                scores = np.full(n, rng.choice([0.0, -0.0, 0.3]))
+            else:
+                scores = rng.normal(size=n)
+                labels = np.full(n, rng.integers(0, 2))
+            assert outcome_repr(auroc, scores, labels) == outcome_repr(loop_auroc, scores, labels)
+            assert outcome_repr(roc_points, scores, labels) == \
+                   outcome_repr(loop_curve, scores, labels, True)
+            assert outcome_repr(pr_points, scores, labels) == \
+                   outcome_repr(loop_curve, scores, labels, False)
+
+    def test_negative_zero_run_keeps_its_first_score(self):
+        assert repr(roc_points([0.0, -0.0, 1.0], [1, 0, 1])[2][0]) == "0.0"
+        assert repr(roc_points([-0.0, 0.0, 1.0], [1, 0, 1])[2][0]) == "-0.0"
+        assert repr(pr_points([0.0, -0.0], [1, 0])[0][0]) == "0.0"
+
+
 def small_corpus(signal=1.0, n=80, seed=13):
     cfg = GenConfig(n_patients=n, n_labs=8, n_diagnoses=12, window_hours=6,
                     signal=signal, prevalence=0.35)
@@ -189,16 +280,21 @@ def fast_config(k=4, seed=5):
     )
 
 
+def recorded_train_fold(calls, train, arms, window_hours, vocab, config, fold_index):
+    calls.append((window_hours, fold_index))
+    return train_fold(train, arms, window_hours, vocab, config, fold_index)
+
+
 class TestRunExperiment:
     def test_report_structure_and_determinism(self):
         records, vocab = small_corpus()
-        report = run_experiment(records, vocab, "CNN", 6, fast_config())
+        report = run_experiments(records, vocab, ("CNN",), 6, fast_config())["CNN"].report
         assert report.arm == "CNN"
         assert report.window_hours == 6
         assert len(report.folds) == 4
         assert all(0.0 <= f.auroc <= 1.0 and 0.0 <= f.auprc <= 1.0 for f in report.folds)
         assert sum(f.n_test for f in report.folds) == len(records)
-        again = run_experiment(records, vocab, "CNN", 6, fast_config())
+        again = run_experiments(records, vocab, ("CNN",), 6, fast_config())["CNN"].report
         assert report == again
 
     def test_shared_split_across_arms(self):
@@ -211,7 +307,7 @@ class TestRunExperiment:
     def test_unknown_arm_rejected(self):
         records, vocab = small_corpus()
         with pytest.raises(ValueError, match="unknown arm"):
-            run_experiment(records, vocab, "MLP", 6, fast_config())
+            run_experiments(records, vocab, ("MLP",), 6, fast_config())
 
     def test_single_class_fold_skipped_with_warning(self, caplog):
         # two deaths placed in two different test folds: those folds are
@@ -228,7 +324,7 @@ class TestRunExperiment:
         by_id[folds[0][0]].died = True
         by_id[folds[1][0]].died = True
         with caplog.at_level(logging.WARNING, logger="hgm_ehr.evaluate"):
-            report = run_experiment(records, vocab, "CNN", 6, cfg)
+            report = run_experiments(records, vocab, ("CNN",), 6, cfg)["CNN"].report
         assert "single-class" in caplog.text
         assert len(report.folds) == 2
         assert all(f.n_pos == 1 for f in report.folds)
@@ -238,7 +334,7 @@ class TestRunExperiment:
         for rec in records:
             rec.died = True
         with pytest.raises(ValueError, match="no evaluable folds"):
-            run_experiment(records, vocab, "CNN", 6, fast_config(k=3))
+            run_experiments(records, vocab, ("CNN",), 6, fast_config(k=3))
 
     def test_diverging_embeddings_name_fold_and_window(self, monkeypatch):
         def diverge(graph, config, on_epoch=None):
@@ -252,13 +348,13 @@ class TestRunExperiment:
 
     def test_std_is_sample_std(self):
         records, vocab = small_corpus()
-        report = run_experiment(records, vocab, "CNN", 6, fast_config())
+        report = run_experiments(records, vocab, ("CNN",), 6, fast_config())["CNN"].report
         aurocs = np.array([f.auroc for f in report.folds])
         assert report.std_auroc == pytest.approx(float(aurocs.std(ddof=1)), abs=1e-15)
 
     def test_report_dict_schema(self):
         records, vocab = small_corpus()
-        report = run_experiment(records, vocab, "HGM", 6, fast_config())
+        report = run_experiments(records, vocab, ("HGM",), 6, fast_config())["HGM"].report
         d = report.to_dict()
         assert set(d) == {"arm", "window", "folds", "mean_auroc", "std_auroc",
                           "mean_auprc", "std_auprc"}
@@ -282,6 +378,20 @@ class TestRunExperiment:
                 continue
             aurocs.append(auroc(scores, shuffled))
         assert 0.4 <= float(np.mean(aurocs)) <= 0.6
+
+    def test_fit_stands_in_for_train_fold(self):
+        records, vocab = small_corpus(n=40)
+        cfg = fast_config(k=3)
+        trained = run_experiments(records, vocab, ("CNN",), 6, cfg)
+        calls = []
+        fitted = run_experiments(records, vocab, ("CNN",), 6, cfg,
+                                 fit=functools.partial(recorded_train_fold, calls))
+        assert calls == [(6, 0), (6, 1), (6, 2)]
+        assert fitted["CNN"].report == trained["CNN"].report
+        # workers receive fit pickled, once each
+        parallel = run_experiments(records, vocab, ("CNN",), 6, cfg, jobs=2,
+                                   fit=functools.partial(recorded_train_fold, []))
+        assert parallel["CNN"].report == trained["CNN"].report
 
     def test_parallel_matches_serial(self):
         records, vocab = small_corpus(n=40)

@@ -7,8 +7,7 @@ from hgm_ehr import hgm
 from hgm_ehr.graph import NodeId, NodeType, all_nodes, neighbors
 from hgm_ehr.hgm import (HgmParams, HgmTrainConfig, Relation, embed_hours, embed_node,
                          exact_softmax_loss, init_params, load_params, ns_grad, ns_loss,
-                         project, save_params, score, score_raw, softmax_context_loss,
-                         train_hgm, translate)
+                         project, save_params, score, softmax_context_loss, train_hgm)
 from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
 from hgm_ehr.sampler import ContextSample, Sampler, SamplerConfig, UntrainableCenterError
 from hgm_ehr.seeds import derive_seed
@@ -77,26 +76,6 @@ class TestProject:
             project(zero_params(), NodeType.LAB, [1.0, 2.0, 3.0])
 
 
-class TestTranslate:
-    def test_identity_relation(self):
-        assert translate([1.0, 2.0], [0.0, 0.0]).tolist() == [1.0, 2.0]
-
-    def test_inverse_relation(self):
-        assert translate([1.0, 2.0], [-1.0, -2.0]).tolist() == [0.0, 0.0]
-
-    def test_arithmetic(self):
-        assert translate([0.5, 0.5], [0.25, -0.25]).tolist() == [0.75, 0.25]
-
-    def test_matches_vector_addition_bitwise(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            c = rng.normal(size=5)
-            r = rng.normal(size=5)
-            assert np.array_equal(translate(c, r), c + r)
-            assert np.array_equal(translate(c, r), translate(r, c))
-            assert np.array_equal(translate(translate(c, r), r), (c + r) + r)
-
-
 class TestScore:
     def test_all_zero_is_zero(self):
         params = zero_params()
@@ -123,14 +102,6 @@ class TestScore:
             float((c_u + params.r_pd) @ c_v))
         assert score(params, c_u, Relation.TEMPORAL, c_v) == pytest.approx(
             float((c_u + params.r_tt) @ c_v))
-
-    def test_score_raw_projects_first(self):
-        params = random_params(3, 4, 4, 5, seed=1)
-        raw = np.array([1.0, 0.0, 0.0, 0.0])
-        c_u = np.array([0.2, -0.1, 0.4])
-        via_raw = score_raw(params, c_u, Relation.TESTED, raw)
-        via_emb = score(params, c_u, Relation.TESTED, project(params, NodeType.LAB, raw))
-        assert via_raw == pytest.approx(via_emb, abs=1e-15)
 
 
 class TestExactSoftmaxLoss:
@@ -352,6 +323,34 @@ class TestTrainHgm:
         message = r"^hgm: non-finite .* epoch \d+/12 \(step \d+ of 432\)"
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=message):
             train_hgm(graph, train_cfg)
+
+    def test_blow_up_that_collapses_raises(self):
+        # relu at lr = 50 on this graph: the epoch losses go 3.5e64, 2.6e124,
+        # 1.1e147 and then stay at a finite 115, and |w_p| ~ 7.4e75 used to be
+        # returned; the first epoch already leaves a parameter near 9.5e36
+        cfg = GenConfig(n_patients=20, n_labs=8, n_diagnoses=10, window_hours=4)
+        graph = binned_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 4)
+        train_cfg = HgmTrainConfig(epochs=8, learning_rate=50.0, d=4, activation="relu")
+        message = r"^hgm: non-finite .* beyond 1e\+06, after epoch \d+/8 \(step \d+ of \d+\)"
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=message):
+            train_hgm(graph, train_cfg)
+
+    def test_nan_parameter_raises_with_finite_loss(self, monkeypatch):
+        # only one entry of the last parameter turns NaN, and the loss stays finite
+        def nan_r_tt(params, graph, context, **kwargs):
+            _, grads = loss_and_grad(params, graph, context, **kwargs)
+            for name in PARAM_FIELDS:
+                getattr(grads, name)[...] = 0.0
+            grads.r_tt[0] = np.nan
+            return 1.0, grads
+
+        loss_and_grad = hgm._loss_and_grad
+        monkeypatch.setattr(hgm, "_loss_and_grad", nan_r_tt)
+        cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
+        graph = binned_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
+        message = r"after epoch 1/2 .*: mean loss 1, max \|parameter\| nan$"
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=message):
+            train_hgm(graph, HgmTrainConfig(epochs=2, d=4, seed=1))
 
     def test_matches_public_sgd_loop(self):
         # train_hgm is plain SGD over the public sampler and gradient: one
