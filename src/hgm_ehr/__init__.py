@@ -2,7 +2,7 @@
 mortality prediction, with k-fold evaluation of raw-feature, embedding-only
 and concatenated-feature arms."""
 
-from .cnn import CnnParams, CnnTrainConfig, FeatureMatrix, FeatureMode, build_features
+from .cnn import CnnParams, CnnTrainConfig, FeatureMode, build_features
 from .evaluate import (ARMS, ExperimentConfig, ExperimentReport, FoldReport, auprc, auroc,
                        kfold_split, run_experiments)
 from .graph import HeteroGraph, NodeId, NodeType, build_graph, neighbors

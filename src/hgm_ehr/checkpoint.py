@@ -10,6 +10,8 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 FORMAT = "hgm-ehr-checkpoint"
 VERSION = 1
 
@@ -32,11 +34,28 @@ def load_container(path, kind: str) -> dict:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    if obj.get("format") != FORMAT:
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict) or obj.get("format") != FORMAT:
         raise ValueError(f"{path}: not a {FORMAT} file")
     if obj.get("version") != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {obj.get('version')}")
     if obj.get("kind") != kind:
         raise ValueError(f"{path}: expected kind {kind!r}, found {obj.get('kind')!r}")
     return obj
+
+
+def load_arrays(path, payload: dict, shapes: dict) -> dict:
+    """The payload's arrays as floats, each checked against the shape its dims give."""
+    arrays = {}
+    for name, shape in shapes.items():
+        try:
+            arrays[name] = np.asarray(payload["arrays"][name], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: array {name} is ragged or not numeric ({exc})") from None
+        if arrays[name].shape != shape:
+            raise ValueError(f"{path}: array {name} has shape {arrays[name].shape}, "
+                             f"but dims {payload['dims']} give {shape}")
+    return arrays

@@ -1,16 +1,19 @@
-"""Convolutional mortality classifier over hourly feature matrices.
+"""Convolutional mortality classifier over hourly feature grids.
 
-Features are assembled for a whole split at once from its binned
-(patient, hour, lab) tensor: raw lab means, patient-hour embeddings, or
-both side by side. Each patient's input grid holds one row per hour bin,
-oldest hour first, features across the row. Filters span the full feature
+Features are assembled for a whole split at once from its binned (patient,
+hour, lab) tensor: raw lab means, patient-hour embeddings, or both side by
+side. That (P, T, F) array and a label vector are the classifier's only
+input. Row p is patient p's (T, F) grid: one row per hour bin, oldest hour
+first, features across the row. Training takes mini-batches of rows;
+forward, backward and predict take one grid. Filters span the full feature
 width and slide along time (valid padding), followed by ReLU, a global
 max-pool over time, a dense layer and a two-way softmax. Backpropagation
 is explicit; gradients flow only to each filter's argmax pool position
-(first index on ties). The pooled values and each filter's argmax window
-are gathered with one `take` at flat offsets, not a generic gather along
-an axis of the strided window view: the same elements in the same order,
-so the same bits, without that kernel's per-element indexing overhead.
+(first index on ties) and come back as a CnnParams. The pooled values and
+each filter's argmax window are gathered with one `take` at flat offsets,
+not a generic gather along an axis of the strided window view: the same
+elements in the same order, so the same bits, without that kernel's
+per-element indexing overhead.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .checkpoint import load_container, save_container
+from .checkpoint import load_arrays, load_container, save_container
 from .hgm import HgmParams, embed_hours
 from .seeds import derive_seed
 
@@ -30,54 +33,19 @@ class FeatureMode(Enum):
     EMBED_ONLY = "embed_only"
     EMBED_PLUS_LABS = "embed_plus_labs"
 
-    def feature_count(self, n_labs: int, embed_dim: int | None) -> int:
-        if self is FeatureMode.RAW_LABS:
-            return n_labs
-        if embed_dim is None:
-            raise ValueError(f"mode {self.value} requires an embedding dimension")
-        if self is FeatureMode.EMBED_ONLY:
-            return embed_dim
-        return embed_dim + n_labs
-
     @property
     def needs_embedding(self) -> bool:
         return self in (FeatureMode.EMBED_ONLY, FeatureMode.EMBED_PLUS_LABS)
 
 
 @dataclass
-class FeatureMatrix:
-    """(T, F) grid: row t holds the features of the t-th oldest hour."""
-
-    values: np.ndarray
-    label: bool
-
-    @property
-    def t_steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
 class CnnParams:
+    """Classifier parameters; backward returns its gradients in the same shape."""
+
     filters: np.ndarray    # (n_filters, kernel, n_features)
     conv_bias: np.ndarray  # (n_filters,)
     dense_w: np.ndarray    # (n_filters, 2)
     dense_b: np.ndarray    # (2,)
-
-    def copy(self) -> "CnnParams":
-        return CnnParams(self.filters.copy(), self.conv_bias.copy(),
-                         self.dense_w.copy(), self.dense_b.copy())
-
-
-@dataclass
-class CnnGrads:
-    filters: np.ndarray
-    conv_bias: np.ndarray
-    dense_w: np.ndarray
-    dense_b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -184,12 +152,12 @@ def _batch_backward(params: CnnParams, batch, labels, weights):
     win_at = batch.reshape(n * t_steps, n_features).take(rows, axis=0)
     d_filters = np.einsum("bf,bfac->fac", d_z, win_at)
     d_bias = d_z.sum(axis=0)
-    return probs, CnnGrads(d_filters, d_bias, d_dense_w, d_dense_b)
+    return probs, CnnParams(d_filters, d_bias, d_dense_w, d_dense_b)
 
 
-def forward(params: CnnParams, matrix: FeatureMatrix) -> np.ndarray:
-    """Class probabilities [survived, died]; always sums to 1."""
-    probs, _ = _batch_forward(params, matrix.values[None, :, :])
+def forward(params: CnnParams, x: np.ndarray) -> np.ndarray:
+    """Class probabilities [survived, died] of one (T, F) grid; always sums to 1."""
+    probs, _ = _batch_forward(params, x[None, :, :])
     return probs[0]
 
 
@@ -199,48 +167,49 @@ def ce_loss(probabilities, label, weight: float = 1.0) -> float:
     return -weight * float(np.log(p))
 
 
-def backward(params: CnnParams, matrix: FeatureMatrix, label, weight: float = 1.0) -> CnnGrads:
-    """Exact gradients of ce_loss(forward(params, matrix), label)."""
-    _, grads = _batch_backward(
-        params, matrix.values[None, :, :],
-        np.array([int(label)]), np.array([float(weight)]),
-    )
+def backward(params: CnnParams, x: np.ndarray, label, weight: float = 1.0) -> CnnParams:
+    """Exact gradients of ce_loss(forward(params, x), label)."""
+    _, grads = _batch_backward(params, x[None, :, :],
+                               np.array([int(label)]), np.array([float(weight)]))
     return grads
 
 
-def predict(params: CnnParams, matrix: FeatureMatrix) -> float:
-    """Mortality score: forward probability of the death class."""
-    return float(forward(params, matrix)[1])
+def predict(params: CnnParams, x: np.ndarray) -> float:
+    """Mortality score of one (T, F) grid: forward probability of the death class."""
+    return float(forward(params, x)[1])
 
 
-def train_cnn(features: list[FeatureMatrix], config: CnnTrainConfig) -> CnnParams:
-    """Seeded mini-batch SGD; deterministic given (features, config)."""
+def train_cnn(features: np.ndarray, config: CnnTrainConfig, labels) -> CnnParams:
+    """Seeded mini-batch SGD on (P, T, F) features and P binary labels.
+
+    Deterministic given (features, config, labels).
+    """
     config.validate()
-    if not features:
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels).astype(int)
+    if len(features) == 0:
         raise ValueError("empty training set")
-    labels = np.array([int(m.label) for m in features])
-    n_pos = int(labels.sum())
-    if n_pos == 0 or n_pos == len(labels):
-        raise ValueError("training set must contain both classes")
-    shapes = {m.values.shape for m in features}
-    if len(shapes) != 1:
-        raise ValueError(f"inconsistent feature shapes: {sorted(shapes)}")
-    batch_values = np.stack([m.values for m in features])
-
+    if features.ndim != 3 or labels.shape != (len(features),):
+        raise ValueError(f"features {features.shape} and labels {labels.shape} do not match: "
+                         "expected (P, T, F) and (P,)")
     n = len(features)
+    n_pos = int(labels.sum())
+    if n_pos == 0 or n_pos == n:
+        raise ValueError("training set must contain both classes")
+
     if config.class_weighting:
         class_w = np.array([n / (2.0 * (n - n_pos)), n / (2.0 * n_pos)])
     else:
         class_w = np.ones(2)
     weights = class_w[labels]
 
-    params = init_cnn(batch_values.shape[2], config, seed=derive_seed(config.seed, "cnn-init"))
+    params = init_cnn(features.shape[2], config, seed=derive_seed(config.seed, "cnn-init"))
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "cnn-shuffle"))
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             take = order[start:start + config.batch_size]
-            _, grads = _batch_backward(params, batch_values[take], labels[take], weights[take])
+            _, grads = _batch_backward(params, features[take], labels[take], weights[take])
             scale = config.learning_rate / take.size
             params.filters -= scale * grads.filters
             params.conv_bias -= scale * grads.conv_bias
@@ -267,14 +236,11 @@ def save_cnn(params: CnnParams, path) -> None:
 
 def load_cnn(path) -> CnnParams:
     payload = load_container(path, kind="cnn")
-    arrays = payload["arrays"]
-    params = CnnParams(
-        filters=np.asarray(arrays["filters"], dtype=float),
-        conv_bias=np.asarray(arrays["conv_bias"], dtype=float),
-        dense_w=np.asarray(arrays["dense_w"], dtype=float),
-        dense_b=np.asarray(arrays["dense_b"], dtype=float),
-    )
     dims = payload["dims"]
-    if params.filters.shape != (dims["filters"], dims["kernel"], dims["features"]):
-        raise ValueError(f"checkpoint dims {dims} do not match stored arrays")
-    return params
+    n_filters = dims["filters"]
+    return CnnParams(**load_arrays(path, payload, {
+        "filters": (n_filters, dims["kernel"], dims["features"]),
+        "conv_bias": (n_filters,),
+        "dense_w": (n_filters, 2),
+        "dense_b": (2,),
+    }))

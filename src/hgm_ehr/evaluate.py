@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cnn import CnnTrainConfig, FeatureMatrix, FeatureMode, build_features, predict, train_cnn
+from .cnn import CnnTrainConfig, FeatureMode, build_features, predict, train_cnn
 from .graph import build_graph
 from .hgm import HgmParams, HgmTrainConfig, train_hgm
 from .ingest import Vocabulary, bin_events, fit_normalizer, normalize_records
@@ -177,12 +177,6 @@ class FoldModels:
     cnn_params: dict  # arm -> CnnParams
 
 
-def _features(binned, arm: str, hgm_params, records) -> list[FeatureMatrix]:
-    """One FeatureMatrix per record, each a view of the arm's (P, T, F) features."""
-    features = build_features(binned, ARM_MODES[arm], hgm_params)
-    return [FeatureMatrix(x, rec.died) for x, rec in zip(features, records)]
-
-
 def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
                config: ExperimentConfig, fold_index: int) -> FoldModels:
     """Fit normalizer, embeddings (when any arm needs them) and per-arm CNNs.
@@ -202,10 +196,12 @@ def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
         except FloatingPointError as exc:
             raise FloatingPointError(f"fold {fold_index}, window {window_hours}h: {exc}") from exc
 
+    labels = np.array([int(r.died) for r in train_records])
     cnn_params = {}
     for arm in arms:
         cnn_cfg = replace(config.cnn, seed=derive_seed(config.seed, f"cnn:{arm}", fold_index, window_hours))
-        cnn_params[arm] = train_cnn(_features(binned, arm, hgm_params, train_records), cnn_cfg)
+        cnn_params[arm] = train_cnn(build_features(binned, ARM_MODES[arm], hgm_params),
+                                    cnn_cfg, labels)
     return FoldModels(fold_index, window_hours, normalizer, hgm_params, cnn_params)
 
 
@@ -216,8 +212,8 @@ def score_fold(models: FoldModels, test_records, arms, vocab: Vocabulary) -> dic
     out = {}
     for arm in arms:
         params = models.cnn_params[arm]
-        out[arm] = np.array([predict(params, m)
-                             for m in _features(binned, arm, models.hgm_params, test_records)])
+        out[arm] = np.array([predict(params, x)
+                             for x in build_features(binned, ARM_MODES[arm], models.hgm_params)])
     return out
 
 
@@ -225,7 +221,9 @@ def plan_folds(records, k_folds: int, seed: int, window_hours: int) -> list:
     """The seeded patient-level split as (fold_index, train, test) record lists.
 
     Folds whose test set is single-class cannot be scored, so they are
-    skipped with a warning and never trained.
+    skipped with a warning and never trained. A scored fold whose training
+    split is single-class cannot train a classifier: that raises, naming
+    the window and fold, before anything is trained.
     """
     records_by_id = {r.patient_id: r for r in records}
     if len(records_by_id) != len(records):
@@ -239,7 +237,13 @@ def plan_folds(records, k_folds: int, seed: int, window_hours: int) -> list:
             logger.warning("fold %d has a single-class test set; skipping", fold_index)
             continue
         test_set = set(test_ids)
-        plan.append((fold_index, [records_by_id[i] for i in ids if i not in test_set], test))
+        train = [records_by_id[i] for i in ids if i not in test_set]
+        n_died = sum(r.died for r in train)
+        if n_died in (0, len(train)):
+            raise ValueError(
+                f"window {window_hours}h fold {fold_index}: the training split is single-class "
+                f"({n_died} of {len(train)} patients died), so no classifier can be trained")
+        plan.append((fold_index, train, test))
     if not plan:
         raise ValueError("no evaluable folds (all test sets single-class)")
     return plan

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .checkpoint import load_container, save_container
+from .checkpoint import load_arrays, load_container, save_container
 from .graph import HeteroGraph, NodeId, NodeType, neighbors
 from .sampler import ContextSample, Sampler, SamplerConfig, UntrainableCenterError
 from .seeds import derive_seed
@@ -448,18 +448,9 @@ def save_params(params: HgmParams, path) -> None:
 
 def load_params(path) -> HgmParams:
     payload = load_container(path, kind="hgm")
-    arrays = payload["arrays"]
-    params = HgmParams(
-        w_p=np.asarray(arrays["w_p"], dtype=float),
-        w_i=np.asarray(arrays["w_i"], dtype=float),
-        w_d=np.asarray(arrays["w_d"], dtype=float),
-        r_ip=np.asarray(arrays["r_ip"], dtype=float),
-        r_pd=np.asarray(arrays["r_pd"], dtype=float),
-        r_tt=np.asarray(arrays["r_tt"], dtype=float),
-        activation=payload["activation"],
-    )
     dims = payload["dims"]
-    if (params.d, params.p_in, params.n_labs, params.n_diagnoses) != (
-            dims["d"], dims["p_in"], dims["labs"], dims["diagnoses"]):
-        raise ValueError(f"checkpoint dims {dims} do not match stored arrays")
-    return params
+    d = dims["d"]
+    return HgmParams(**load_arrays(path, payload, {
+        "w_p": (d, dims["p_in"]), "w_i": (d, dims["labs"]), "w_d": (d, dims["diagnoses"]),
+        "r_ip": (d,), "r_pd": (d,), "r_tt": (d,),
+    }), activation=payload["activation"])

@@ -117,11 +117,18 @@ def _open_rows(path):
                 yield line_no, [cell.strip() for cell in row]
 
 
-def _check_header(path, row, expected, line_no):
-    if row != list(expected):
-        raise DataFormatError(
-            f"{path}:{line_no}: expected header {','.join(expected)}, got {','.join(row)}"
-        )
+def _table_rows(path, header):
+    """A CSV table's data rows as (line_no, cells), its header and column count checked."""
+    for line_no, row in _open_rows(path):
+        if line_no == 1:
+            if row != list(header):
+                raise DataFormatError(
+                    f"{path}:{line_no}: expected header {','.join(header)}, got {','.join(row)}")
+            continue
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}")
+        yield line_no, row
 
 
 def parse_records(events_file, diagnoses_file, outcomes_file, vocab: Vocabulary | None = None):
@@ -135,13 +142,7 @@ def parse_records(events_file, diagnoses_file, outcomes_file, vocab: Vocabulary 
     records: dict[str, PatientRecord] = {}
     events: dict[str, list] = {}
 
-    rows = _open_rows(outcomes_file)
-    for line_no, row in rows:
-        if line_no == 1:
-            _check_header(outcomes_file, row, ("patient_id", "died", "end_hour"), line_no)
-            continue
-        if len(row) != 3:
-            raise DataFormatError(f"{outcomes_file}:{line_no}: expected 3 columns, got {len(row)}")
+    for line_no, row in _table_rows(outcomes_file, ("patient_id", "died", "end_hour")):
         pid, died_s, end_s = row
         if died_s not in ("0", "1"):
             raise DataFormatError(f"{outcomes_file}:{line_no}: died must be 0 or 1, got {died_s!r}")
@@ -156,12 +157,8 @@ def parse_records(events_file, diagnoses_file, outcomes_file, vocab: Vocabulary 
         records[pid] = PatientRecord(pid, event_array(), set(), died_s == "1", end_hour)
         events[pid] = []
 
-    for line_no, row in _open_rows(events_file):
-        if line_no == 1:
-            _check_header(events_file, row, ("patient_id", "hours_before_end", "lab_name", "value"), line_no)
-            continue
-        if len(row) != 4:
-            raise DataFormatError(f"{events_file}:{line_no}: expected 4 columns, got {len(row)}")
+    for line_no, row in _table_rows(events_file,
+                                    ("patient_id", "hours_before_end", "lab_name", "value")):
         pid, hours_s, lab_name, value_s = row
         if pid not in records:
             raise DataFormatError(f"{events_file}:{line_no}: patient {pid!r} not present in outcomes file")
@@ -178,12 +175,7 @@ def parse_records(events_file, diagnoses_file, outcomes_file, vocab: Vocabulary 
     for pid, record in records.items():
         record.events = event_array(events[pid])
 
-    for line_no, row in _open_rows(diagnoses_file):
-        if line_no == 1:
-            _check_header(diagnoses_file, row, ("patient_id", "diagnosis_name"), line_no)
-            continue
-        if len(row) != 2:
-            raise DataFormatError(f"{diagnoses_file}:{line_no}: expected 2 columns, got {len(row)}")
+    for line_no, row in _table_rows(diagnoses_file, ("patient_id", "diagnosis_name")):
         pid, dx_name = row
         record = records.get(pid)
         if record is None:

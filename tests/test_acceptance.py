@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from hgm_ehr import cli
-from hgm_ehr.cnn import CnnParams, CnnTrainConfig, FeatureMatrix, FeatureMode, backward, \
-    build_features, ce_loss, forward
+from hgm_ehr.cnn import CnnParams, CnnTrainConfig, FeatureMode, backward, build_features, \
+    ce_loss, forward
 from hgm_ehr.evaluate import ExperimentConfig, auprc, auroc, run_experiments
 from hgm_ehr.graph import NodeId, NodeType
 from hgm_ehr.hgm import HgmTrainConfig, context_scores, init_params, ns_grad, ns_loss, train_hgm
@@ -77,8 +77,8 @@ def test_criterion_1_gradient_fidelity():
             dense_w=rng.normal(0, 0.6, (3, 2)),
             dense_b=rng.normal(0, 0.3, 2),
         )
-        matrix = FeatureMatrix(rng.normal(size=(6, 4)), bool(seed % 2))
-        grads = backward(params, matrix, matrix.label)
+        x, label = rng.normal(size=(6, 4)), bool(seed % 2)
+        grads = backward(params, x, label)
         for name in ("filters", "conv_bias", "dense_w", "dense_b"):
             arr = getattr(params, name)
             analytic = getattr(grads, name)
@@ -87,9 +87,9 @@ def test_criterion_1_gradient_fidelity():
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up = ce_loss(forward(params, matrix), matrix.label)
+                up = ce_loss(forward(params, x), label)
                 arr[idx] = orig - h
-                down = ce_loss(forward(params, matrix), matrix.label)
+                down = ce_loss(forward(params, x), label)
                 arr[idx] = orig
                 fd = (up - down) / (2 * h)
                 if max(abs(fd), abs(analytic[idx])) > 1e-7:

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +51,41 @@ dir = {out_dir}
 {extra}
 """)
     return path
+
+
+def files_source(cfg_path, corpus):
+    """Point a written config at the corpus that `synth` wrote to corpus."""
+    cfg_path.write_text(cfg_path.read_text().replace("source = synthetic", f"""\
+source = files
+events = {corpus / "events.csv"}
+diagnoses = {corpus / "diagnoses.csv"}
+outcomes = {corpus / "outcomes.csv"}
+vocabulary = {corpus / "vocabulary.json"}"""))
+    return cfg_path
+
+
+def edit_arrays(checkpoint, **edits):
+    """Rewrite named arrays of a checkpoint file, each through its edit function."""
+    obj = json.loads(checkpoint.read_text())
+    for name, edit in edits.items():
+        obj["arrays"][name] = edit(obj["arrays"][name])
+    checkpoint.write_text(json.dumps(obj, indent=2))
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoints(tmp_path_factory):
+    """Train HGM_CNN checkpoints once; each call copies them to a fresh output directory."""
+    source = tmp_path_factory.mktemp("trained") / "out"
+    cfg_path = write_config(source.parent / "run.ini", source, n_patients=18, folds=2,
+                            arms="HGM_CNN")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+
+    def copy(tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        return out, write_config(tmp_path / "run.ini", out, n_patients=18, folds=2,
+                                 arms="HGM_CNN")
+    return copy
 
 
 def test_splitmix_seed_derivation_is_stable():
@@ -202,6 +239,40 @@ class TestTrainEvalCommands:
         report = json.loads((out / "report_CNN_6h.json").read_text())
         assert [f["fold"] for f in report["folds"]] == [1, 3, 4, 5]
 
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda ckpt: ckpt.write_text(ckpt.read_text()[:100]), "not valid JSON"),
+        (lambda ckpt: ckpt.write_text("[]\n"), "not a hgm-ehr-checkpoint file"),
+        (lambda ckpt: edit_arrays(ckpt, dense_w=lambda a: a[:-1]), "array dense_w has shape"),
+        (lambda ckpt: edit_arrays(ckpt, dense_w=lambda a: [a[0][:1]] + a[1:]),
+         "array dense_w is ragged"),
+        (lambda ckpt: edit_arrays(ckpt, conv_bias=lambda a: a + [0.0]),
+         "array conv_bias has shape"),
+    ], ids=["truncated", "json_list", "cut_dense_w", "ragged_dense_w", "long_conv_bias"])
+    def test_eval_names_a_corrupt_cnn_checkpoint(self, trained_checkpoints, tmp_path, capsys,
+                                                 corrupt, named):
+        out, cfg_path = trained_checkpoints(tmp_path)
+        ckpt = out / "checkpoints" / "cnn_HGM_CNN_w6_f0.json"
+        corrupt(ckpt)
+        assert main(["eval", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"hgm-ehr: error: {ckpt}: {named}")
+        assert not list(out.glob("report_*.json"))
+
+    @pytest.mark.parametrize("field, edit", [
+        ("r_tt", lambda a: a[:-1]),
+        ("r_ip", lambda a: a + [0.5]),
+        ("w_i", lambda a: a[:-1]),
+        ("w_d", lambda a: [row[:-1] for row in a]),
+    ], ids=["short_r_tt", "long_r_ip", "short_w_i", "narrow_w_d"])
+    def test_eval_names_an_hgm_checkpoint_of_other_dims(self, trained_checkpoints, tmp_path,
+                                                        capsys, field, edit):
+        out, cfg_path = trained_checkpoints(tmp_path)
+        ckpt = out / "checkpoints" / "hgm_w6_f0.json"
+        edit_arrays(ckpt, **{field: edit})
+        assert main(["eval", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"hgm-ehr: error: {ckpt}: array {field} has shape")
+
     def test_eval_refuses_checkpoints_of_another_seed(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg_path = write_config(tmp_path / "run.ini", out, n_patients=18, folds=2, arms="CNN")
@@ -218,13 +289,8 @@ class TestTrainEvalCommands:
         main(["synth", "--config", str(write_config(tmp_path / "synth.ini", corpus,
                                                     n_patients=18))])
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path / "run.ini", out, folds=2, arms="CNN")
-        cfg_path.write_text(cfg_path.read_text().replace("source = synthetic", f"""\
-source = files
-events = {corpus / "events.csv"}
-diagnoses = {corpus / "diagnoses.csv"}
-outcomes = {corpus / "outcomes.csv"}
-vocabulary = {corpus / "vocabulary.json"}"""))
+        cfg_path = files_source(write_config(tmp_path / "run.ini", out, folds=2, arms="CNN"),
+                                corpus)
         assert main(["train", "--config", str(cfg_path)]) == 0
         # one in-window lab value changes; patient ids, hours and vocabulary do not
         lines = (corpus / "events.csv").read_text().splitlines()
@@ -295,6 +361,27 @@ dir = out
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert "not found" in err
+
+    def test_single_class_training_split_exits_nonzero(self, tmp_path, capsys):
+        # one death among 30 patients in 3 folds: the fold whose test set holds
+        # it trains on survivors only
+        corpus = tmp_path / "corpus"
+        main(["synth", "--config", str(write_config(tmp_path / "synth.ini", corpus,
+                                                    n_patients=30))])
+        lines = (corpus / "outcomes.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        outcomes = [lines[0]] + [",".join([pid, "1" if i == 0 else "0", end])
+                                 for i, (pid, _died, end) in enumerate(rows)]
+        (corpus / "outcomes.csv").write_text("\n".join(outcomes) + "\n")
+        out = tmp_path / "out"
+        cfg_path = files_source(write_config(tmp_path / "run.ini", out, folds=3), corpus)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert re.match(r"hgm-ehr: error: window 6h fold \d: the training split is single-class "
+                        r"\(0 of 20 patients died\)", err), err
+        assert not out.exists()
 
     def test_failed_run_leaves_no_output_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

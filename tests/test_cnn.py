@@ -1,12 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hgm_ehr import cnn
-from hgm_ehr.cnn import (CnnParams, CnnTrainConfig, FeatureMatrix, FeatureMode, backward,
-                         build_features, ce_loss, forward, init_cnn, load_cnn, predict, save_cnn,
-                         train_cnn)
+from hgm_ehr.cnn import (CnnParams, CnnTrainConfig, FeatureMode, backward, build_features,
+                         ce_loss, forward, init_cnn, load_cnn, predict, save_cnn, train_cnn)
 from hgm_ehr.graph import NodeType, build_graph
 from hgm_ehr.hgm import init_params, project
 from hgm_ehr.ingest import (GenConfig, bin_events, fit_normalizer, generate_synthetic,
@@ -39,15 +39,14 @@ def random_cnn(rng, n_filters=3, kernel=2, n_features=4):
 class TestForward:
     def test_zero_params_give_even_split(self):
         rng = np.random.default_rng(0)
-        probs = forward(zero_cnn(), FeatureMatrix(rng.normal(size=(4, 3)), True))
+        probs = forward(zero_cnn(), rng.normal(size=(4, 3)))
         assert probs.tolist() == [0.5, 0.5]
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             params = random_cnn(rng)
-            m = FeatureMatrix(rng.normal(size=(5, 4)), False)
-            probs = forward(params, m)
+            probs = forward(params, rng.normal(size=(5, 4)))
             assert np.all(probs > 0)
             assert abs(float(probs.sum()) - 1.0) < 1e-9
 
@@ -59,27 +58,26 @@ class TestForward:
             dense_w=np.array([[0.8, -0.4]]),
             dense_b=np.array([0.1, -0.1]),
         )
-        m = FeatureMatrix(np.array([[1.0, 2.0], [-1.0, 0.5]]), True)
+        x = np.array([[1.0, 2.0], [-1.0, 0.5]])
         # conv: z0 = .5*1 - .25*2 + .05 = 0.05 ; z1 = .5*(-1) - .25*.5 + .05 = -0.575
         # relu -> [0.05, 0]; max-pool -> 0.05
         # logits = [.8*.05 + .1, -.4*.05 - .1] = [0.14, -0.12]
         e0, e1 = math.exp(0.14), math.exp(-0.12)
         expected = [e0 / (e0 + e1), e1 / (e0 + e1)]
-        assert forward(params, m) == pytest.approx(expected, abs=1e-12)
+        assert forward(params, x) == pytest.approx(expected, abs=1e-12)
 
     def test_time_shorter_than_kernel_rejected(self):
         params = zero_cnn(kernel=3)
         with pytest.raises(ValueError, match="kernel"):
-            forward(params, FeatureMatrix(np.zeros((2, 3)), False))
+            forward(params, np.zeros((2, 3)))
 
     def test_logit_shift_invariance(self):
         rng = np.random.default_rng(2)
         params = random_cnn(rng)
-        m = FeatureMatrix(rng.normal(size=(5, 4)), True)
-        base = forward(params, m)
-        shifted = params.copy()
-        shifted.dense_b += 13.7  # same constant on both logits
-        assert np.allclose(forward(shifted, m), base, atol=1e-9)
+        x = rng.normal(size=(5, 4))
+        base = forward(params, x)
+        shifted = replace(params, dense_b=params.dense_b + 13.7)  # same constant on both logits
+        assert np.allclose(forward(shifted, x), base, atol=1e-9)
 
 
 class TestCeLoss:
@@ -105,8 +103,8 @@ class TestBackward:
         rng = np.random.default_rng(3)
         for trial in range(4):
             params = random_cnn(rng)
-            m = FeatureMatrix(rng.normal(size=(6, 4)), bool(trial % 2))
-            grads = backward(params, m, m.label)
+            x, label = rng.normal(size=(6, 4)), bool(trial % 2)
+            grads = backward(params, x, label)
             h = 1e-5
             for name in GRAD_FIELDS:
                 arr = getattr(params, name)
@@ -116,9 +114,9 @@ class TestBackward:
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    up = ce_loss(forward(params, m), m.label)
+                    up = ce_loss(forward(params, x), label)
                     arr[idx] = orig - h
-                    down = ce_loss(forward(params, m), m.label)
+                    down = ce_loss(forward(params, x), label)
                     arr[idx] = orig
                     fd = (up - down) / (2 * h)
                     assert abs(fd - analytic[idx]) <= max(
@@ -133,8 +131,8 @@ class TestBackward:
             dense_w=np.array([[1.0, -1.0], [1.0, -1.0]]),
             dense_b=np.zeros(2),
         )
-        m = FeatureMatrix(np.array([[5.0, 1.0], [1.0, 2.0], [2.0, 3.0]]), True)
-        grads = backward(params, m, 1)
+        x = np.array([[5.0, 1.0], [1.0, 2.0], [2.0, 3.0]])
+        grads = backward(params, x, 1)
         assert np.count_nonzero(grads.filters[0]) > 0
         # gradient for filter 0 uses only the time-0 window [5, 1]
         ratio = grads.filters[0, 0, 0] / grads.filters[0, 0, 1]
@@ -145,10 +143,9 @@ class TestBackward:
     def test_duplicated_example_doubles_gradient(self):
         rng = np.random.default_rng(4)
         params = random_cnn(rng)
-        m = FeatureMatrix(rng.normal(size=(5, 4)), True)
-        single = backward(params, m, m.label)
-        doubled = cnn._batch_backward(
-            params, np.stack([m.values, m.values]), np.array([1, 1]), np.ones(2))[1]
+        x = rng.normal(size=(5, 4))
+        single = backward(params, x, 1)
+        doubled = cnn._batch_backward(params, np.stack([x, x]), np.array([1, 1]), np.ones(2))[1]
         for name in GRAD_FIELDS:
             assert np.allclose(getattr(doubled, name), 2.0 * getattr(single, name),
                                rtol=0, atol=1e-15)
@@ -156,76 +153,79 @@ class TestBackward:
     def test_batch_equals_sum_of_singles(self):
         rng = np.random.default_rng(5)
         params = random_cnn(rng)
-        mats = [FeatureMatrix(rng.normal(size=(5, 4)), bool(i % 2)) for i in range(6)]
+        features = rng.normal(size=(6, 5, 4))
+        labels = np.arange(6) % 2
         weights = rng.uniform(0.5, 2.0, 6)
-        batch = cnn._batch_backward(
-            params, np.stack([m.values for m in mats]),
-            np.array([int(m.label) for m in mats]), weights)[1]
+        batch = cnn._batch_backward(params, features, labels, weights)[1]
         for name in GRAD_FIELDS:
-            total = sum(getattr(backward(params, m, m.label, w), name)
-                        for m, w in zip(mats, weights))
+            total = sum(getattr(backward(params, x, y, w), name)
+                        for x, y, w in zip(features, labels, weights))
             assert np.allclose(getattr(batch, name), total, atol=1e-12)
 
 
 class TestPredict:
     def test_zero_params_score_half(self):
-        assert predict(zero_cnn(), FeatureMatrix(np.ones((4, 3)), False)) == 0.5
+        assert predict(zero_cnn(), np.ones((4, 3))) == 0.5
 
     def test_score_in_unit_interval_and_matches_forward(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             params = random_cnn(rng)
-            m = FeatureMatrix(rng.normal(size=(5, 4)), True)
-            score = predict(params, m)
+            x = rng.normal(size=(5, 4))
+            score = predict(params, x)
             assert 0.0 <= score <= 1.0
-            assert score == pytest.approx(float(forward(params, m)[1]), abs=1e-15)
+            assert score == pytest.approx(float(forward(params, x)[1]), abs=1e-15)
 
 
 class TestTrainCnn:
     def separable_set(self, rng, n=60):
         # label decided by the sign of feature 0, held constant across time
-        mats = []
-        for _ in range(n):
-            x = rng.normal(size=(4, 3))
+        features = np.empty((n, 4, 3))
+        for x in features:
+            x[:] = rng.normal(size=(4, 3))
             x[:, 0] = rng.normal()
-            mats.append(FeatureMatrix(x, bool(x[0, 0] > 0)))
-        return mats
+        return features, features[:, 0, 0] > 0
 
     def test_zero_epochs_returns_init(self):
         rng = np.random.default_rng(7)
-        mats = self.separable_set(rng)
+        features, labels = self.separable_set(rng)
         cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=0, seed=5)
-        params = train_cnn(mats, cfg)
+        params = train_cnn(features, cfg, labels)
         expected = init_cnn(3, cfg, seed=derive_seed(5, "cnn-init"))
         for name in GRAD_FIELDS:
             assert np.array_equal(getattr(params, name), getattr(expected, name))
 
     def test_learns_separable_toy(self):
         rng = np.random.default_rng(8)
-        mats = self.separable_set(rng, n=80)
+        features, labels = self.separable_set(rng, n=80)
         cfg = CnnTrainConfig(n_filters=8, kernel=2, epochs=50, learning_rate=0.05, seed=3)
-        params = train_cnn(mats, cfg)
-        correct = sum((predict(params, m) > 0.5) == m.label for m in mats)
-        assert correct / len(mats) > 0.95
+        params = train_cnn(features, cfg, labels)
+        correct = sum((predict(params, x) > 0.5) == y for x, y in zip(features, labels))
+        assert correct / len(features) > 0.95
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(9)
-        mats = self.separable_set(rng)
+        features, labels = self.separable_set(rng)
         cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=5, seed=11)
-        a = train_cnn(mats, cfg)
-        b = train_cnn(mats, cfg)
+        a = train_cnn(features, cfg, labels)
+        b = train_cnn(features, cfg, labels)
         for name in GRAD_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(10)
-        mats = [FeatureMatrix(rng.normal(size=(4, 3)), True) for _ in range(10)]
         with pytest.raises(ValueError, match="both classes"):
-            train_cnn(mats, CnnTrainConfig(epochs=1))
+            train_cnn(rng.normal(size=(10, 4, 3)), CnnTrainConfig(epochs=1), np.ones(10, bool))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train_cnn([], CnnTrainConfig(epochs=1))
+            train_cnn(np.empty((0, 4, 3)), CnnTrainConfig(epochs=1), np.empty(0, bool))
+
+    @pytest.mark.parametrize("shape, n_labels", [((6, 4, 3), 5), ((6, 4, 3), 7), ((6, 12), 6)])
+    def test_features_and_labels_must_match(self, shape, n_labels):
+        labels = np.arange(n_labels) % 2
+        with pytest.raises(ValueError, match="do not match"):
+            train_cnn(np.zeros(shape), CnnTrainConfig(epochs=1), labels)
 
 
 def features(records, window, mode, n_labs=3, params=None):
@@ -276,8 +276,7 @@ class TestBuildFeatures:
         params = init_params(8, 3, 3, 4, seed=0)
         rec = make_record("p", [(0.5, 0, 1.0)], {1})
         m = features([rec], 6, FeatureMode.EMBED_PLUS_LABS, params=params)
-        assert m.shape == (1, 6, 11)
-        assert FeatureMode.EMBED_PLUS_LABS.feature_count(3, 8) == 11
+        assert m.shape == (1, 6, 11)  # d = 8 embedding columns, then 3 labs
 
     def test_rows_run_oldest_to_newest(self):
         rec = make_record("p", [(0.2, 0, 5.0), (2.5, 1, 7.0)], set())
@@ -287,20 +286,21 @@ class TestBuildFeatures:
         assert m[2, 0] == 5.0  # hour 0, newest, last row
 
     def test_label_carried(self, monkeypatch):
-        # train_fold feeds train_cnn one FeatureMatrix per record: the record's
-        # died flag and its row of the arm's features
+        # train_fold feeds train_cnn the arm's (P, T, F) features and a label
+        # vector: row p is the features of record p, label p its died flag
         from hgm_ehr import evaluate
 
         cfg = GenConfig(n_patients=8, n_labs=3, n_diagnoses=4, window_hours=4, prevalence=0.5)
         records = generate_synthetic(cfg, seed=6)
         seen = []
-        monkeypatch.setattr(evaluate, "train_cnn", lambda feats, config: seen.append(feats))
+        monkeypatch.setattr(evaluate, "train_cnn",
+                            lambda feats, config, labels: seen.append((feats, labels)))
         evaluate.train_fold(records, ("CNN",), 4, toy_vocab(3, 4), evaluate.ExperimentConfig(), 0)
         normalized = normalize_records(records, fit_normalizer(records, 4, 3))
         expected = features(normalized, 4, FeatureMode.RAW_LABS)
-        assert [m.label for m in seen[0]] == [rec.died for rec in records]
-        for m, x in zip(seen[0], expected):
-            assert np.array_equal(m.values, x)
+        feats, labels = seen[0]
+        assert labels.tolist() == [int(rec.died) for rec in records]
+        assert np.array_equal(feats, expected)
 
     def test_missing_hour_embedding_chains_previous_plus_translation(self):
         params = init_params(6, 3, 3, 4, seed=1)
@@ -328,10 +328,12 @@ class TestBuildFeatures:
     def test_column_count_always_window(self):
         cfg = GenConfig(n_patients=5, n_labs=4, n_diagnoses=5, window_hours=6)
         records = generate_synthetic(cfg, seed=3)
-        params = init_params(4, 4, 4, 5, seed=4)
+        params = init_params(3, 4, 4, 5, seed=4)
+        widths = {FeatureMode.RAW_LABS: 4, FeatureMode.EMBED_ONLY: 3,
+                  FeatureMode.EMBED_PLUS_LABS: 7}
         for mode in FeatureMode:
             m = features(records, 6, mode, n_labs=4, params=params)
-            assert m.shape == (5, 6, mode.feature_count(4, 4))
+            assert m.shape == (5, 6, widths[mode])
 
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "relu"])
     def test_features_and_graph_match_per_event_oracle(self, activation):
@@ -386,8 +388,8 @@ def generic_batch_backward(params, batch, labels, weights):
     d_z = d_pooled * (z_at > 0)
     win_at = np.take_along_axis(windows, pool_idx[:, :, None, None], axis=1)
     d_filters = np.einsum("bf,bfca->fac", d_z, win_at)
-    return probs, cnn.CnnGrads(d_filters, d_z.sum(axis=0), pooled.T @ d_logits,
-                               d_logits.sum(axis=0))
+    return probs, cnn.CnnParams(d_filters, d_z.sum(axis=0), pooled.T @ d_logits,
+                                d_logits.sum(axis=0))
 
 
 class TestFlatGatherMatchesGenericKernels:
@@ -453,9 +455,8 @@ class TestFlatGatherMatchesGenericKernels:
         grid = rng.normal(size=(3, 8, 9))
         view = grid[1, ::2, 1::2]          # (4, 4), strided in both axes
         assert not view.flags.c_contiguous
-        m = FeatureMatrix(view, True)
-        grads = backward(params, m, 1, 1.5)
+        grads = backward(params, view, 1, 1.5)
         _, ref = generic_batch_backward(params, view[None], np.array([1]), np.array([1.5]))
         for name in GRAD_FIELDS:
             assert np.array_equal(getattr(grads, name), getattr(ref, name)), name
-        assert np.array_equal(forward(params, m), forward(params, FeatureMatrix(view.copy(), True)))
+        assert np.array_equal(forward(params, view), forward(params, view.copy()))

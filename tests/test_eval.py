@@ -336,6 +336,24 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="no evaluable folds"):
             run_experiments(records, vocab, ("CNN",), 6, fast_config(k=3))
 
+    def test_single_class_training_split_rejected_before_training(self, monkeypatch):
+        # one death among 30 patients in 3 folds: the fold that tests it has
+        # both classes in its test set and only survivors to train on
+        from hgm_ehr.seeds import derive_seed
+
+        records, vocab = small_corpus(n=30)
+        cfg = fast_config(k=3)
+        folds = kfold_split([r.patient_id for r in records], 3,
+                            derive_seed(cfg.seed, "kfold", window=6))
+        for rec in records:
+            rec.died = rec.patient_id == folds[1][0]
+        trained = []
+        monkeypatch.setattr(evaluate, "train_hgm", lambda *args, **kw: trained.append(args))
+        with pytest.raises(ValueError, match=r"^window 6h fold 1: the training split is "
+                                             r"single-class \(0 of 20 patients died\)"):
+            run_experiments(records, vocab, ("HGM", "CNN"), 6, cfg)
+        assert trained == []
+
     def test_diverging_embeddings_name_fold_and_window(self, monkeypatch):
         def diverge(graph, config, on_epoch=None):
             raise FloatingPointError("hgm: non-finite loss or parameters after epoch 2/2")
