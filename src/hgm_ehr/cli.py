@@ -57,6 +57,9 @@ class RunConfig:
         for w in self.windows:
             if w not in DEFAULT_WINDOWS:
                 raise ValueError(f"window {w} not in supported set {DEFAULT_WINDOWS}")
+            if w < self.cnn.kernel:
+                raise ValueError(f"[cnn] kernel {self.cnn.kernel} is longer than window {w}h: "
+                                 f"the convolution needs at least {self.cnn.kernel} hourly rows")
         if not self.arms:
             raise ValueError("at least one arm is required")
         for arm in self.arms:

@@ -9,11 +9,14 @@ forward, backward and predict take one grid. Filters span the full feature
 width and slide along time (valid padding), followed by ReLU, a global
 max-pool over time, a dense layer and a two-way softmax. Backpropagation
 is explicit; gradients flow only to each filter's argmax pool position
-(first index on ties) and come back as a CnnParams. The pooled values and
-each filter's argmax window are gathered with one `take` at flat offsets,
-not a generic gather along an axis of the strided window view: the same
-elements in the same order, so the same bits, without that kernel's
-per-element indexing overhead.
+(first index on ties) and come back as a CnnParams. The convolution is
+im2col + gemm (Chellapilla et al., 2006): each batch's windows are laid out
+once as a contiguous (B*J, kernel*F) matrix, one row per window, so the
+forward is one BLAS gemm with the flattened filters. The backward scatters
+each filter's gradient into a zero (B*J, n_filters) grid at its argmax
+window and takes the filter gradient as one gemm of that grid with the same
+matrix. BLAS sums in its own order, so scores differ from a plain
+per-window contraction in the last bits only.
 """
 
 from __future__ import annotations
@@ -111,30 +114,33 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _batch_forward(params: CnnParams, batch: np.ndarray):
-    """Forward pass over (B, T, F); returns probs plus the pooling cache."""
+    """Forward pass over (B, T, F); returns probs plus the im2col and pooling cache."""
     n_filters, kernel, n_features = params.filters.shape
     if batch.shape[1] < kernel:
         raise ValueError(f"time dimension {batch.shape[1]} shorter than kernel {kernel}")
     if batch.shape[2] != n_features:
         raise ValueError(f"feature dimension {batch.shape[2]} does not match filters ({n_features})")
-    # windows[b, j, c, a] = batch[b, j + a, c]
-    windows = np.lib.stride_tricks.sliding_window_view(batch, kernel, axis=1)
-    z = np.einsum("fac,bjca->bjf", params.filters, windows) + params.conv_bias
+    n_batch, t_steps, _ = batch.shape
+    n_windows = t_steps - kernel + 1
+    # im2col: cols[b*J + j, a*F + c] = batch[b, j + a, c], one contiguous copy
+    cols = np.lib.stride_tricks.sliding_window_view(batch, (kernel, n_features), axis=(1, 2))
+    cols = cols.reshape(n_batch * n_windows, kernel * n_features)
+    z = cols @ params.filters.reshape(n_filters, -1).T + params.conv_bias
     relu = np.maximum(z, 0.0)
-    pool_idx = relu.argmax(axis=1)
-    # pooled[b, f] = relu[b, pool_idx[b, f], f], gathered at flat offsets
-    n_batch, n_windows, _ = relu.shape
-    rows = np.arange(n_batch)[:, None] * n_windows + pool_idx
-    pooled = relu.ravel().take(rows * n_filters + np.arange(n_filters))
+    pool_idx = relu.reshape(n_batch, n_windows, n_filters).argmax(axis=1)
+    # pooled[b, f] = relu[b*J + pool_idx[b, f], f], gathered at flat offsets
+    pool_at = ((np.arange(n_batch)[:, None] * n_windows + pool_idx) * n_filters
+               + np.arange(n_filters))
+    pooled = relu.ravel().take(pool_at)
     logits = pooled @ params.dense_w + params.dense_b
     probs = _softmax_rows(logits)
-    return probs, (pool_idx, pooled)
+    return probs, (cols, pool_at, pooled)
 
 
 def _batch_backward(params: CnnParams, batch, labels, weights):
     """Summed weighted cross-entropy gradients over the batch."""
-    probs, (pool_idx, pooled) = _batch_forward(params, batch)
-    n, t_steps, n_features = batch.shape
+    probs, (cols, pool_at, pooled) = _batch_forward(params, batch)
+    n = len(probs)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(n), labels] = 1.0
     d_logits = (probs - one_hot) * weights[:, None]
@@ -145,12 +151,10 @@ def _batch_backward(params: CnnParams, batch, labels, weights):
 
     # pooled = max(z, 0) at the argmax, so pooled > 0 exactly where z > 0 there
     d_z = d_pooled * (pooled > 0)
-    # win_at[b, f, a, c] = batch[b, pool_idx[b, f] + a, c]: each filter's
-    # argmax window, as rows of the batch flattened to (B*T, C)
-    rows = (np.arange(n)[:, None, None] * t_steps + pool_idx[:, :, None]
-            + np.arange(params.filters.shape[1]))
-    win_at = batch.reshape(n * t_steps, n_features).take(rows, axis=0)
-    d_filters = np.einsum("bf,bfac->fac", d_z, win_at)
+    # d_z lands on each filter's argmax window, every other window gets zero
+    d_z_grid = np.zeros((len(cols), params.filters.shape[0]))
+    d_z_grid.put(pool_at, d_z)
+    d_filters = (d_z_grid.T @ cols).reshape(params.filters.shape)
     d_bias = d_z.sum(axis=0)
     return probs, CnnParams(d_filters, d_bias, d_dense_w, d_dense_b)
 

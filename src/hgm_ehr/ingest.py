@@ -118,13 +118,20 @@ def _open_rows(path):
 
 
 def _table_rows(path, header):
-    """A CSV table's data rows as (line_no, cells), its header and column count checked."""
-    for line_no, row in _open_rows(path):
-        if line_no == 1:
-            if row != list(header):
-                raise DataFormatError(
-                    f"{path}:{line_no}: expected header {','.join(header)}, got {','.join(row)}")
-            continue
+    """A CSV table's data rows as (line_no, cells), its header and column count checked.
+
+    The header is the first non-blank row; a table with none is an error, a
+    header-only table has no data rows.
+    """
+    rows = _open_rows(path)
+    first = next(rows, None)
+    if first is None:
+        raise DataFormatError(f"{path}: empty file, expected header {','.join(header)}")
+    line_no, row = first
+    if row != list(header):
+        raise DataFormatError(
+            f"{path}:{line_no}: expected header {','.join(header)}, got {','.join(row)}")
+    for line_no, row in rows:
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}")

@@ -136,6 +136,19 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=message):
             load_run_config(path)
 
+    def test_kernel_longer_than_window_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "run.ini", out, windows="6,12")
+        path.write_text(path.read_text().replace("kernel = 2", "kernel = 8"))
+        with pytest.raises(ValueError, match=r"kernel 8 is longer than window 6h"):
+            load_run_config(path)
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == ("hgm-ehr: error: [cnn] kernel 8 is longer than window 6h: "
+                       "the convolution needs at least 8 hourly rows")
+        assert not out.exists()
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_run_config(tmp_path / "absent.ini")

@@ -80,6 +80,29 @@ class TestParseRecords:
         with pytest.raises(DataFormatError, match="header"):
             parse_records(*files)
 
+    def test_leading_blank_lines_before_headers(self, tmp_path):
+        rows = (["p1,2.0,sodium,140.0", "p2,1.5,potassium,4.1"], ["p1,sepsis"],
+                ["p1,0,10", "p2,1,20"])
+        plain, plain_vocab = parse_records(*write_corpus_files(tmp_path, *rows))
+        blank = tmp_path / "blank"
+        blank.mkdir()
+        files = write_corpus_files(blank, *rows)
+        for path in files:
+            path.write_text("\n" + path.read_text())
+        records, vocab = parse_records(*files)
+        assert vocab.labs == plain_vocab.labs and vocab.diagnoses == plain_vocab.diagnoses
+        for got, want in zip(records, plain, strict=True):
+            assert (got.patient_id, got.died, got.end_hour, got.diagnoses) == \
+                (want.patient_id, want.died, want.end_hour, want.diagnoses)
+            assert np.array_equal(got.events, want.events)
+
+    @pytest.mark.parametrize("table", [0, 1, 2])
+    def test_zero_byte_table_rejected(self, tmp_path, table):
+        files = write_corpus_files(tmp_path, ["p1,1.0,sodium,1.0"], ["p1,sepsis"], ["p1,0,10"])
+        files[table].write_text("")
+        with pytest.raises(DataFormatError, match=rf"{files[table].name}: empty file"):
+            parse_records(*files)
+
     def test_existing_vocabulary_is_extended(self, tmp_path):
         files = write_corpus_files(tmp_path, ["p1,1.0,new_lab,2.0"], [], ["p1,0,10"])
         vocab = Vocabulary(labs=["old_lab"], diagnoses=[])
