@@ -2,8 +2,10 @@
 
 Runs are driven by an INI-style config file (flat key = value lines under
 [data]/[experiment]/[hgm]/[cnn]/[output] sections, # comments allowed).
-One master seed derives every sub-seed, so identical config + seed give
-byte-identical outputs. Log verbosity comes from the HGM_EHR_LOG env var.
+CONFIG_KEYS lists every key with the config field it sets and how its value
+is parsed; a key left out keeps that field's dataclass default. One master
+seed derives every sub-seed, so identical config + seed give byte-identical
+outputs. Log verbosity comes from the HGM_EHR_LOG env var.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -35,37 +38,39 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class RunConfig:
-    source: str
-    gen: GenConfig | None
-    events_file: Path | None
-    diagnoses_file: Path | None
-    outcomes_file: Path | None
-    vocabulary_file: Path | None
-    windows: tuple
-    arms: tuple
-    k_folds: int
-    seed: int
-    out_dir: Path
-    hgm: HgmTrainConfig
-    cnn: CnnTrainConfig
+    source: str = "synthetic"
+    gen: GenConfig | None = None
+    events_file: Path | None = None
+    diagnoses_file: Path | None = None
+    outcomes_file: Path | None = None
+    vocabulary_file: Path | None = None
+    windows: tuple = (12,)
+    arms: tuple = ("HGM", "CNN", "HGM_CNN")
+    out_dir: Path = Path("runs/out")
+    experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
     def validate(self) -> None:
         if self.source not in ("synthetic", "files"):
             raise ValueError(f"data source must be 'synthetic' or 'files', got {self.source!r}")
+        kernel = self.experiment.cnn.kernel
         if not self.windows:
             raise ValueError("at least one window is required")
         for w in self.windows:
             if w not in DEFAULT_WINDOWS:
                 raise ValueError(f"window {w} not in supported set {DEFAULT_WINDOWS}")
-            if w < self.cnn.kernel:
-                raise ValueError(f"[cnn] kernel {self.cnn.kernel} is longer than window {w}h: "
-                                 f"the convolution needs at least {self.cnn.kernel} hourly rows")
+            if self.windows.count(w) > 1:
+                raise ValueError(f"window {w} is listed more than once")
+            if w < kernel:
+                raise ValueError(f"[cnn] kernel {kernel} is longer than window {w}h: "
+                                 f"the convolution needs at least {kernel} hourly rows")
         if not self.arms:
             raise ValueError("at least one arm is required")
         for arm in self.arms:
             if arm not in ARM_MODES:
                 raise ValueError(f"unknown arm {arm!r}; expected one of {sorted(ARM_MODES)}")
-        if self.k_folds < 2:
+            if self.arms.count(arm) > 1:
+                raise ValueError(f"arm {arm!r} is listed more than once")
+        if self.experiment.k_folds < 2:
             raise ValueError("folds must be >= 2")
         if self.source == "files":
             for name in ("events_file", "diagnoses_file", "outcomes_file"):
@@ -73,19 +78,63 @@ class RunConfig:
                     raise ValueError(f"files source requires [data] {name.removesuffix('_file')}")
         else:
             self.gen.validate()
-        self.hgm.validate()
-        self.cnn.validate()
+        self.experiment.hgm.validate()
+        self.experiment.cnn.validate()
 
 
-_SECTION_KEYS = {
-    "data": {"source", "events", "diagnoses", "outcomes", "vocabulary", "n_patients",
-             "n_labs", "n_diagnoses", "prevalence", "signal"},
-    "experiment": {"windows", "arms", "folds", "seed"},
-    "hgm": {"d", "epochs", "learning_rate", "min_learning_rate", "activation",
-            "context_diagnoses", "context_labs", "context_copatients", "negatives"},
-    "cnn": {"filters", "kernel", "epochs", "batch_size", "learning_rate", "class_weighting"},
-    "output": {"dir"},
+def _path(text: str) -> Path | None:
+    return Path(text) if text else None
+
+
+def _listed(parse):
+    """A parser of comma-separated lists: each stripped item through parse."""
+    return lambda text: tuple(parse(item.strip()) for item in text.split(","))
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"Not a boolean: {text}")
+    return states[text.lower()]
+
+
+# Every INI setting: (section, key) -> (config class, field, parser). A key
+# left out keeps the field's dataclass default.
+CONFIG_KEYS = {
+    ("data", "source"): (RunConfig, "source", str),
+    ("data", "events"): (RunConfig, "events_file", _path),
+    ("data", "diagnoses"): (RunConfig, "diagnoses_file", _path),
+    ("data", "outcomes"): (RunConfig, "outcomes_file", _path),
+    ("data", "vocabulary"): (RunConfig, "vocabulary_file", _path),
+    ("data", "n_patients"): (GenConfig, "n_patients", int),
+    ("data", "n_labs"): (GenConfig, "n_labs", int),
+    ("data", "n_diagnoses"): (GenConfig, "n_diagnoses", int),
+    ("data", "prevalence"): (GenConfig, "prevalence", float),
+    ("data", "signal"): (GenConfig, "signal", float),
+    ("experiment", "windows"): (RunConfig, "windows", _listed(int)),
+    ("experiment", "arms"): (RunConfig, "arms", _listed(str)),
+    ("experiment", "folds"): (ExperimentConfig, "k_folds", int),
+    ("experiment", "seed"): (ExperimentConfig, "seed", int),
+    ("hgm", "d"): (HgmTrainConfig, "d", int),
+    ("hgm", "epochs"): (HgmTrainConfig, "epochs", int),
+    ("hgm", "learning_rate"): (HgmTrainConfig, "learning_rate", float),
+    ("hgm", "min_learning_rate"): (HgmTrainConfig, "min_learning_rate", float),
+    ("hgm", "activation"): (HgmTrainConfig, "activation", str),
+    ("hgm", "context_diagnoses"): (SamplerConfig, "n_diagnoses", int),
+    ("hgm", "context_labs"): (SamplerConfig, "n_labs", int),
+    ("hgm", "context_copatients"): (SamplerConfig, "n_copatients", int),
+    ("hgm", "negatives"): (SamplerConfig, "negatives_per_positive", int),
+    ("cnn", "filters"): (CnnTrainConfig, "n_filters", int),
+    ("cnn", "kernel"): (CnnTrainConfig, "kernel", int),
+    ("cnn", "epochs"): (CnnTrainConfig, "epochs", int),
+    ("cnn", "batch_size"): (CnnTrainConfig, "batch_size", int),
+    ("cnn", "learning_rate"): (CnnTrainConfig, "learning_rate", float),
+    ("cnn", "class_weighting"): (CnnTrainConfig, "class_weighting", _boolean),
+    ("output", "dir"): (RunConfig, "out_dir", Path),
 }
+
+# The synthetic corpus shape has no dataclass default; its window is the longest one run.
+_GEN_DEFAULTS = dict(n_patients=200, n_labs=30, n_diagnoses=50)
 
 
 def load_run_config(path) -> RunConfig:
@@ -95,81 +144,34 @@ def load_run_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.read(path)
 
+    values = defaultdict(dict)
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in {known for known, _ in CONFIG_KEYS}:
             raise ValueError(f"{path}: unknown config section [{section}]")
-        unknown = set(parser[section]) - _SECTION_KEYS[section]
+        unknown = sorted(key for key in parser[section] if (section, key) not in CONFIG_KEYS)
         if unknown:
-            raise ValueError(f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
+            raise ValueError(f"{path}: unknown key(s) in [{section}]: {', '.join(unknown)}")
+        for key, text in parser[section].items():
+            target, name, parse = CONFIG_KEYS[section, key]
+            try:
+                values[target][name] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
 
-    def get(section, key, fallback=None):
-        return parser.get(section, key, fallback=fallback)
-
-    windows = tuple(int(w) for w in get("experiment", "windows", "12").split(","))
-    arms = tuple(a.strip() for a in get("experiment", "arms", "HGM,CNN,HGM_CNN").split(","))
-    seed = int(get("experiment", "seed", "0"))
-
-    source = get("data", "source", "synthetic").strip()
-    gen = None
-    if source == "synthetic":
-        gen = GenConfig(
-            n_patients=int(get("data", "n_patients", "200")),
-            n_labs=int(get("data", "n_labs", "30")),
-            n_diagnoses=int(get("data", "n_diagnoses", "50")),
-            window_hours=max(windows),
-            signal=float(get("data", "signal", "1.0")),
-            prevalence=float(get("data", "prevalence", "0.3")),
-        )
-
-    def path_or_none(key):
-        value = get("data", key)
-        return Path(value) if value else None
-
-    sampler = SamplerConfig(
-        n_diagnoses=int(get("hgm", "context_diagnoses", "10")),
-        n_labs=int(get("hgm", "context_labs", "10")),
-        n_copatients=int(get("hgm", "context_copatients", "10")),
-        negatives_per_positive=int(get("hgm", "negatives", "5")),
-    )
-    hgm_cfg = HgmTrainConfig(
-        epochs=int(get("hgm", "epochs", "5")),
-        learning_rate=float(get("hgm", "learning_rate", "0.025")),
-        min_learning_rate=float(get("hgm", "min_learning_rate", "1e-4")),
-        d=int(get("hgm", "d", "128")),
-        activation=get("hgm", "activation", "tanh"),
-        sampler=sampler,
-    )
-    cnn_cfg = CnnTrainConfig(
-        n_filters=int(get("cnn", "filters", "32")),
-        kernel=int(get("cnn", "kernel", "3")),
-        learning_rate=float(get("cnn", "learning_rate", "0.01")),
-        batch_size=int(get("cnn", "batch_size", "32")),
-        epochs=int(get("cnn", "epochs", "10")),
-        class_weighting=parser.getboolean("cnn", "class_weighting", fallback=True),
-    )
-
-    config = RunConfig(
-        source=source,
-        gen=gen,
-        events_file=path_or_none("events"),
-        diagnoses_file=path_or_none("diagnoses"),
-        outcomes_file=path_or_none("outcomes"),
-        vocabulary_file=path_or_none("vocabulary"),
-        windows=windows,
-        arms=arms,
-        k_folds=int(get("experiment", "folds", "10")),
-        seed=seed,
-        out_dir=Path(get("output", "dir", "runs/out")),
-        hgm=hgm_cfg,
-        cnn=cnn_cfg,
-    )
+    hgm = HgmTrainConfig(sampler=SamplerConfig(**values[SamplerConfig]), **values[HgmTrainConfig])
+    experiment = ExperimentConfig(hgm=hgm, cnn=CnnTrainConfig(**values[CnnTrainConfig]),
+                                  **values[ExperimentConfig])
+    config = RunConfig(experiment=experiment, **values[RunConfig])
+    if config.source == "synthetic":
+        config.gen = GenConfig(**{**_GEN_DEFAULTS, **values[GenConfig]},
+                               window_hours=max(config.windows))
     config.validate()
     return config
 
 
 def _load_corpus(config: RunConfig):
     if config.source == "synthetic":
-        records = generate_synthetic(config.gen, derive_seed(config.seed, "synth"))
+        records = generate_synthetic(config.gen, derive_seed(config.experiment.seed, "synth"))
         vocab = synthetic_vocabulary(config.gen)
     else:
         vocab = Vocabulary.load(config.vocabulary_file) if config.vocabulary_file else None
@@ -177,11 +179,6 @@ def _load_corpus(config: RunConfig):
             config.events_file, config.diagnoses_file, config.outcomes_file, vocab
         )
     return records, vocab
-
-
-def _experiment_config(config: RunConfig) -> ExperimentConfig:
-    return ExperimentConfig(k_folds=config.k_folds, seed=config.seed,
-                            hgm=config.hgm, cnn=config.cnn)
 
 
 def _write_outcome(out_dir: Path, outcome) -> None:
@@ -224,17 +221,16 @@ def _fingerprint_path(config: RunConfig) -> Path:
 def _fold_fingerprint(config: RunConfig, window: int, fold_index: int, train, vocab) -> str:
     """sha256 over everything that decides a fold's checkpoints.
 
-    That is the seed, the fold count, the window, the fold index, the
-    training patients (sorted ids, then each one's events, diagnoses and
-    outcome), the vocabulary and the hgm/cnn configs. The normalizer is a
-    function of the training events, so eval can refit it and need not store it.
+    That is the experiment config (seed, fold count, hgm and cnn configs),
+    the window, the fold index, the training patients (sorted ids, then each
+    one's events, diagnoses and outcome) and the vocabulary. The normalizer is
+    a function of the training events, so eval can refit it and need not store it.
     """
     train = sorted(train, key=lambda r: r.patient_id)
     digest = hashlib.sha256(json.dumps({
-        "seed": config.seed, "k_folds": config.k_folds, "window": window, "fold": fold_index,
+        **asdict(config.experiment), "window": window, "fold": fold_index,
         "train_ids": [r.patient_id for r in train],
         "labs": vocab.labs, "diagnoses": vocab.diagnoses,
-        "hgm": asdict(config.hgm), "cnn": asdict(config.cnn),
     }, sort_keys=True).encode())
     for rec in train:
         digest.update(rec.events.tobytes())
@@ -249,8 +245,7 @@ def _fold_key(window: int, fold_index: int) -> str:
 def cmd_synth(config: RunConfig) -> int:
     if config.source != "synthetic":
         raise ValueError("synth requires [data] source = synthetic")
-    records = generate_synthetic(config.gen, derive_seed(config.seed, "synth"))
-    vocab = synthetic_vocabulary(config.gen)
+    records, vocab = _load_corpus(config)
     paths = write_corpus(records, vocab, config.out_dir)
     logger.info("wrote %d patients to %s", len(records), config.out_dir)
     print(f"synth: {len(records)} patients -> {paths['events']}")
@@ -259,10 +254,10 @@ def cmd_synth(config: RunConfig) -> int:
 
 def cmd_train(config: RunConfig) -> int:
     records, vocab = _load_corpus(config)
-    exp = _experiment_config(config)
+    exp = config.experiment
     fingerprints = {}
     for window in config.windows:
-        plan = evaluate.plan_folds(records, config.k_folds, config.seed, window)
+        plan = evaluate.plan_folds(records, exp.k_folds, exp.seed, window)
         for fold_index, train, _test in plan:
             models = evaluate.train_fold(train, config.arms, window, vocab, exp, fold_index)
             if models.hgm_params is not None:
@@ -299,9 +294,8 @@ def _load_fold(config: RunConfig, fingerprints: dict, train, arms, window: int, 
 def _report(config: RunConfig, command: str, jobs: int = 1, fit=None) -> int:
     """Cross-validate every window, writing reports and curves and printing a summary."""
     records, vocab = _load_corpus(config)
-    exp = _experiment_config(config)
     for window in config.windows:
-        outcomes = evaluate.run_experiments(records, vocab, config.arms, window, exp,
+        outcomes = evaluate.run_experiments(records, vocab, config.arms, window, config.experiment,
                                             jobs=jobs, fit=fit)
         for arm in config.arms:
             _write_outcome(config.out_dir, outcomes[arm])
@@ -354,7 +348,7 @@ def main(argv=None) -> int:
     try:
         config = load_run_config(args.config)
         if args.seed is not None:
-            config = replace(config, seed=args.seed)
+            config = replace(config, experiment=replace(config.experiment, seed=args.seed))
         if args.out is not None:
             config = replace(config, out_dir=Path(args.out))
         if args.command == "synth":

@@ -9,8 +9,58 @@ from pathlib import Path
 import pytest
 
 import hgm_ehr
-from hgm_ehr.cli import load_run_config, main
+from hgm_ehr.cli import CONFIG_KEYS, RunConfig, load_run_config, main
+from hgm_ehr.cnn import CnnTrainConfig
+from hgm_ehr.evaluate import ExperimentConfig
+from hgm_ehr.hgm import HgmTrainConfig
+from hgm_ehr.ingest import GenConfig
+from hgm_ehr.sampler import SamplerConfig
 from hgm_ehr.seeds import derive_seed
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# every INI key, each set away from its default
+EVERY_KEY_INI = """\
+[data]
+source = files
+events = e.csv
+diagnoses = d.csv
+outcomes = o.csv
+vocabulary = v.json
+n_patients = 77
+n_labs = 5
+n_diagnoses = 9
+prevalence = 0.2
+signal = 0.5
+
+[experiment]
+windows = 6, 24
+arms = CNN , HGM
+folds = 4
+seed = 11
+
+[hgm]
+d = 32
+epochs = 3
+learning_rate = 0.05
+min_learning_rate = 0.001
+activation = relu
+context_diagnoses = 4
+context_labs = 5
+context_copatients = 6
+negatives = 7
+
+[cnn]
+filters = 8
+kernel = 4
+epochs = 2
+batch_size = 16
+learning_rate = 0.02
+class_weighting = off
+
+[output]
+dir = elsewhere
+"""
 
 
 def write_config(path, out_dir, *, n_patients=24, folds=3, windows="6", arms="CNN,HGM_CNN",
@@ -103,11 +153,75 @@ class TestConfigParsing:
         assert cfg.source == "synthetic"
         assert cfg.windows == (6,)
         assert cfg.arms == ("CNN", "HGM_CNN")
-        assert cfg.k_folds == 3
-        assert cfg.seed == 9
-        assert cfg.hgm.d == 6
-        assert cfg.hgm.sampler.n_copatients == 3
-        assert cfg.cnn.n_filters == 4
+        assert cfg.experiment.k_folds == 3
+        assert cfg.experiment.seed == 9
+        assert cfg.experiment.hgm.d == 6
+        assert cfg.experiment.hgm.sampler.n_copatients == 3
+        assert cfg.experiment.cnn.n_filters == 4
+
+    def test_every_key_lands_on_its_field(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(EVERY_KEY_INI)
+        cfg = load_run_config(path)
+        assert (cfg.source, cfg.events_file, cfg.diagnoses_file, cfg.outcomes_file,
+                cfg.vocabulary_file) == ("files", Path("e.csv"), Path("d.csv"), Path("o.csv"),
+                                         Path("v.json"))
+        assert (cfg.windows, cfg.arms, cfg.out_dir) == ((6, 24), ("CNN", "HGM"), Path("elsewhere"))
+        exp = cfg.experiment
+        assert (exp.k_folds, exp.seed) == (4, 11)
+        assert exp.hgm == HgmTrainConfig(
+            epochs=3, learning_rate=0.05, min_learning_rate=0.001, d=32, activation="relu",
+            sampler=SamplerConfig(n_diagnoses=4, n_labs=5, n_copatients=6,
+                                  negatives_per_positive=7))
+        assert exp.cnn == CnnTrainConfig(n_filters=8, kernel=4, learning_rate=0.02,
+                                         batch_size=16, epochs=2, class_weighting=False)
+        # the synthetic-corpus keys land on GenConfig once the source is synthetic
+        path.write_text(EVERY_KEY_INI.replace("source = files", "source = synthetic"))
+        assert load_run_config(path).gen == GenConfig(n_patients=77, n_labs=5, n_diagnoses=9,
+                                                      window_hours=24, signal=0.5,
+                                                      prevalence=0.2)
+
+    def test_keys_left_out_keep_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("# no keys\n")
+        cfg = load_run_config(path)
+        assert (cfg.source, cfg.windows, cfg.arms, cfg.out_dir) == \
+               ("synthetic", (12,), ("HGM", "CNN", "HGM_CNN"), Path("runs/out"))
+        assert cfg.experiment == ExperimentConfig()
+        assert (cfg.gen.n_patients, cfg.gen.n_labs, cfg.gen.n_diagnoses) == (200, 30, 50)
+        assert (cfg.gen.signal, cfg.gen.prevalence) == (GenConfig.signal, GenConfig.prevalence)
+
+    def test_readme_lists_every_key_with_field_and_default(self, tmp_path):
+        rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| `(\w+)\.(\w+)` \| (?:`([^`]+)`|none) \|$",
+                          README.read_text(), flags=re.M)
+        assert sorted(row[:2] for row in rows) == sorted(CONFIG_KEYS)
+        path = tmp_path / "run.ini"
+        path.write_text("")
+        cfg = load_run_config(path)
+        exp = cfg.experiment
+        owners = {RunConfig: cfg, GenConfig: cfg.gen, ExperimentConfig: exp,
+                  HgmTrainConfig: exp.hgm, SamplerConfig: exp.hgm.sampler, CnnTrainConfig: exp.cnn}
+        for section, key, owner, name, default in rows:
+            target, field, parse = CONFIG_KEYS[section, key]
+            assert (owner, name) == (target.__name__, field), key
+            assert getattr(owners[target], field) == (parse(default) if default else None), key
+
+    @pytest.mark.parametrize("line, edited, named", [
+        ("d = 6", "d = x", "[hgm] d: invalid literal for int() with base 10: 'x'"),
+        ("prevalence = 0.4", "prevalence = high",
+         "[data] prevalence: could not convert string to float: 'high'"),
+        ("filters = 4", "filters = 4\nclass_weighting = maybe",
+         "[cnn] class_weighting: Not a boolean: maybe"),
+        ("windows = 6", "windows = 6,twelve",
+         "[experiment] windows: invalid literal for int() with base 10: 'twelve'"),
+    ], ids=["int", "float", "boolean", "list"])
+    def test_bad_value_names_file_section_and_key(self, tmp_path, capsys, line, edited, named):
+        path = write_config(tmp_path / "run.ini", tmp_path / "out")
+        path.write_text(path.read_text().replace(f"\n{line}\n", f"\n{edited}\n"))
+        assert edited in path.read_text()
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"hgm-ehr: error: {path}: {named}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "run.ini", tmp_path / "out")
@@ -123,6 +237,17 @@ class TestConfigParsing:
     def test_unknown_arm_rejected(self, tmp_path):
         path = write_config(tmp_path / "run.ini", tmp_path / "out", arms="CNN,LSTM")
         with pytest.raises(ValueError, match="unknown arm"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("windows, arms, message", [
+        ("6,6", "CNN", "window 6 is listed more than once"),
+        ("6,12,6", "CNN", "window 6 is listed more than once"),
+        ("6", "CNN,CNN", "arm 'CNN' is listed more than once"),
+        ("6", "HGM, CNN,HGM", "arm 'HGM' is listed more than once"),
+    ], ids=["window", "window_apart", "arm", "arm_spaced"])
+    def test_repeated_window_or_arm_rejected(self, tmp_path, windows, arms, message):
+        path = write_config(tmp_path / "run.ini", tmp_path / "out", windows=windows, arms=arms)
+        with pytest.raises(ValueError, match=message):
             load_run_config(path)
 
     @pytest.mark.parametrize("line, message", [
@@ -187,7 +312,7 @@ class TestSynthCommand:
         vocab = Vocabulary.load(out / "vocabulary.json")
         records, _ = parse_records(out / "events.csv", out / "diagnoses.csv",
                                    out / "outcomes.csv", vocab)
-        expected = generate_synthetic(cfg.gen, derive_seed(cfg.seed, "synth"))
+        expected = generate_synthetic(cfg.gen, derive_seed(cfg.experiment.seed, "synth"))
         assert records == expected
 
 
@@ -432,3 +557,9 @@ dir = out
         main(["run", "--config", str(cfg_path), "--seed", "123", "--out", str(out_b)])
         assert (out_a / "report_CNN_6h.json").read_bytes() != \
                (out_b / "report_CNN_6h.json").read_bytes()
+        # --seed is the INI's seed, nothing more
+        out_c = tmp_path / "c"
+        main(["run", "--config", str(write_config(tmp_path / "seed.ini", out_c, n_patients=30,
+                                                  folds=2, arms="CNN", seed=123))])
+        assert (out_b / "report_CNN_6h.json").read_bytes() == \
+               (out_c / "report_CNN_6h.json").read_bytes()

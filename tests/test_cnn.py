@@ -212,6 +212,25 @@ class TestTrainCnn:
         for name in GRAD_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
+    @pytest.mark.parametrize("class_weighting", [True, False], ids=["weighted", "unweighted"])
+    def test_one_batch_epoch_is_one_class_weighted_step(self, class_weighting):
+        # 10 examples, 3 deaths, one batch of 10: training is init plus one SGD step
+        rng = np.random.default_rng(12)
+        features = rng.normal(size=(10, 4, 3))
+        labels = np.arange(10) < 3
+        cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=1, batch_size=10, learning_rate=0.1,
+                             seed=6, class_weighting=class_weighting)
+        params = train_cnn(features, cfg, labels)
+        # n / (2 n_neg) for survivors and n / (2 n_pos) for deaths, or 1 for both
+        weights = np.where(labels, 10 / 6, 10 / 14) if class_weighting else np.ones(10)
+        expected = init_cnn(3, cfg, seed=derive_seed(6, "cnn-init"))
+        _, grads = cnn._batch_backward(expected, features, labels.astype(int), weights)
+        # train_cnn sums the batch in its shuffled order, so only rounding may differ
+        for name in GRAD_FIELDS:
+            np.testing.assert_allclose(getattr(params, name),
+                                       getattr(expected, name) - 0.01 * getattr(grads, name),
+                                       rtol=1e-10, atol=1e-13)
+
     def test_single_class_rejected(self):
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError, match="both classes"):
