@@ -165,6 +165,9 @@ def load_run_config(path) -> RunConfig:
     if config.source == "synthetic":
         config.gen = GenConfig(**{**_GEN_DEFAULTS, **values[GenConfig]},
                                window_hours=max(config.windows))
+    elif config.source == "files" and values[GenConfig]:
+        raise ValueError(f"{path}: [data] {', '.join(values[GenConfig])}: synthetic-corpus "
+                         "key(s), not read under source = files")
     config.validate()
     return config
 

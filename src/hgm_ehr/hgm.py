@@ -16,10 +16,14 @@ Relation scoring (neighbor side first where translated):
 A training step reads the context's per-relation term arrays directly:
 lab and diagnosis terms select columns of W_i / W_d, patient-hour terms
 select rows of graph.xp, and the gradients come back as an HgmParams of
-the parameters' shapes. Lab and diagnosis gradients are scattered into
-their columns by one bincount over flat offsets (_column_sums), which sums
-repeated indices in the same order, and so to the same bits, as a generic
-scatter-add into zeros, at a fraction of its per-call cost.
+the parameters' shapes. Each relation's products stay its own gemv/gemm;
+the elementwise tail (softplus loss, sigmoid(s) - y) runs once over the
+four relations' concatenated scores, so gradients are bit for bit those of
+one pass per relation and only the loss, one sum, may differ in its last
+bits. Lab and diagnosis gradients are scattered into their columns by one
+bincount over flat offsets (_column_sums), which sums repeated indices in
+the same order, and so to the same bits, as a generic scatter-add into
+zeros, at a fraction of its per-call cost.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def _tanh_deriv(y):
 def _sigmoid_act(x):
     # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below.
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def _sigmoid_deriv(y):
@@ -261,12 +265,13 @@ def _column_sums(index: np.ndarray, terms: np.ndarray, n_columns: int) -> np.nda
 
     One bincount over flat (column, row) offsets, in place of a generic
     fancy-index scatter-add (ufunc.at) into zeros, which is several times
-    slower per call. bincount adds each cell's terms in input order starting
-    from 0.0, as that scatter-add does, so repeated indices give the same bits.
+    slower per call. The offsets follow the terms' own row-major layout, so
+    bincount adds each cell's terms in term order starting from 0.0, as that
+    scatter-add does, and repeated indices give the same bits.
     """
     d = terms.shape[0]
-    flat = (index[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(flat, weights=terms.T.ravel(), minlength=n_columns * d)
+    flat = (index * d + np.arange(d)[:, None]).ravel()
+    sums = np.bincount(flat, weights=terms.ravel(), minlength=n_columns * d)
     return sums.reshape(n_columns, d).T
 
 
@@ -275,65 +280,65 @@ def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample
     act, deriv = params.activation_fns()
     p, h = context.center.index
     x_u = graph.x_patient_hour(p, h)
-    a_u = params.w_p @ x_u
-    c_u = act(a_u)
+    c_u = act(params.w_p @ x_u)
 
-    grads = None
-    if want_grad:
-        grads = HgmParams(*(np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS),
-                          params.activation)
-    dc_u = np.zeros(params.d)
-    loss = 0.0
-    pos_scores: list[float] = []
-    neg_scores: list[float] = []
-
+    # Scores relation by relation, then the elementwise tail (softplus loss,
+    # sigmoid - target) once over all of them. c_t is the side that carries the
+    # translation: the labs for tested, the center otherwise (co-patient: none).
+    present, scores, targets = [], [], []
     for relation, (index, y) in zip(Relation, context.terms):
         if not y.size:
             continue
+        x_v = None
         if relation is Relation.TESTED:
             c_v = act(params.w_i[:, index])
-            c_vt = c_v + params.r_ip[:, None]
-            s = c_vt.T @ c_u
+            c_t = c_v + params.r_ip[:, None]
+            s = c_t.T @ c_u
         elif relation is Relation.DIAGNOSED:
             c_v = act(params.w_d[:, index])
-            c_ut = c_u + params.r_pd
-            s = c_v.T @ c_ut
+            c_t = c_u + params.r_pd
+            s = c_v.T @ c_t
         else:
             x_v = graph.xp[index[:, 0] * graph.window_hours + index[:, 1]].T
             c_v = act(params.w_p @ x_v)
-            c_ut = c_u + params.r_tt if relation is Relation.TEMPORAL else c_u
-            s = c_v.T @ c_ut
+            c_t = c_u + params.r_tt if relation is Relation.TEMPORAL else c_u
+            s = c_v.T @ c_t
+        present.append((relation, index, c_v, c_t, x_v))
+        scores.append(s)
+        targets.append(y)
+    s = np.concatenate(scores) if scores else np.zeros(0)
+    y = np.concatenate(targets) if targets else np.zeros(0)
+    pos = y == 1.0
+    loss = float(_softplus(np.where(pos, -s, s)).sum())
 
-        pos = y == 1.0
-        loss += float(_softplus(-s[pos]).sum()) + float(_softplus(s[~pos]).sum())
-        if want_scores:
-            pos_scores.extend(s[pos].tolist())
-            neg_scores.extend(s[~pos].tolist())
-        if not want_grad:
-            continue
-
-        g = _sigmoid_act(s) - y
-        if relation is Relation.TESTED:
-            grads.r_ip += float(g.sum()) * c_u
-            dc_u += c_vt @ g
-            d_cv = c_u[:, None] * g[None, :]
-            grads.w_i = _column_sums(index, d_cv * deriv(c_v), params.n_labs)
-            continue
-        c_vg = c_v @ g
-        dc_u += c_vg
-        d_cv = c_ut[:, None] * g[None, :]
-        if relation is Relation.DIAGNOSED:
-            grads.r_pd += c_vg
-            grads.w_d = _column_sums(index, d_cv * deriv(c_v), params.n_diagnoses)
-        else:
-            if relation is Relation.TEMPORAL:
-                grads.r_tt += c_vg
-            grads.w_p += (d_cv * deriv(c_v)) @ x_v.T
-
+    grads = None
     if want_grad:
-        grads.w_p += np.outer(dc_u * deriv(c_u), x_u)
+        grads = HgmParams(*(np.zeros(getattr(params, name).shape) for name in PARAM_FIELDS),
+                          params.activation)
+        dc_u = np.zeros(params.d)
+        g_all = _sigmoid_act(s) - y
+        start = 0
+        for relation, index, c_v, c_t, x_v in present:
+            g = g_all[start:start + len(index)]
+            start += len(index)
+            if relation is Relation.TESTED:
+                grads.r_ip += float(g.sum()) * c_u
+                dc_u += c_t @ g
+                grads.w_i = _column_sums(index, c_u[:, None] * g * deriv(c_v), params.n_labs)
+                continue
+            c_vg = c_v @ g
+            dc_u += c_vg
+            d_cv = c_t[:, None] * g
+            if relation is Relation.DIAGNOSED:
+                grads.r_pd += c_vg
+                grads.w_d = _column_sums(index, d_cv * deriv(c_v), params.n_diagnoses)
+            else:
+                if relation is Relation.TEMPORAL:
+                    grads.r_tt += c_vg
+                grads.w_p += (d_cv * deriv(c_v)) @ x_v.T
+        grads.w_p += (dc_u * deriv(c_u))[:, None] * x_u
     if want_scores:
-        return loss, grads, np.array(pos_scores), np.array(neg_scores)
+        return loss, grads, s[pos], s[~pos]
     return loss, grads
 
 

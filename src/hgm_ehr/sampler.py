@@ -7,29 +7,36 @@ uniform draws from same-type nodes with no one-hop connection to the
 center (for patient-hour negatives: hour nodes of patients sharing no
 diagnosis with the center's patient).
 
-Every pool a draw can come from is a boolean row whose nonzero indices are
-the sorted pool: a patient's row of the graph's `diagnosed` mask or its
-complement, a patient-hour's row of the `observed` mask or its complement,
-and a patient's row of the non-sharing-patient mask, which the sampler
-builds once, as it does each diagnosis's sorted carrier list. A context is
-drawn with one bounded-integer draw for all its diagnosis and lab
-positives, one per co-patient step (diagnosis, carrier, hour; the carrier
-bound depends on the diagnosis) and one for all its negatives.
-`Generator.integers` with an array of bounds consumes the bit stream
-exactly like the same bounds drawn one call at a time, and a bound of 1
-consumes nothing, so the samples are those of drawing each positive and
-each negative block separately.
+Every pool is a sorted index array. A patient's diagnoses and their
+complement are the two runs of one row of a (patient, diagnosis) order
+array that the sampler builds once, as it does the non-sharing-patient mask
+and each diagnosis's sorted carrier list. The non-sharing patients and a
+patient-hour's observed labs and their complement are nonzero indices of a
+mask row. A context is drawn with one bounded-integer draw for all its
+diagnosis and lab positives, one per co-patient step (diagnosis, carrier,
+hour; the carrier bound depends on the diagnosis) and one for all its
+negatives. `Generator.integers` with an array of bounds consumes the bit
+stream exactly like the same bounds drawn one call at a time, and a bound
+of 1 consumes nothing, so the samples are those of drawing each positive
+and each negative block separately (tests/test_sampler.py pins both).
 
 A context holds its terms as arrays, one (index, target) pair per relation
 in the order tested, diagnosed, co-patient, temporal: each positive's
 target-1 term is followed by the target-0 terms of its negatives. Lab and
 diagnosis terms index their vocabularies; patient-hour terms are
-(patient, hour) rows. The NodeId tuples of the public fields are a view
-built from these arrays on first access.
+(patient, hour) rows. The sampler writes each relation's indices straight
+into an (n, 1 + k) grid, n positives by one positive and k negatives (k is
+0 when the negative pool is empty); the grid's rows flattened are the
+terms. The co-patient and temporal grids are the two parts of one
+patient-hour grid. Targets depend only on (n, k), so every context with
+the same counts shares one cached, read-only target vector. The NodeId
+tuples of the public fields are a view built from these arrays on first
+access.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,14 +73,12 @@ class Terms(NamedTuple):
 _TERM_TYPES = (NodeType.LAB, NodeType.DIAGNOSIS, NodeType.PATIENT_HOUR, NodeType.PATIENT_HOUR)
 
 
-def _terms(positives, negatives, node_type: NodeType) -> Terms:
-    """Each positive followed by its negatives; positives (n,) or (n, 2), negatives (n, k[, 2])."""
-    n, k = negatives.shape[:2]
-    index = np.concatenate((positives[:, None], negatives), axis=1)
-    target = np.zeros((n, 1 + k))
-    target[:, 0] = 1.0
-    shape = (-1, 2) if node_type is NodeType.PATIENT_HOUR else (-1,)
-    return Terms(index.reshape(shape), target.reshape(-1))
+@functools.lru_cache(maxsize=64)
+def _targets(n: int, k: int) -> np.ndarray:
+    """Read-only targets of n positives with k negatives each: 1.0 then k 0.0s per positive."""
+    target = np.tile(np.r_[1.0, np.zeros(k)], n)
+    target.flags.writeable = False
+    return target
 
 
 def _terms_from_nodes(positives, negatives, node_type: NodeType) -> Terms:
@@ -179,20 +184,25 @@ class Sampler:
         counts = graph.diagnosed.astype(float)
         self._nonsharing = counts @ counts.T == 0
         np.fill_diagonal(self._nonsharing, False)
+        # Row p holds patient p's diagnoses, then the others, each run sorted.
+        self._dx_order = np.argsort(~graph.diagnosed, axis=1, kind="stable").astype(
+            np.min_scalar_type(graph.n_diagnoses))
+        self._n_dx = graph.diagnosed.sum(axis=1).tolist()
         self._carriers = [np.flatnonzero(column).tolist() for column in graph.diagnosed.T]
         self._n_carriers = graph.diagnosed.sum(axis=0)
 
-    def _negative_pools(self, p: int, h: int):
-        """Diagnosis, lab and patient negative pools of center (p, h)."""
-        return ((~self.graph.diagnosed[p]).nonzero()[0],
-                (~self.graph.observed[self.graph.ph_row(p, h)]).nonzero()[0],
-                self._nonsharing[p].nonzero()[0])
+    def _pools(self, p: int, h: int):
+        """Center (p, h)'s pools: (diagnoses, labs), then negatives (diagnoses, labs, patients)."""
+        order, n = self._dx_order[p], self._n_dx[p]
+        observed = self.graph.observed[self.graph.ph_row(p, h)]
+        return ((order[:n], observed.nonzero()[0]),
+                (order[n:], (~observed).nonzero()[0], self._nonsharing[p].nonzero()[0]))
 
     def sample_negatives(self, center: NodeId, node_type: NodeType, count: int) -> tuple:
         """Uniform with-replacement draws from the center's non-neighbors."""
         if center.type is not NodeType.PATIENT_HOUR:
             raise ValueError("negatives are sampled around patient-hour centers")
-        dx_pool, lab_pool, patient_pool = self._negative_pools(*center.index)
+        _, (dx_pool, lab_pool, patient_pool) = self._pools(*center.index)
         pool = {NodeType.DIAGNOSIS: dx_pool, NodeType.LAB: lab_pool,
                 NodeType.PATIENT_HOUR: patient_pool}[node_type]
         if pool.size == 0:
@@ -212,52 +222,57 @@ class Sampler:
         integers = self.rng.integers
         window = self.graph.window_hours
         p, h = center.index
-        dx_pool = self.graph.diagnosed[p].nonzero()[0]
-        lab_pool = self.graph.observed[self.graph.ph_row(p, h)].nonzero()[0]
+        (dx_pool, lab_pool), (dx_neg, lab_neg, patient_neg) = self._pools(p, h)
         if dx_pool.size == 0 and lab_pool.size == 0:
             raise UntrainableCenterError(
                 f"patient-hour ({p}, {h}) has no diagnoses and no observed labs"
             )
 
+        # Each relation's terms are rows of one positive then its k negatives
+        # (none when the negative pool is empty), filled in place.
+        k = cfg.negatives_per_positive
         n_dx = cfg.n_diagnoses if dx_pool.size else 0
         n_lab = cfg.n_labs if lab_pool.size else 0
-        draws = integers(0, np.repeat((dx_pool.size, lab_pool.size), (n_dx, n_lab)))
+        k_dx = k if dx_neg.size else 0
+        k_lab = k if lab_neg.size else 0
+        k_ph = k if patient_neg.size else 0
+        dx_rows = np.empty((n_dx, 1 + k_dx), dtype=np.int64)
+        lab_rows = np.empty((n_lab, 1 + k_lab), dtype=np.int64)
+        draws = integers(0, [dx_pool.size] * n_dx + [lab_pool.size] * n_lab)
         pos_diagnoses = dx_pool[draws[:n_dx]]
-        pos_labs = lab_pool[draws[n_dx:]]
+        dx_rows[:, 0] = pos_diagnoses
+        lab_rows[:, 0] = lab_pool[draws[n_dx:]]
 
         # Co-patients: re-draw a sampled diagnosis, then a uniform hour node of
         # another patient carrying it. Diagnoses whose only carrier is the
         # center's patient cannot produce one and are skipped. The carrier
         # bound depends on the diagnosis drawn, so these draws go one by one.
+        # Patient-hour rows are the co-patients, then the temporal node (p, h - 1).
         eligible = pos_diagnoses[self._n_carriers[pos_diagnoses] > 1].tolist()
         n_cp = cfg.n_copatients if eligible else 0
-        copatients = []
-        for _ in range(n_cp):
+        n_ph = n_cp + (h > 0)
+        ph_rows = np.empty((n_ph, 1 + k_ph, 2), dtype=np.int64)
+        for i in range(n_cp):
             carriers = self._carriers[eligible[integers(0, len(eligible))]]
             pick = int(integers(0, len(carriers) - 1))  # among carriers other than p
-            q = carriers[pick] if carriers[pick] < p else carriers[pick + 1]
-            copatients.append((q, int(integers(0, window))))
-        pos_patients = np.array(copatients, dtype=np.int64).reshape(n_cp, 2)
-        pos_temporal = np.array([(p, h - 1)] if h > 0 else [], dtype=np.int64).reshape(-1, 2)
+            ph_rows[i, 0, 0] = carriers[pick] if carriers[pick] < p else carriers[pick + 1]
+            ph_rows[i, 0, 1] = integers(0, window)
+        if h > 0:
+            ph_rows[n_cp, 0] = p, h - 1
 
         # Negatives: k per positive, patient-hours as k patients then k hours.
-        k = cfg.negatives_per_positive
-        dx_neg, lab_neg, patient_neg = self._negative_pools(p, h)
-        k_dx = k if dx_neg.size else 0
-        k_lab = k if lab_neg.size else 0
-        k_ph = k if patient_neg.size else 0
-        n_ph = n_cp + len(pos_temporal)
         bounds = (dx_neg.size, lab_neg.size) + (patient_neg.size, window) * n_ph
         draws = integers(0, np.repeat(bounds, (k_dx * n_dx, k_lab * n_lab) + (k_ph, k_ph) * n_ph))
-        neg_diagnoses = dx_neg[draws[:k_dx * n_dx]].reshape(n_dx, k_dx)
         offset = k_dx * n_dx + k_lab * n_lab
-        neg_labs = lab_neg[draws[k_dx * n_dx:offset]].reshape(n_lab, k_lab)
+        dx_rows[:, 1:] = dx_neg[draws[:k_dx * n_dx]].reshape(n_dx, k_dx)
+        lab_rows[:, 1:] = lab_neg[draws[k_dx * n_dx:offset]].reshape(n_lab, k_lab)
         blocks = draws[offset:].reshape(n_ph, 2, k_ph)
-        neg_patient_hours = np.stack((patient_neg[blocks[:, 0]], blocks[:, 1]), axis=-1)
+        ph_rows[:, 1:, 0] = patient_neg[blocks[:, 0]]
+        ph_rows[:, 1:, 1] = blocks[:, 1]
 
         return ContextSample.from_terms(center, (
-            _terms(pos_labs, neg_labs, NodeType.LAB),
-            _terms(pos_diagnoses, neg_diagnoses, NodeType.DIAGNOSIS),
-            _terms(pos_patients, neg_patient_hours[:n_cp], NodeType.PATIENT_HOUR),
-            _terms(pos_temporal, neg_patient_hours[n_cp:], NodeType.PATIENT_HOUR),
+            Terms(lab_rows.reshape(-1), _targets(n_lab, k_lab)),
+            Terms(dx_rows.reshape(-1), _targets(n_dx, k_dx)),
+            Terms(ph_rows[:n_cp].reshape(-1, 2), _targets(n_cp, k_ph)),
+            Terms(ph_rows[n_cp:].reshape(-1, 2), _targets(n_ph - n_cp, k_ph)),
         ))

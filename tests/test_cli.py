@@ -22,7 +22,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # every INI key, each set away from its default
 EVERY_KEY_INI = """\
 [data]
-source = files
+source = synthetic
 events = e.csv
 diagnoses = d.csv
 outcomes = o.csv
@@ -103,9 +103,18 @@ dir = {out_dir}
     return path
 
 
+# the [data] keys that set the synthetic corpus, which source = files refuses
+GEN_KEY_LINE = re.compile(r"^(n_patients|n_labs|n_diagnoses|prevalence|signal) = .*\n", re.M)
+
+
+def files_ini(text):
+    """An INI text's source = synthetic made source = files, its synthetic-corpus keys dropped."""
+    return GEN_KEY_LINE.sub("", text.replace("source = synthetic", "source = files"))
+
+
 def files_source(cfg_path, corpus):
     """Point a written config at the corpus that `synth` wrote to corpus."""
-    cfg_path.write_text(cfg_path.read_text().replace("source = synthetic", f"""\
+    cfg_path.write_text(files_ini(cfg_path.read_text()).replace("source = files", f"""\
 source = files
 events = {corpus / "events.csv"}
 diagnoses = {corpus / "diagnoses.csv"}
@@ -161,7 +170,7 @@ class TestConfigParsing:
 
     def test_every_key_lands_on_its_field(self, tmp_path):
         path = tmp_path / "run.ini"
-        path.write_text(EVERY_KEY_INI)
+        path.write_text(files_ini(EVERY_KEY_INI))
         cfg = load_run_config(path)
         assert (cfg.source, cfg.events_file, cfg.diagnoses_file, cfg.outcomes_file,
                 cfg.vocabulary_file) == ("files", Path("e.csv"), Path("d.csv"), Path("o.csv"),
@@ -176,10 +185,26 @@ class TestConfigParsing:
         assert exp.cnn == CnnTrainConfig(n_filters=8, kernel=4, learning_rate=0.02,
                                          batch_size=16, epochs=2, class_weighting=False)
         # the synthetic-corpus keys land on GenConfig once the source is synthetic
-        path.write_text(EVERY_KEY_INI.replace("source = files", "source = synthetic"))
+        path.write_text(EVERY_KEY_INI)
         assert load_run_config(path).gen == GenConfig(n_patients=77, n_labs=5, n_diagnoses=9,
                                                       window_hours=24, signal=0.5,
                                                       prevalence=0.2)
+
+    def test_synthetic_corpus_keys_refused_under_files_source(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(EVERY_KEY_INI.replace("source = synthetic", "source = files"))
+        with pytest.raises(ValueError) as refused:
+            load_run_config(path)
+        assert str(refused.value) == (
+            f"{path}: [data] n_patients, n_labs, n_diagnoses, prevalence, signal: "
+            "synthetic-corpus key(s), not read under source = files")
+        path.write_text(files_ini(EVERY_KEY_INI).replace("[experiment]",
+                                                         "signal = 0.5\n\n[experiment]"))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"hgm-ehr: error: {path}: [data] signal: "
+            "synthetic-corpus key(s), not read under source = files\n")
+        assert not (tmp_path / "out").exists()
 
     def test_keys_left_out_keep_dataclass_defaults(self, tmp_path):
         path = tmp_path / "run.ini"

@@ -5,14 +5,15 @@ import pytest
 
 from hgm_ehr import hgm
 from hgm_ehr.graph import NodeId, NodeType, all_nodes, neighbors
-from hgm_ehr.hgm import (HgmParams, HgmTrainConfig, Relation, embed_hours, embed_node,
-                         exact_softmax_loss, init_params, load_params, ns_grad, ns_loss,
-                         project, save_params, score, softmax_context_loss, train_hgm)
+from hgm_ehr.hgm import (HgmParams, HgmTrainConfig, Relation, context_scores, embed_hours,
+                         embed_node, exact_softmax_loss, init_params, load_params, ns_grad,
+                         ns_loss, project, save_params, score, softmax_context_loss, train_hgm)
 from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
 from hgm_ehr.sampler import ContextSample, Sampler, SamplerConfig, UntrainableCenterError
 from hgm_ehr.seeds import derive_seed
 
 from conftest import binned_graph, make_record, toy_vocab
+from test_sampler import edge_case_graphs
 
 PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
 
@@ -500,8 +501,9 @@ def test_exact_and_sampled_losses_agree_in_ordering(toy_graph):
     assert compared >= 3
 
 
-def scatter_add_ns_grad(params, graph, context):
-    """ns_grad with lab/diagnosis gradients scattered by np.add.at into zeros."""
+def scatter_add_ns_grad(params, graph, context, scores=None):
+    """ns_grad with lab/diagnosis gradients scattered by np.add.at into zeros,
+    one relation at a time; each relation's (scores, targets) go to `scores`."""
     act, deriv = params.activation_fns()
     x_u = graph.x_patient_hour(*context.center.index)
     c_u = act(params.w_p @ x_u)
@@ -514,7 +516,10 @@ def scatter_add_ns_grad(params, graph, context):
         if relation is Relation.TESTED:
             c_v = act(params.w_i[:, index])
             c_vt = c_v + params.r_ip[:, None]
-            g = hgm._sigmoid_act(c_vt.T @ c_u) - y
+            s = c_vt.T @ c_u
+            if scores is not None:
+                scores.append((s, y))
+            g = hgm._sigmoid_act(s) - y
             grads.r_ip += float(g.sum()) * c_u
             dc_u += c_vt @ g
             np.add.at(grads.w_i.T, index, ((c_u[:, None] * g[None, :]) * deriv(c_v)).T)
@@ -526,7 +531,10 @@ def scatter_add_ns_grad(params, graph, context):
             x_v = graph.xp[index[:, 0] * graph.window_hours + index[:, 1]].T
             c_v = act(params.w_p @ x_v)
             c_ut = c_u + params.r_tt if relation is Relation.TEMPORAL else c_u
-        g = hgm._sigmoid_act(c_v.T @ c_ut) - y
+        s = c_v.T @ c_ut
+        if scores is not None:
+            scores.append((s, y))
+        g = hgm._sigmoid_act(s) - y
         c_vg = c_v @ g
         dc_u += c_vg
         d_cv = (c_ut[:, None] * g[None, :]) * deriv(c_v)
@@ -568,3 +576,41 @@ class TestNsGradMatchesScatterAdd:
             for name in PARAM_FIELDS:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert len(contexts) > 20 and repeated > 20
+
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "relu"])
+    def test_contexts_with_empty_relations(self, activation):
+        # Hour-0 centers have no temporal term, a diagnosis-free patient no
+        # diagnosis or co-patient term, an hour with no observed lab no lab
+        # term, and diagnoses only the center's patient carries no co-patient.
+        # A fully tested hour leaves lab positives without negatives, and two
+        # patients sharing every diagnosis leave patient-hour positives without.
+        config = SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=2,
+                               negatives_per_positive=2, seed=4)
+        empty, unpaired, checked = set(), set(), 0
+        for graph in edge_case_graphs():
+            params = random_params(4, graph.n_labs, graph.n_labs, graph.n_diagnoses,
+                                   activation=activation, seed=5, scale=0.5)
+            sampler = Sampler(graph, config)
+            for p, h in graph.patient_hours():
+                try:
+                    ctx = sampler.sample_context(ph(p, h))
+                except UntrainableCenterError:
+                    continue
+                relations = []
+                want = scatter_add_ns_grad(params, graph, ctx, relations)
+                got = ns_grad(params, graph, ctx)
+                for name in PARAM_FIELDS:
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                pos, neg = context_scores(params, graph, ctx)
+                assert np.array_equal(pos, np.concatenate([s[y == 1.0] for s, y in relations]))
+                assert np.array_equal(neg, np.concatenate([s[y == 0.0] for s, y in relations]))
+                expected = sum(float(np.logaddexp(0.0, -s[y == 1.0]).sum())
+                               + float(np.logaddexp(0.0, s[y == 0.0]).sum()) for s, y in relations)
+                assert ns_loss(params, graph, ctx) == pytest.approx(expected, rel=1e-12)
+                empty.update(r for r, t in zip(Relation, ctx.terms) if not t.target.size)
+                unpaired.update(r for r, t in zip(Relation, ctx.terms)
+                                if t.target.size and t.target.all())
+                checked += 1
+        assert empty == set(Relation)
+        assert unpaired == {Relation.TESTED, Relation.CO_PATIENT, Relation.TEMPORAL}
+        assert checked > 15

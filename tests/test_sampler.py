@@ -333,3 +333,35 @@ def test_context_views_round_trip():
     assert ctx.terms[3].index.tolist() == [[0, 0], [3, 2]]
     with pytest.raises(ValueError, match="negative groups"):
         ContextSample(center, pos_labs=(NodeId(NodeType.LAB, 1),))
+
+
+class TestIntegersStream:
+    """The Generator.integers properties the sampler's stream rests on. A numpy
+    that changes one of them changes every sampled context, and so criterion 4."""
+
+    BOUNDS = [7, 1, 450, 12, 2, 1, 1, 3, 50, 5, 12]
+
+    @staticmethod
+    def next_draw(rng):
+        """The stream after a call, through both the 32- and the 64-bit paths."""
+        return rng.integers(0, 1000, size=3).tolist(), int(rng.integers(0, 2**62))
+
+    def test_array_of_bounds_draws_like_one_call_per_bound(self):
+        whole, single = np.random.default_rng(3), np.random.default_rng(3)
+        drawn = whole.integers(0, np.array(self.BOUNDS))
+        assert drawn.tolist() == [int(single.integers(0, b)) for b in self.BOUNDS]
+        assert self.next_draw(whole) == self.next_draw(single)
+
+    def test_bound_of_one_consumes_nothing(self):
+        rng, untouched = np.random.default_rng(5), np.random.default_rng(5)
+        assert rng.integers(0, 1) == 0
+        assert rng.integers(0, np.ones(4, dtype=np.int64)).tolist() == [0, 0, 0, 0]
+        assert rng.integers(0, 1, size=3).tolist() == [0, 0, 0]
+        assert self.next_draw(rng) == self.next_draw(untouched)
+
+    def test_size_fill_equals_array_form(self):
+        for bound, count in [(9, 20), (450, 5), (12, 1)]:
+            filled, broadcast = np.random.default_rng(bound), np.random.default_rng(bound)
+            assert (filled.integers(0, bound, size=count).tolist()
+                    == broadcast.integers(0, np.full(count, bound)).tolist())
+            assert self.next_draw(filled) == self.next_draw(broadcast)
