@@ -162,12 +162,20 @@ def load_run_config(path) -> RunConfig:
     experiment = ExperimentConfig(hgm=hgm, cnn=CnnTrainConfig(**values[CnnTrainConfig]),
                                   **values[ExperimentConfig])
     config = RunConfig(experiment=experiment, **values[RunConfig])
+    # Each source refuses the [data] keys only the other one reads.
+    data = parser["data"] if parser.has_section("data") else {}
+    unread, kind = [], ""
     if config.source == "synthetic":
         config.gen = GenConfig(**{**_GEN_DEFAULTS, **values[GenConfig]},
                                window_hours=max(config.windows))
-    elif config.source == "files" and values[GenConfig]:
-        raise ValueError(f"{path}: [data] {', '.join(values[GenConfig])}: synthetic-corpus "
-                         "key(s), not read under source = files")
+        unread = [key for key in data if CONFIG_KEYS["data", key][1].endswith("_file")]
+        kind = "input-file"
+    elif config.source == "files":
+        unread = [key for key in data if CONFIG_KEYS["data", key][0] is GenConfig]
+        kind = "synthetic-corpus"
+    if unread:
+        raise ValueError(f"{path}: [data] {', '.join(unread)}: {kind} key(s), "
+                         f"not read under source = {config.source}")
     config.validate()
     return config
 

@@ -13,17 +13,18 @@ Relation scoring (neighbor side first where translated):
     co-patient:             score = c_u . c_v
     temporal next node:     score = (c_u + r_tt) . c_next
 
-A training step reads the context's per-relation term arrays directly:
-lab and diagnosis terms select columns of W_i / W_d, patient-hour terms
-select rows of graph.xp, and the gradients come back as an HgmParams of
-the parameters' shapes. Each relation's products stay its own gemv/gemm;
-the elementwise tail (softplus loss, sigmoid(s) - y) runs once over the
-four relations' concatenated scores, so gradients are bit for bit those of
-one pass per relation and only the loss, one sum, may differ in its last
-bits. Lab and diagnosis gradients are scattered into their columns by one
-bincount over flat offsets (_column_sums), which sums repeated indices in
-the same order, and so to the same bits, as a generic scatter-add into
-zeros, at a fraction of its per-call cost.
+A training step reads the context's (p, h) center and per-relation term
+arrays directly, with no NodeId: lab and diagnosis terms select columns of
+W_i / W_d, patient-hour terms select rows of graph.xp, and the gradients
+come back as an HgmParams of the parameters' shapes. Each relation's
+products stay its own gemv/gemm; the elementwise tail (softplus loss,
+sigmoid(s) - y) runs once over the four relations' concatenated scores, so
+gradients are bit for bit those of one pass per relation and only the loss,
+one sum, may differ in its last bits. Lab and diagnosis gradients are
+scattered into their columns by one bincount over flat offsets
+(_column_sums), which sums repeated indices in the same order, and so to
+the same bits, as a generic scatter-add into zeros, at a fraction of its
+per-call cost.
 """
 
 from __future__ import annotations
@@ -278,8 +279,7 @@ def _column_sums(index: np.ndarray, terms: np.ndarray, n_columns: int) -> np.nda
 def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample,
                    want_grad: bool, want_scores: bool = False):
     act, deriv = params.activation_fns()
-    p, h = context.center.index
-    x_u = graph.x_patient_hour(p, h)
+    x_u = graph.x_patient_hour(*context.center)
     c_u = act(params.w_p @ x_u)
 
     # Scores relation by relation, then the elementwise tail (softplus loss,
@@ -363,7 +363,8 @@ def context_scores(params: HgmParams, graph: HeteroGraph, context: ContextSample
 
 
 def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, on_epoch=None) -> HgmParams:
-    """SGD over epochs x shuffled patient-hour centers, one context per step.
+    """SGD over epochs x shuffled patient-hour centers, one context per step:
+    each epoch permutes the P*T rows of graph.xp, row r being center divmod(r, T).
 
     Learning rate decays linearly from config.learning_rate to
     config.min_learning_rate over the full schedule. Untrainable centers
@@ -378,8 +379,8 @@ def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, on_epoch=None) -> HgmP
     )
     sampler = Sampler(graph, replace(config.sampler, seed=derive_seed(config.seed, "hgm-sampler")))
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "hgm-shuffle"))
-    centers = [NodeId(NodeType.PATIENT_HOUR, (p, h)) for p, h in graph.patient_hours()]
-    total_steps = max(1, config.epochs * len(centers))
+    n_centers = graph.n_patients * graph.window_hours
+    total_steps = max(1, config.epochs * n_centers)
     lr_span = config.learning_rate - config.min_learning_rate
 
     step = 0
@@ -387,11 +388,11 @@ def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, on_epoch=None) -> HgmP
     for epoch in range(config.epochs):
         epoch_loss = 0.0
         n_contexts = 0
-        for idx in shuffle_rng.permutation(len(centers)):
+        for row in shuffle_rng.permutation(n_centers).tolist():
             lr = config.min_learning_rate + lr_span * (1.0 - step / total_steps)
             step += 1
             try:
-                context = sampler.sample_context(centers[idx])
+                context = sampler.sample_context(*divmod(row, graph.window_hours))
             except UntrainableCenterError:
                 skipped += 1
                 continue
@@ -453,9 +454,13 @@ def save_params(params: HgmParams, path) -> None:
 
 def load_params(path) -> HgmParams:
     payload = load_container(path, kind="hgm")
+    activation = payload.get("activation")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"{path}: unknown activation {activation!r}; "
+                         f"expected one of {sorted(ACTIVATIONS)}")
     dims = payload["dims"]
     d = dims["d"]
     return HgmParams(**load_arrays(path, payload, {
         "w_p": (d, dims["p_in"]), "w_i": (d, dims["labs"]), "w_d": (d, dims["diagnoses"]),
         "r_ip": (d,), "r_pd": (d,), "r_tt": (d,),
-    }), activation=payload["activation"])
+    }), activation=activation)

@@ -102,8 +102,19 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(labs=payload["labs"], diagnoses=payload["diagnoses"])
+        """Read a vocabulary file; a malformed one is refused, naming the file."""
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        for key in ("labs", "diagnoses"):
+            names = payload.get(key) if isinstance(payload, dict) else None
+            if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+                raise ValueError(f"{path}: vocabulary needs {key!r} as a list of names")
+        try:
+            return cls(labs=payload["labs"], diagnoses=payload["diagnoses"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _open_rows(path):

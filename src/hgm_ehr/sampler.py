@@ -1,4 +1,4 @@
-"""Skip-gram context sampling around patient-hour center nodes.
+"""Skip-gram context sampling around patient-hour centers, each a (p, h) pair.
 
 Positives: uniform with-replacement draws from the center's one-hop
 diagnosis and lab neighborhoods, co-patients reached through a sampled
@@ -29,9 +29,9 @@ into an (n, 1 + k) grid, n positives by one positive and k negatives (k is
 0 when the negative pool is empty); the grid's rows flattened are the
 terms. The co-patient and temporal grids are the two parts of one
 patient-hour grid. Targets depend only on (n, k), so every context with
-the same counts shares one cached, read-only target vector. The NodeId
-tuples of the public fields are a view built from these arrays on first
-access.
+the same counts shares one cached, read-only target vector. A center is a
+(patient, hour) pair of ints; the NodeId tuples of a context's pos_*/neg_*
+fields are read-only views built from its arrays on first access.
 """
 
 from __future__ import annotations
@@ -81,23 +81,6 @@ def _targets(n: int, k: int) -> np.ndarray:
     return target
 
 
-def _terms_from_nodes(positives, negatives, node_type: NodeType) -> Terms:
-    if len(positives) != len(negatives):
-        raise ValueError(f"{len(positives)} {node_type.value} positives but "
-                         f"{len(negatives)} negative groups")
-    index, target = [], []
-    for pos, negs in zip(positives, negatives):
-        for node, y in [(pos, 1.0)] + [(neg, 0.0) for neg in negs]:
-            if node.type is not node_type:
-                raise ValueError(f"expected a {node_type.value} node, got {node.type.value}")
-            index.append(node.index)
-            target.append(y)
-    index = np.array(index, dtype=np.int64)
-    if node_type is NodeType.PATIENT_HOUR:
-        index = index.reshape(-1, 2)
-    return Terms(index, np.array(target, dtype=float))
-
-
 def _nodes_from_terms(terms: Terms, node_type: NodeType):
     """(positives, negative groups) as NodeId tuples."""
     if node_type is NodeType.PATIENT_HOUR:
@@ -111,38 +94,17 @@ def _nodes_from_terms(terms: Terms, node_type: NodeType):
 
 
 class ContextSample:
-    """One skip-gram context around a patient-hour center.
+    """One skip-gram context around the patient-hour center (p, h).
 
-    Constructed from NodeId tuples, one tuple of negatives per positive (a
-    flat tuple for the single temporal positive). `terms` holds the context
-    as (tested, diagnosed, co-patient, temporal) Terms; the NodeId fields
-    are read-only views of them, built on first access.
+    `terms` holds the context as (tested, diagnosed, co-patient, temporal)
+    Terms; the NodeId fields are read-only views of them, built on first
+    access.
     """
 
-    def __init__(self, center: NodeId, pos_diagnoses=(), pos_labs=(), pos_patients=(),
-                 pos_temporal: NodeId | None = None, neg_diagnoses=(), neg_labs=(),
-                 neg_patients=(), neg_temporal=()):
-        if pos_temporal is None and neg_temporal:
-            raise ValueError("temporal negatives without a temporal positive")
-        temporal = (pos_temporal,) if pos_temporal is not None else ()
+    def __init__(self, center: tuple[int, int], terms):
         self.center = center
-        self.terms = (
-            _terms_from_nodes(pos_labs, neg_labs, NodeType.LAB),
-            _terms_from_nodes(pos_diagnoses, neg_diagnoses, NodeType.DIAGNOSIS),
-            _terms_from_nodes(pos_patients, neg_patients, NodeType.PATIENT_HOUR),
-            _terms_from_nodes(temporal, (neg_temporal,) if temporal else (),
-                              NodeType.PATIENT_HOUR),
-        )
+        self.terms = tuple(terms)
         self._views = None
-
-    @classmethod
-    def from_terms(cls, center: NodeId, terms) -> "ContextSample":
-        """Wrap (tested, diagnosed, co-patient, temporal) Terms without copying."""
-        context = cls.__new__(cls)
-        context.center = center
-        context.terms = tuple(terms)
-        context._views = None
-        return context
 
     def _view(self, relation: int):
         if self._views is None:
@@ -198,30 +160,24 @@ class Sampler:
         return ((order[:n], observed.nonzero()[0]),
                 (order[n:], (~observed).nonzero()[0], self._nonsharing[p].nonzero()[0]))
 
-    def sample_negatives(self, center: NodeId, node_type: NodeType, count: int) -> tuple:
-        """Uniform with-replacement draws from the center's non-neighbors."""
-        if center.type is not NodeType.PATIENT_HOUR:
-            raise ValueError("negatives are sampled around patient-hour centers")
-        _, (dx_pool, lab_pool, patient_pool) = self._pools(*center.index)
+    def sample_negatives(self, p: int, h: int, node_type: NodeType, count: int) -> np.ndarray:
+        """Uniform with-replacement draws from center (p, h)'s non-neighbors:
+        indices, or (count, 2) (patient, hour) rows for patient-hour negatives."""
+        _, (dx_pool, lab_pool, patient_pool) = self._pools(p, h)
         pool = {NodeType.DIAGNOSIS: dx_pool, NodeType.LAB: lab_pool,
                 NodeType.PATIENT_HOUR: patient_pool}[node_type]
         if pool.size == 0:
             raise ValueError(f"empty negative pool for type {node_type.value}")
         if node_type is NodeType.PATIENT_HOUR:
             draws = self.rng.integers(0, np.repeat((pool.size, self.graph.window_hours), count))
-            return tuple(NodeId(node_type, (q, hh))
-                         for q, hh in zip(pool[draws[:count]].tolist(), draws[count:].tolist()))
-        return tuple(NodeId(node_type, i)
-                     for i in pool[self.rng.integers(0, pool.size, size=count)].tolist())
+            return np.column_stack((pool[draws[:count]], draws[count:]))
+        return pool[self.rng.integers(0, pool.size, size=count)]
 
-    def sample_context(self, center: NodeId) -> ContextSample:
-        """Draw one full skip-gram context around a patient-hour center."""
-        if center.type is not NodeType.PATIENT_HOUR:
-            raise ValueError("context centers must be patient-hour nodes")
+    def sample_context(self, p: int, h: int) -> ContextSample:
+        """Draw one full skip-gram context around the patient-hour center (p, h)."""
         cfg = self.config
         integers = self.rng.integers
         window = self.graph.window_hours
-        p, h = center.index
         (dx_pool, lab_pool), (dx_neg, lab_neg, patient_neg) = self._pools(p, h)
         if dx_pool.size == 0 and lab_pool.size == 0:
             raise UntrainableCenterError(
@@ -270,7 +226,7 @@ class Sampler:
         ph_rows[:, 1:, 0] = patient_neg[blocks[:, 0]]
         ph_rows[:, 1:, 1] = blocks[:, 1]
 
-        return ContextSample.from_terms(center, (
+        return ContextSample((p, h), (
             Terms(lab_rows.reshape(-1), _targets(n_lab, k_lab)),
             Terms(dx_rows.reshape(-1), _targets(n_dx, k_dx)),
             Terms(ph_rows[:n_cp].reshape(-1, 2), _targets(n_cp, k_ph)),

@@ -4,6 +4,7 @@ import pytest
 from hgm_ehr.graph import NodeId, NodeType, build_graph
 from hgm_ehr.hgm import exact_softmax_loss
 from hgm_ehr.ingest import PatientRecord, Vocabulary, bin_events, event_array
+from hgm_ehr.sampler import ContextSample, Terms
 
 HGM_PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
 
@@ -17,6 +18,40 @@ def make_record(pid, events, diagnoses, died=False, end_hour=20):
         died=died,
         end_hour=end_hour,
     )
+
+
+def terms_from_nodes(positives, negatives, node_type):
+    """One relation's Terms from NodeId positives, one tuple of negatives per positive."""
+    if len(positives) != len(negatives):
+        raise ValueError(f"{len(positives)} {node_type.value} positives but "
+                         f"{len(negatives)} negative groups")
+    index, target = [], []
+    for pos, negs in zip(positives, negatives):
+        for node, y in [(pos, 1.0)] + [(neg, 0.0) for neg in negs]:
+            if node.type is not node_type:
+                raise ValueError(f"expected a {node_type.value} node, got {node.type.value}")
+            index.append(node.index)
+            target.append(y)
+    index = np.array(index, dtype=np.int64)
+    if node_type is NodeType.PATIENT_HOUR:
+        index = index.reshape(-1, 2)
+    return Terms(index, np.array(target, dtype=float))
+
+
+def make_context(center, pos_labs=(), neg_labs=(), pos_diagnoses=(), neg_diagnoses=(),
+                 pos_patients=(), neg_patients=(), pos_temporal=None, neg_temporal=()):
+    """A ContextSample around center (p, h) from NodeId tuples: one tuple of
+    negatives per positive, a flat tuple for the single temporal positive."""
+    if pos_temporal is None and neg_temporal:
+        raise ValueError("temporal negatives without a temporal positive")
+    temporal = (pos_temporal,) if pos_temporal is not None else ()
+    return ContextSample(center, (
+        terms_from_nodes(tuple(pos_labs), tuple(neg_labs), NodeType.LAB),
+        terms_from_nodes(tuple(pos_diagnoses), tuple(neg_diagnoses), NodeType.DIAGNOSIS),
+        terms_from_nodes(tuple(pos_patients), tuple(neg_patients), NodeType.PATIENT_HOUR),
+        terms_from_nodes(temporal, (tuple(neg_temporal),) if temporal else (),
+                         NodeType.PATIENT_HOUR),
+    ))
 
 
 def binned_graph(records, vocab, window_hours):

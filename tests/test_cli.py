@@ -105,6 +105,8 @@ dir = {out_dir}
 
 # the [data] keys that set the synthetic corpus, which source = files refuses
 GEN_KEY_LINE = re.compile(r"^(n_patients|n_labs|n_diagnoses|prevalence|signal) = .*\n", re.M)
+# the [data] keys that name input files, which source = synthetic refuses
+FILE_KEY_LINE = re.compile(r"^(events|diagnoses|outcomes|vocabulary) = .*\n", re.M)
 
 
 def files_ini(text):
@@ -185,7 +187,7 @@ class TestConfigParsing:
         assert exp.cnn == CnnTrainConfig(n_filters=8, kernel=4, learning_rate=0.02,
                                          batch_size=16, epochs=2, class_weighting=False)
         # the synthetic-corpus keys land on GenConfig once the source is synthetic
-        path.write_text(EVERY_KEY_INI)
+        path.write_text(FILE_KEY_LINE.sub("", EVERY_KEY_INI))
         assert load_run_config(path).gen == GenConfig(n_patients=77, n_labs=5, n_diagnoses=9,
                                                       window_hours=24, signal=0.5,
                                                       prevalence=0.2)
@@ -205,6 +207,27 @@ class TestConfigParsing:
             f"hgm-ehr: error: {path}: [data] signal: "
             "synthetic-corpus key(s), not read under source = files\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines, named", [
+        ("events = /nonexistent/events.csv", "events"),
+        ("vocabulary = v.json", "vocabulary"),
+        ("events = e.csv\ndiagnoses = d.csv\noutcomes = o.csv\nvocabulary = v.json",
+         "events, diagnoses, outcomes, vocabulary"),
+    ], ids=["events", "vocabulary", "all_four"])
+    def test_input_file_keys_refused_under_synthetic_source(self, tmp_path, capsys, lines,
+                                                           named):
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "run.ini", out)
+        path.write_text(path.read_text().replace("source = synthetic\n",
+                                                 f"source = synthetic\n{lines}\n"))
+        message = (f"{path}: [data] {named}: input-file key(s), "
+                   "not read under source = synthetic")
+        with pytest.raises(ValueError) as refused:
+            load_run_config(path)
+        assert str(refused.value) == message
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"hgm-ehr: error: {message}\n"
+        assert not out.exists()
 
     def test_keys_left_out_keep_dataclass_defaults(self, tmp_path):
         path = tmp_path / "run.ini"

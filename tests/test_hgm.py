@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,10 +10,10 @@ from hgm_ehr.hgm import (HgmParams, HgmTrainConfig, Relation, context_scores, em
                          embed_node, exact_softmax_loss, init_params, load_params, ns_grad,
                          ns_loss, project, save_params, score, softmax_context_loss, train_hgm)
 from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
-from hgm_ehr.sampler import ContextSample, Sampler, SamplerConfig, UntrainableCenterError
+from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError
 from hgm_ehr.seeds import derive_seed
 
-from conftest import binned_graph, make_record, toy_vocab
+from conftest import binned_graph, make_context, make_record, toy_vocab
 from test_sampler import edge_case_graphs
 
 PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
@@ -42,17 +43,6 @@ def dx_node(j):
 
 def ph(p, h):
     return NodeId(NodeType.PATIENT_HOUR, (p, h))
-
-
-def make_context(center, pos_labs=(), neg_labs=(), pos_diagnoses=(), neg_diagnoses=(),
-                 pos_patients=(), neg_patients=(), pos_temporal=None, neg_temporal=()):
-    return ContextSample(
-        center=center,
-        pos_diagnoses=tuple(pos_diagnoses), pos_labs=tuple(pos_labs),
-        pos_patients=tuple(pos_patients), pos_temporal=pos_temporal,
-        neg_diagnoses=tuple(neg_diagnoses), neg_labs=tuple(neg_labs),
-        neg_patients=tuple(neg_patients), neg_temporal=tuple(neg_temporal),
-    )
 
 
 class TestProject:
@@ -152,7 +142,7 @@ class TestNsLoss:
     def test_zero_params_one_pos_one_neg(self, toy_graph):
         graph, _, _ = toy_graph
         params = zero_params(d=2, p_in=3, n_labs=3, n_diagnoses=3)
-        ctx = make_context(ph(0, 0), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
+        ctx = make_context((0, 0), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
         assert ns_loss(params, graph, ctx) == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_zero_params_closed_form(self, toy_graph):
@@ -160,7 +150,7 @@ class TestNsLoss:
         params = zero_params(d=3, p_in=3, n_labs=3, n_diagnoses=3)
         sampler = Sampler(graph, SamplerConfig(n_diagnoses=4, n_labs=4, n_copatients=4,
                                                negatives_per_positive=3, seed=2))
-        ctx = sampler.sample_context(ph(0, 1))
+        ctx = sampler.sample_context(0, 1)
         n_pos = ctx.n_positives()
         n_neg = sum(len(negs) for negs in
                     ctx.neg_diagnoses + ctx.neg_labs + ctx.neg_patients) + len(ctx.neg_temporal)
@@ -172,7 +162,7 @@ class TestNsLoss:
         sampler = Sampler(graph, SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=3,
                                                negatives_per_positive=2, seed=3))
         for center in (ph(0, 0), ph(0, 1), ph(1, 1)):
-            ctx = sampler.sample_context(center)
+            ctx = sampler.sample_context(*center.index)
             c_u = embed_node(params, graph, center)
 
             def pair_loss(node, rel, positive):
@@ -200,7 +190,7 @@ class TestNsLoss:
                                                negatives_per_positive=2, seed=4))
         for seed in range(8):
             params = random_params(3, 4, 4, 4, seed=seed, scale=2.0)
-            ctx = sampler.sample_context(ph(0, 1))
+            ctx = sampler.sample_context(0, 1)
             assert ns_loss(params, graph, ctx) >= 0.0
 
 
@@ -217,8 +207,8 @@ def random_instance(seed, activation="tanh"):
         n_diagnoses=int(rng.integers(1, 4)), n_labs=int(rng.integers(1, 4)),
         n_copatients=int(rng.integers(1, 4)), negatives_per_positive=int(rng.integers(1, 4)),
         seed=int(rng.integers(0, 2**31))))
-    center = ph(int(rng.integers(0, graph.n_patients)), int(rng.integers(0, graph.window_hours)))
-    ctx = sampler.sample_context(center)
+    ctx = sampler.sample_context(int(rng.integers(0, graph.n_patients)),
+                                 int(rng.integers(0, graph.window_hours)))
     params = random_params(int(rng.integers(2, 5)), cfg.n_labs, cfg.n_labs, cfg.n_diagnoses,
                            activation=activation, seed=int(rng.integers(0, 2**31)),
                            scale=float(rng.uniform(0.5, 2.0)))
@@ -257,15 +247,15 @@ class TestNsGrad:
         params = zero_params(d=3, p_in=3, n_labs=3, n_diagnoses=3)
         sampler = Sampler(graph, SamplerConfig(n_diagnoses=2, n_labs=2, n_copatients=2,
                                                negatives_per_positive=2, seed=5))
-        grads = ns_grad(params, graph, sampler.sample_context(ph(0, 1)))
+        grads = ns_grad(params, graph, sampler.sample_context(0, 1))
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(grads, name), np.zeros_like(getattr(params, name)))
 
     def test_duplicated_positive_doubles_contribution(self, toy_graph):
         graph, _, _ = toy_graph
         params = random_params(3, 3, 3, 3, seed=6, scale=1.0)
-        single = make_context(ph(0, 1), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
-        doubled = make_context(ph(0, 1), pos_labs=(lab_node(0), lab_node(0)),
+        single = make_context((0, 1), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
+        doubled = make_context((0, 1), pos_labs=(lab_node(0), lab_node(0)),
                                neg_labs=((lab_node(2),), (lab_node(2),)))
         g1 = ns_grad(params, graph, single)
         g2 = ns_grad(params, graph, doubled)
@@ -275,7 +265,7 @@ class TestNsGrad:
     def test_untouched_entries_zero(self, toy_graph):
         graph, _, _ = toy_graph
         params = random_params(3, 3, 3, 3, seed=7, scale=1.0)
-        ctx = make_context(ph(0, 0), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
+        ctx = make_context((0, 0), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
         grads = ns_grad(params, graph, ctx)
         assert np.array_equal(grads.w_i[:, 1], np.zeros(3))  # lab 1 not in context
         assert np.array_equal(grads.w_d, np.zeros_like(grads.w_d))
@@ -371,7 +361,7 @@ class TestTrainHgm:
             n_diagnoses=3, n_labs=3, n_copatients=3, negatives_per_positive=2,
             seed=derive_seed(train_cfg.seed, "hgm-sampler")))
         shuffle = np.random.default_rng(derive_seed(train_cfg.seed, "hgm-shuffle"))
-        centers = [ph(p, h) for p, h in graph.patient_hours()]
+        centers = list(graph.patient_hours())
         total = train_cfg.epochs * len(centers)
         span = train_cfg.learning_rate - train_cfg.min_learning_rate
         step = skipped = 0
@@ -380,7 +370,7 @@ class TestTrainHgm:
                 lr = train_cfg.min_learning_rate + span * (1.0 - step / total)
                 step += 1
                 try:
-                    ctx = sampler.sample_context(centers[i])
+                    ctx = sampler.sample_context(*centers[i])
                 except UntrainableCenterError:
                     skipped += 1
                     continue
@@ -451,6 +441,17 @@ class TestCheckpoint:
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(loaded, name), getattr(params, name))
 
+    def test_unknown_activation_refused_naming_the_file(self, tmp_path):
+        path = tmp_path / "hgm.json"
+        save_params(random_params(2, 2, 2, 2, seed=1), path)
+        obj = json.loads(path.read_text())
+        obj["activation"] = "softsign"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError) as refused:
+            load_params(path)
+        assert str(refused.value) == (f"{path}: unknown activation 'softsign'; "
+                                      "expected one of ['relu', 'sigmoid', 'tanh']")
+
     def test_wrong_kind_rejected(self, tmp_path):
         params = random_params(2, 2, 2, 2, seed=1)
         save_params(params, tmp_path / "x.json")
@@ -473,7 +474,7 @@ def test_exact_and_sampled_losses_agree_in_ordering(toy_graph):
     from conftest import exact_loss_fd_step, total_exact_loss
 
     graph, _, _ = toy_graph
-    centers = [ph(p, h) for p in range(2) for h in range(2)]
+    centers = [(p, h) for p in range(2) for h in range(2)]
     params = random_params(4, 3, 3, 3, seed=2, scale=0.8)
     snapshots = []
     for step in range(121):
@@ -484,7 +485,7 @@ def test_exact_and_sampled_losses_agree_in_ordering(toy_graph):
 
     sampler = Sampler(graph, SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=3,
                                            negatives_per_positive=3, seed=77))
-    contexts = [sampler.sample_context(centers[i % len(centers)]) for i in range(400)]
+    contexts = [sampler.sample_context(*centers[i % len(centers)]) for i in range(400)]
 
     exact_totals = [total_exact_loss(p, graph) for p in snapshots]
     sampled = np.array([[ns_loss(p, graph, ctx) for ctx in contexts] for p in snapshots])
@@ -505,7 +506,7 @@ def scatter_add_ns_grad(params, graph, context, scores=None):
     """ns_grad with lab/diagnosis gradients scattered by np.add.at into zeros,
     one relation at a time; each relation's (scores, targets) go to `scores`."""
     act, deriv = params.activation_fns()
-    x_u = graph.x_patient_hour(*context.center.index)
+    x_u = graph.x_patient_hour(*context.center)
     c_u = act(params.w_p @ x_u)
     grads = HgmParams(*(np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS),
                       params.activation)
@@ -559,13 +560,13 @@ class TestNsGradMatchesScatterAdd:
         sampler = Sampler(graph, SamplerConfig(n_diagnoses=4, n_labs=4, n_copatients=2,
                                                negatives_per_positive=3, seed=d))
         contexts = []
-        for center in (ph(p, h) for p in range(graph.n_patients) for h in range(3)):
+        for p, h in graph.patient_hours():
             try:
-                contexts.append(sampler.sample_context(center))
+                contexts.append(sampler.sample_context(p, h))
             except UntrainableCenterError:
                 pass
         contexts.append(make_context(
-            ph(0, 1), pos_labs=(lab_node(1), lab_node(1), lab_node(4)),
+            (0, 1), pos_labs=(lab_node(1), lab_node(1), lab_node(4)),
             neg_labs=((lab_node(1), lab_node(0)), (lab_node(4),), (lab_node(1), lab_node(1))),
             pos_diagnoses=(dx_node(2), dx_node(2)), neg_diagnoses=((dx_node(5),), (dx_node(2),))))
         repeated = 0
@@ -593,7 +594,7 @@ class TestNsGradMatchesScatterAdd:
             sampler = Sampler(graph, config)
             for p, h in graph.patient_hours():
                 try:
-                    ctx = sampler.sample_context(ph(p, h))
+                    ctx = sampler.sample_context(p, h)
                 except UntrainableCenterError:
                     continue
                 relations = []

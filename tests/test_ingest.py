@@ -124,6 +124,23 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(labs=["a", "a"], diagnoses=[])
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"diagnoses": []}', "vocabulary needs 'labs' as a list of names"),
+        ('{"labs": "abc", "diagnoses": []}', "vocabulary needs 'labs' as a list of names"),
+        ('{"labs": ["a"], "diagnoses": [["x"]]}',
+         "vocabulary needs 'diagnoses' as a list of names"),
+        ('["a", "b"]', "vocabulary needs 'labs' as a list of names"),
+        ('{"labs": ["a", "b", "a"], "diagnoses": []}', "duplicate lab names in vocabulary"),
+        ('{"labs": ["a"], "diagnoses": [', "not valid JSON"),
+    ], ids=["no_labs", "labs_string", "diagnosis_not_a_name", "not_an_object", "duplicate",
+            "bad_json"])
+    def test_malformed_file_refused_naming_it(self, tmp_path, text, named):
+        path = tmp_path / "vocab.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as refused:
+            Vocabulary.load(path)
+        assert str(refused.value).startswith(f"{path}: {named}")
+
 
 class TestBinEvents:
     def test_within_hour_duplicates_averaged(self):

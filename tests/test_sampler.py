@@ -3,9 +3,9 @@ import pytest
 
 from hgm_ehr.graph import NodeId, NodeType, neighbors
 from hgm_ehr.ingest import GenConfig, generate_synthetic, synthetic_vocabulary
-from hgm_ehr.sampler import ContextSample, Sampler, SamplerConfig, UntrainableCenterError
+from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError
 
-from conftest import binned_graph, make_record, toy_vocab
+from conftest import binned_graph, make_context, make_record, toy_vocab
 
 
 def ph(p, h):
@@ -15,7 +15,7 @@ def ph(p, h):
 def test_default_context_shape(shared_dx_graph):
     graph, _, _ = shared_dx_graph
     sampler = Sampler(graph, SamplerConfig(seed=1))
-    ctx = sampler.sample_context(ph(0, 1))
+    ctx = sampler.sample_context(0, 1)
     assert len(ctx.pos_diagnoses) == 10
     assert len(ctx.pos_labs) == 10
     assert len(ctx.pos_patients) == 10
@@ -28,7 +28,7 @@ def test_default_context_shape(shared_dx_graph):
 def test_hour_zero_has_no_temporal_positive(shared_dx_graph):
     graph, _, _ = shared_dx_graph
     sampler = Sampler(graph, SamplerConfig(seed=1))
-    ctx = sampler.sample_context(ph(0, 0))
+    ctx = sampler.sample_context(0, 0)
     assert ctx.pos_temporal is None
     assert ctx.neg_temporal == ()
 
@@ -37,7 +37,7 @@ def test_single_neighbor_repeats(shared_dx_graph):
     graph, _, _ = shared_dx_graph
     sampler = Sampler(graph, SamplerConfig(seed=2))
     # p2 has exactly one diagnosis and one tested lab at hour 0
-    ctx = sampler.sample_context(ph(2, 0))
+    ctx = sampler.sample_context(2, 0)
     assert set(ctx.pos_diagnoses) == {NodeId(NodeType.DIAGNOSIS, 3)}
     assert len(ctx.pos_diagnoses) == 10
     assert set(ctx.pos_labs) == {NodeId(NodeType.LAB, 3)}
@@ -49,13 +49,13 @@ def test_untrainable_center_raises():
     graph = binned_graph(records, toy_vocab(), 2)
     sampler = Sampler(graph, SamplerConfig(seed=0))
     with pytest.raises(UntrainableCenterError):
-        sampler.sample_context(ph(0, 1))
+        sampler.sample_context(0, 1)
 
 
 def test_copatients_come_from_sampled_diagnoses(shared_dx_graph):
     graph, _, _ = shared_dx_graph
     sampler = Sampler(graph, SamplerConfig(seed=3))
-    ctx = sampler.sample_context(ph(0, 0))
+    ctx = sampler.sample_context(0, 0)
     # p0's only shareable diagnosis is 1 (carried by p1); diagnosis 0 has no
     # other carrier, so every co-patient must belong to p1
     assert len(ctx.pos_patients) == 10
@@ -67,7 +67,7 @@ def test_copatient_pool_may_be_empty():
                make_record("p1", [(0.5, 1, 1.0)], {1})]
     graph = binned_graph(records, toy_vocab(), 2)
     sampler = Sampler(graph, SamplerConfig(seed=0))
-    ctx = sampler.sample_context(ph(0, 0))
+    ctx = sampler.sample_context(0, 0)
     assert ctx.pos_patients == ()
     assert ctx.neg_patients == ()
 
@@ -79,29 +79,30 @@ class TestSampleNegatives:
         graph = binned_graph(records, toy_vocab(3, 5), 2)
         sampler = Sampler(graph, SamplerConfig(seed=4))
         for _ in range(30):
-            negs = sampler.sample_negatives(ph(0, 0), NodeType.DIAGNOSIS, 3)
-            assert all(n.index in {0, 2, 4} for n in negs)
+            negs = sampler.sample_negatives(0, 0, NodeType.DIAGNOSIS, 3)
+            assert negs.shape == (3,) and set(negs.tolist()) <= {0, 2, 4}
 
     def test_lab_negatives_avoid_tested(self):
         records = [make_record("p0", [(0.5, 1, 1.0)], {0})]
         graph = binned_graph(records, toy_vocab(4, 2), 2)
         sampler = Sampler(graph, SamplerConfig(seed=4))
-        negs = sampler.sample_negatives(ph(0, 0), NodeType.LAB, 50)
-        assert all(n.index in {0, 2, 3} for n in negs)
+        negs = sampler.sample_negatives(0, 0, NodeType.LAB, 50)
+        assert negs.shape == (50,) and set(negs.tolist()) <= {0, 2, 3}
 
     def test_patient_negatives_share_no_diagnosis(self, shared_dx_graph):
         graph, _, _ = shared_dx_graph
         sampler = Sampler(graph, SamplerConfig(seed=5))
-        negs = sampler.sample_negatives(ph(0, 0), NodeType.PATIENT_HOUR, 40)
+        negs = sampler.sample_negatives(0, 0, NodeType.PATIENT_HOUR, 40)
         # p1 shares diagnosis 1 with p0, so only p2's hours are eligible
-        assert all(n.index[0] == 2 for n in negs)
+        assert negs.shape == (40, 2)
+        assert set(negs[:, 0].tolist()) == {2} and set(negs[:, 1].tolist()) <= {0, 1}
 
     def test_fully_connected_center_errors(self):
         records = [make_record("p0", [(0.5, 0, 1.0)], {0, 1, 2})]
         graph = binned_graph(records, toy_vocab(3, 3), 2)
         sampler = Sampler(graph, SamplerConfig(seed=0))
         with pytest.raises(ValueError, match="empty negative pool"):
-            sampler.sample_negatives(ph(0, 0), NodeType.DIAGNOSIS, 2)
+            sampler.sample_negatives(0, 0, NodeType.DIAGNOSIS, 2)
 
     def test_uniformity_over_eligible_pool(self):
         # 100k draws over the 3 eligible diagnoses: each count within 3 sigma
@@ -109,10 +110,10 @@ class TestSampleNegatives:
         graph = binned_graph(records, toy_vocab(3, 5), 2)
         sampler = Sampler(graph, SamplerConfig(seed=6))
         n = 100_000
-        draws = sampler.sample_negatives(ph(0, 0), NodeType.DIAGNOSIS, n)
+        draws = sampler.sample_negatives(0, 0, NodeType.DIAGNOSIS, n)
         counts = {0: 0, 2: 0, 4: 0}
-        for node in draws:
-            counts[node.index] += 1
+        for index in draws.tolist():
+            counts[index] += 1
         expected = n / 3
         sigma = np.sqrt(n * (1 / 3) * (2 / 3))
         for c in counts.values():
@@ -130,7 +131,7 @@ def test_positives_are_neighbors_negatives_are_not():
         for h in range(graph.window_hours):
             center = ph(p, h)
             try:
-                ctx = sampler.sample_context(center)
+                ctx = sampler.sample_context(p, h)
             except UntrainableCenterError:
                 continue
             checked += 1
@@ -162,9 +163,9 @@ def test_same_seed_same_samples(shared_dx_graph):
     a = Sampler(graph, SamplerConfig(seed=42))
     b = Sampler(graph, SamplerConfig(seed=42))
     for h in range(2):
-        assert a.sample_context(ph(0, h)) == b.sample_context(ph(0, h))
+        assert a.sample_context(0, h) == b.sample_context(0, h)
     c = Sampler(graph, SamplerConfig(seed=43))
-    assert c.sample_context(ph(0, 0)) != a.sample_context(ph(0, 0))
+    assert c.sample_context(0, 0) != a.sample_context(0, 0)
 
 
 def test_config_validation():
@@ -228,9 +229,9 @@ class ReferenceSampler:
                 out.append(tuple(NodeId(node_type, int(i)) for i in picks))
         return tuple(out)
 
-    def sample_context(self, center):
+    def sample_context(self, p, h):
         graph = self.graph
-        p, h = center.index
+        center = ph(p, h)
         dx_pool = np.array(self._indices(center, NodeType.DIAGNOSIS), dtype=np.int64)
         lab_pool = np.array(self._indices(center, NodeType.LAB), dtype=np.int64)
         if dx_pool.size == 0 and lab_pool.size == 0:
@@ -264,8 +265,8 @@ class ReferenceSampler:
         neg_temporal = ()
         if pos_temporal is not None:
             neg_temporal = self._draw_negatives(p, h, NodeType.PATIENT_HOUR, 1)[0]
-        return ContextSample(center, pos_diagnoses, pos_labs, pos_patients, pos_temporal,
-                             neg_diagnoses, neg_labs, neg_patients, neg_temporal)
+        return make_context((p, h), pos_labs, neg_labs, pos_diagnoses, neg_diagnoses,
+                            pos_patients, neg_patients, pos_temporal, neg_temporal)
 
 
 def edge_case_graphs():
@@ -297,13 +298,13 @@ def test_matches_reference_sampler_on_every_center(seed):
         for _ in range(2):  # a second pass continues both streams
             for p, h in graph.patient_hours():
                 try:
-                    expected = reference.sample_context(ph(p, h))
+                    expected = reference.sample_context(p, h)
                 except UntrainableCenterError:
                     untrainable += 1
                     with pytest.raises(UntrainableCenterError):
-                        sampler.sample_context(ph(p, h))
+                        sampler.sample_context(p, h)
                     continue
-                ctx = sampler.sample_context(ph(p, h))
+                ctx = sampler.sample_context(p, h)
                 assert ctx == expected
                 assert ctx.pos_patients == expected.pos_patients
                 assert ctx.neg_temporal == expected.neg_temporal
@@ -312,7 +313,7 @@ def test_matches_reference_sampler_on_every_center(seed):
 
 
 def test_context_views_round_trip():
-    center = ph(0, 1)
+    center = (0, 1)
     kwargs = dict(
         pos_diagnoses=(NodeId(NodeType.DIAGNOSIS, 2),),
         pos_labs=(NodeId(NodeType.LAB, 1), NodeId(NodeType.LAB, 0)),
@@ -321,18 +322,18 @@ def test_context_views_round_trip():
         neg_labs=((NodeId(NodeType.LAB, 2),), ()),
         neg_patients=((ph(2, 1), ph(2, 0)),), neg_temporal=(ph(3, 2),),
     )
-    ctx = ContextSample(center, **kwargs)
+    ctx = make_context(center, **kwargs)
     for name, value in kwargs.items():
         assert getattr(ctx, name) == value
     assert ctx.n_positives() == 5
-    assert ctx == ContextSample(center, **kwargs)
-    assert ctx != ContextSample(center, **dict(kwargs, neg_temporal=()))
+    assert ctx == make_context(center, **kwargs)
+    assert ctx != make_context(center, **dict(kwargs, neg_temporal=()))
     tested = ctx.terms[0]
     assert tested.index.tolist() == [1, 2, 0]
     assert tested.target.tolist() == [1.0, 0.0, 1.0]
     assert ctx.terms[3].index.tolist() == [[0, 0], [3, 2]]
     with pytest.raises(ValueError, match="negative groups"):
-        ContextSample(center, pos_labs=(NodeId(NodeType.LAB, 1),))
+        make_context(center, pos_labs=(NodeId(NodeType.LAB, 1),))
 
 
 class TestIntegersStream:
