@@ -48,7 +48,7 @@ def load_container(path, kind: str) -> dict:
 
 
 def load_arrays(path, payload: dict, shapes: dict) -> dict:
-    """The payload's arrays as floats, each checked against the shape its dims give."""
+    """The payload's arrays as finite floats, each checked against the shape its dims give."""
     arrays = {}
     for name, shape in shapes.items():
         try:
@@ -58,4 +58,8 @@ def load_arrays(path, payload: dict, shapes: dict) -> dict:
         if arrays[name].shape != shape:
             raise ValueError(f"{path}: array {name} has shape {arrays[name].shape}, "
                              f"but dims {payload['dims']} give {shape}")
+        bad = np.argwhere(~np.isfinite(arrays[name]))
+        if len(bad):
+            raise ValueError(f"{path}: array {name} holds non-finite entries, "
+                             f"the first at index {bad[0].tolist()}")
     return arrays

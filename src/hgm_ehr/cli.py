@@ -332,6 +332,14 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hgm-ehr",
@@ -349,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
         if name == "run":
-            cmd.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
+            cmd.add_argument("--jobs", type=positive_int, default=1,
+                             help="parallel fold workers (>= 1)")
     return parser
 
 

@@ -308,15 +308,20 @@ def run_experiments(records, vocab: Vocabulary, arms, window_hours: int,
 
 
 def assemble_outcome(arm: str, window_hours: int, fold_results) -> ArmOutcome:
-    """Aggregate per-fold (fold_index, scores, labels) into an ArmOutcome."""
+    """Aggregate per-fold (fold_index, scores, labels) into an ArmOutcome; a fold
+    whose scores or labels the metrics refuse raises, naming window, fold and arm."""
     fold_reports = []
     pooled_scores = []
     pooled_labels = []
     for fold_index, scores, labels in fold_results:
+        try:
+            fold_auroc, fold_auprc = auroc(scores, labels), auprc(scores, labels)
+        except ValueError as exc:
+            raise ValueError(f"window {window_hours}h fold {fold_index}, arm {arm}: {exc}") from exc
         fold_reports.append(FoldReport(
             fold_index=fold_index,
-            auroc=auroc(scores, labels),
-            auprc=auprc(scores, labels),
+            auroc=fold_auroc,
+            auprc=fold_auprc,
             n_test=int(np.asarray(labels).size),
             n_pos=int(np.asarray(labels).sum()),
         ))

@@ -15,7 +15,7 @@ Relation scoring (neighbor side first where translated):
 
 A training step reads the context's (p, h) center and per-relation term
 arrays directly, with no NodeId: lab and diagnosis terms select columns of
-W_i / W_d, patient-hour terms select rows of graph.xp, and the gradients
+W_i / W_d, (patient, hour) terms select hours of graph.values, and the gradients
 come back as an HgmParams of the parameters' shapes. Each relation's
 products stay its own gemv/gemm; the elementwise tail (softplus loss,
 sigmoid(s) - y) runs once over the four relations' concatenated scores, so
@@ -201,17 +201,16 @@ def embed_node(params: HgmParams, graph: HeteroGraph, node: NodeId) -> np.ndarra
     """Embedding of a graph node (lab/diagnosis raw vectors are one-hot)."""
     act, _ = params.activation_fns()
     if node.type is NodeType.PATIENT_HOUR:
-        p, h = node.index
-        return act(params.w_p @ graph.x_patient_hour(p, h))
+        return act(params.w_p @ graph.values[node.index])
     if node.type is NodeType.LAB:
         return act(params.w_i[:, node.index].copy())
     return act(params.w_d[:, node.index].copy())
 
 
 def embed_all(params: HgmParams, graph: HeteroGraph):
-    """Embeddings of every node: (patient-hour N x d, lab L x d, diagnosis D x d)."""
+    """Embeddings of every node: (patient-hour P x T x d, lab L x d, diagnosis D x d)."""
     act, _ = params.activation_fns()
-    c_ph = act(graph.xp @ params.w_p.T)
+    c_ph = act(graph.values @ params.w_p.T)
     c_lab = act(params.w_i.T.copy())
     c_dx = act(params.w_d.T.copy())
     return c_ph, c_lab, c_dx
@@ -238,11 +237,10 @@ def exact_softmax_loss(params: HgmParams, graph: HeteroGraph, center: NodeId) ->
     patient-hour neighbors (co-patients and the temporal next node alike)
     score as plain dot products on the candidate side.
     """
-    p, h = center.index
     c_ph, c_lab, c_dx = embed_all(params, graph)
-    c_u = c_ph[graph.ph_row(p, h)]
+    c_u = c_ph[center.index]
     candidates = np.concatenate([
-        c_ph @ c_u,
+        (c_ph @ c_u).ravel(),
         (c_lab + params.r_ip) @ c_u,
         c_dx @ (c_u + params.r_pd),
     ])
@@ -251,7 +249,7 @@ def exact_softmax_loss(params: HgmParams, graph: HeteroGraph, center: NodeId) ->
          for n in neighbors(graph, center, NodeType.LAB)]
         + [float(c_dx[n.index] @ (c_u + params.r_pd))
            for n in neighbors(graph, center, NodeType.DIAGNOSIS)]
-        + [float(c_ph[graph.ph_row(*n.index)] @ c_u)
+        + [float(c_ph[n.index] @ c_u)
            for n in neighbors(graph, center, NodeType.PATIENT_HOUR)]
     )
     return softmax_context_loss(neighbor_scores, candidates)
@@ -279,7 +277,7 @@ def _column_sums(index: np.ndarray, terms: np.ndarray, n_columns: int) -> np.nda
 def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample,
                    want_grad: bool, want_scores: bool = False):
     act, deriv = params.activation_fns()
-    x_u = graph.x_patient_hour(*context.center)
+    x_u = graph.values[context.center]
     c_u = act(params.w_p @ x_u)
 
     # Scores relation by relation, then the elementwise tail (softplus loss,
@@ -299,7 +297,7 @@ def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample
             c_t = c_u + params.r_pd
             s = c_v.T @ c_t
         else:
-            x_v = graph.xp[index[:, 0] * graph.window_hours + index[:, 1]].T
+            x_v = graph.values[index[:, 0], index[:, 1]].T
             c_v = act(params.w_p @ x_v)
             c_t = c_u + params.r_tt if relation is Relation.TEMPORAL else c_u
             s = c_v.T @ c_t
@@ -364,7 +362,7 @@ def context_scores(params: HgmParams, graph: HeteroGraph, context: ContextSample
 
 def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, on_epoch=None) -> HgmParams:
     """SGD over epochs x shuffled patient-hour centers, one context per step:
-    each epoch permutes the P*T rows of graph.xp, row r being center divmod(r, T).
+    each epoch permutes the P*T flat row numbers, row r being center (p, h) = divmod(r, T).
 
     Learning rate decays linearly from config.learning_rate to
     config.min_learning_rate over the full schedule. Untrainable centers

@@ -7,30 +7,30 @@ uniform draws from same-type nodes with no one-hop connection to the
 center (for patient-hour negatives: hour nodes of patients sharing no
 diagnosis with the center's patient).
 
-Every pool is a sorted index array. A patient's diagnoses and their
-complement are the two runs of one row of a (patient, diagnosis) order
-array that the sampler builds once, as it does the non-sharing-patient mask
-and each diagnosis's sorted carrier list. The non-sharing patients and a
-patient-hour's observed labs and their complement are nonzero indices of a
-mask row. A context is drawn with one bounded-integer draw for all its
-diagnosis and lab positives, one per co-patient step (diagnosis, carrier,
-hour; the carrier bound depends on the diagnosis) and one for all its
-negatives. `Generator.integers` with an array of bounds consumes the bit
-stream exactly like the same bounds drawn one call at a time, and a bound
-of 1 consumes nothing, so the samples are those of drawing each positive
+Every pool is a sorted index array. A patient's diagnoses and their complement
+are the two runs of one row of a (patient, diagnosis) order array that the
+sampler builds once, as it does the non-sharing-patient mask and each
+diagnosis's sorted carrier list. The non-sharing patients and center (p, h)'s
+observed labs and their complement are nonzero indices of a mask row:
+graph.observed[p, h] for the labs. A context is drawn with one bounded-integer
+draw for all its diagnosis and lab positives, one per co-patient step
+(diagnosis, carrier, hour; the carrier bound depends on the diagnosis) and one
+for all its negatives. `Generator.integers` with an array of bounds consumes
+the bit stream exactly like the same bounds drawn one call at a time, and a
+bound of 1 consumes nothing, so the samples are those of drawing each positive
 and each negative block separately (tests/test_sampler.py pins both).
 
 A context holds its terms as arrays, one (index, target) pair per relation
 in the order tested, diagnosed, co-patient, temporal: each positive's
 target-1 term is followed by the target-0 terms of its negatives. Lab and
-diagnosis terms index their vocabularies; patient-hour terms are
-(patient, hour) rows. The sampler writes each relation's indices straight
-into an (n, 1 + k) grid, n positives by one positive and k negatives (k is
-0 when the negative pool is empty); the grid's rows flattened are the
-terms. The co-patient and temporal grids are the two parts of one
-patient-hour grid. Targets depend only on (n, k), so every context with
-the same counts shares one cached, read-only target vector. A center is a
-(patient, hour) pair of ints; the NodeId tuples of a context's pos_*/neg_*
+diagnosis terms index their vocabularies; patient-hour terms are (patient,
+hour) rows, which index graph.values. The sampler writes each relation's
+indices straight into an (n, 1 + k) grid, n positives by one positive and k
+negatives (k is 0 when the negative pool is empty); the grid's rows
+flattened are the terms. The co-patient and temporal grids are the two parts
+of one patient-hour grid. Targets depend only on (n, k), so every context
+with the same counts shares one cached, read-only target vector. A center is
+a (patient, hour) pair of ints; the NodeId tuples of a context's pos_*/neg_*
 fields are read-only views built from its arrays on first access.
 """
 
@@ -156,7 +156,7 @@ class Sampler:
     def _pools(self, p: int, h: int):
         """Center (p, h)'s pools: (diagnoses, labs), then negatives (diagnoses, labs, patients)."""
         order, n = self._dx_order[p], self._n_dx[p]
-        observed = self.graph.observed[self.graph.ph_row(p, h)]
+        observed = self.graph.observed[p, h]
         return ((order[:n], observed.nonzero()[0]),
                 (order[n:], (~observed).nonzero()[0], self._nonsharing[p].nonzero()[0]))
 
@@ -207,14 +207,14 @@ class Sampler:
         eligible = pos_diagnoses[self._n_carriers[pos_diagnoses] > 1].tolist()
         n_cp = cfg.n_copatients if eligible else 0
         n_ph = n_cp + (h > 0)
-        ph_rows = np.empty((n_ph, 1 + k_ph, 2), dtype=np.int64)
+        hour_rows = np.empty((n_ph, 1 + k_ph, 2), dtype=np.int64)
         for i in range(n_cp):
             carriers = self._carriers[eligible[integers(0, len(eligible))]]
             pick = int(integers(0, len(carriers) - 1))  # among carriers other than p
-            ph_rows[i, 0, 0] = carriers[pick] if carriers[pick] < p else carriers[pick + 1]
-            ph_rows[i, 0, 1] = integers(0, window)
+            hour_rows[i, 0, 0] = carriers[pick] if carriers[pick] < p else carriers[pick + 1]
+            hour_rows[i, 0, 1] = integers(0, window)
         if h > 0:
-            ph_rows[n_cp, 0] = p, h - 1
+            hour_rows[n_cp, 0] = p, h - 1
 
         # Negatives: k per positive, patient-hours as k patients then k hours.
         bounds = (dx_neg.size, lab_neg.size) + (patient_neg.size, window) * n_ph
@@ -223,12 +223,12 @@ class Sampler:
         dx_rows[:, 1:] = dx_neg[draws[:k_dx * n_dx]].reshape(n_dx, k_dx)
         lab_rows[:, 1:] = lab_neg[draws[k_dx * n_dx:offset]].reshape(n_lab, k_lab)
         blocks = draws[offset:].reshape(n_ph, 2, k_ph)
-        ph_rows[:, 1:, 0] = patient_neg[blocks[:, 0]]
-        ph_rows[:, 1:, 1] = blocks[:, 1]
+        hour_rows[:, 1:, 0] = patient_neg[blocks[:, 0]]
+        hour_rows[:, 1:, 1] = blocks[:, 1]
 
         return ContextSample((p, h), (
             Terms(lab_rows.reshape(-1), _targets(n_lab, k_lab)),
             Terms(dx_rows.reshape(-1), _targets(n_dx, k_dx)),
-            Terms(ph_rows[:n_cp].reshape(-1, 2), _targets(n_cp, k_ph)),
-            Terms(ph_rows[n_cp:].reshape(-1, 2), _targets(n_ph - n_cp, k_ph)),
+            Terms(hour_rows[:n_cp].reshape(-1, 2), _targets(n_cp, k_ph)),
+            Terms(hour_rows[n_cp:].reshape(-1, 2), _targets(n_ph - n_cp, k_ph)),
         ))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -433,7 +434,12 @@ class TestTrainEvalCommands:
          "array dense_w is ragged"),
         (lambda ckpt: edit_arrays(ckpt, conv_bias=lambda a: a + [0.0]),
          "array conv_bias has shape"),
-    ], ids=["truncated", "json_list", "cut_dense_w", "ragged_dense_w", "long_conv_bias"])
+        (lambda ckpt: edit_arrays(ckpt, dense_b=lambda a: [float("nan")] + a[1:]),
+         "array dense_b holds non-finite entries, the first at index [0]"),
+        (lambda ckpt: edit_arrays(ckpt, dense_w=lambda a: a[:2] + [[a[2][0], -math.inf]] + a[3:]),
+         "array dense_w holds non-finite entries, the first at index [2, 1]"),
+    ], ids=["truncated", "json_list", "cut_dense_w", "ragged_dense_w", "long_conv_bias",
+            "nan_dense_b", "inf_dense_w"])
     def test_eval_names_a_corrupt_cnn_checkpoint(self, trained_checkpoints, tmp_path, capsys,
                                                  corrupt, named):
         out, cfg_path = trained_checkpoints(tmp_path)
@@ -506,6 +512,18 @@ class TestTrainEvalCommands:
             main([command, "--config", str(cfg_path), "--jobs", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs, problem", [
+        ("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"),
+        ("two", "invalid positive_int value: 'two'"),
+    ])
+    def test_run_refuses_jobs_below_one(self, tmp_path, capsys, jobs, problem):
+        cfg_path = write_config(tmp_path / "run.ini", tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"argument --jobs: {problem}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_eval_without_checkpoints_fails(self, tmp_path, capsys):

@@ -369,8 +369,8 @@ class TestBuildFeatures:
         for mode in FeatureMode:
             assert np.array_equal(build_features(binned, mode, params), expected[mode]), mode
         graph = build_graph(records, vocab, binned)
-        assert np.array_equal(graph.xp, values.reshape(-1, 6))
-        assert np.array_equal(graph.observed, observed.reshape(-1, 6))
+        assert np.array_equal(graph.values, values)
+        assert np.array_equal(graph.observed, observed)
 
 
 class TestCnnCheckpoint:

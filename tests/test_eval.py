@@ -285,6 +285,15 @@ def recorded_train_fold(calls, train, arms, window_hours, vocab, config, fold_in
     return train_fold(train, arms, window_hours, vocab, config, fold_index)
 
 
+def nan_weight_fold(bad_fold, train, arms, window_hours, vocab, config, fold_index):
+    """train_fold, with one NaN conv filter weight in fold bad_fold's CNNs."""
+    models = train_fold(train, arms, window_hours, vocab, config, fold_index)
+    if fold_index == bad_fold:
+        for params in models.cnn_params.values():
+            params.filters[0, 0, 0] = np.nan
+    return models
+
+
 class TestRunExperiment:
     def test_report_structure_and_determinism(self):
         records, vocab = small_corpus()
@@ -410,6 +419,12 @@ class TestRunExperiment:
         parallel = run_experiments(records, vocab, ("CNN",), 6, cfg, jobs=2,
                                    fit=functools.partial(recorded_train_fold, []))
         assert parallel["CNN"].report == trained["CNN"].report
+
+    def test_non_finite_scores_name_window_fold_and_arm(self):
+        records, vocab = small_corpus(n=40)
+        with pytest.raises(ValueError, match=r"^window 6h fold 1, arm CNN: scores must be finite$"):
+            run_experiments(records, vocab, ("CNN",), 6, fast_config(k=3),
+                            fit=functools.partial(nan_weight_fold, 1))
 
     def test_parallel_matches_serial(self):
         records, vocab = small_corpus(n=40)

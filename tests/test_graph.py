@@ -1,7 +1,9 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from hgm_ehr.graph import NodeId, NodeType, all_nodes, build_graph, neighbors
+from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, all_nodes, build_graph, neighbors
 from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
 
 from conftest import binned_graph, make_record, toy_records, toy_vocab
@@ -52,7 +54,7 @@ class TestBuildGraph:
         records = [make_record("p0", [], {1, 2})]
         graph = binned_graph(records, toy_vocab(3, 4), 6)
         assert graph.n_patients == 1
-        assert graph.xp.shape == (6, 3)
+        assert graph.values.shape == (1, 6, 3)
         assert graph.diagnosed.tolist() == [[False, True, True, False]]
         # diagnoses attach at patient level, shared by every hour node
         for hour in range(6):
@@ -61,8 +63,8 @@ class TestBuildGraph:
     def test_tested_edges_exact(self):
         records = [make_record("p0", [(2.5, 3, 7.0)], set())]
         graph = binned_graph(records, toy_vocab(5, 2), 6)
-        expected = np.zeros((6, 5), dtype=bool)
-        expected[graph.ph_row(0, 2), 3] = True
+        expected = np.zeros((1, 6, 5), dtype=bool)
+        expected[0, 2, 3] = True
         assert np.array_equal(graph.observed, expected)
         assert neighbors(graph, NodeId(NodeType.LAB, 3), NodeType.PATIENT_HOUR) == [ph(0, 2)]
 
@@ -72,20 +74,28 @@ class TestBuildGraph:
         assert graph.n_labs == 409
         assert graph.n_diagnoses == 3387
 
-    def test_xp_mirrors_snapshots(self):
+    def test_values_mirror_snapshots(self):
         records = [make_record("p0", [(1.2, 0, 2.0), (1.9, 0, 4.0)], set())]
         graph = binned_graph(records, toy_vocab(2, 1), 3)
-        assert graph.x_patient_hour(0, 1)[0] == pytest.approx(3.0)
-        assert graph.observed[graph.ph_row(0, 1), 0]
+        assert graph.values[0, 1, 0] == pytest.approx(3.0)
+        assert graph.observed[0, 1, 0]
 
-    def test_xp_is_a_view_of_the_binned_pair(self):
+    def test_graph_holds_the_binned_pair(self):
         records = toy_records()
         values, observed = bin_events(records, 2, 3)
         graph = build_graph(records, toy_vocab(), (values, observed))
-        assert graph.xp.base is values and graph.observed.base is observed
-        assert np.array_equal(graph.xp, values.reshape(4, 3))
+        assert graph.values is values and graph.observed is observed
         with pytest.raises(ValueError, match="does not match"):
             build_graph(records[:1], toy_vocab(), (values, observed))
+
+    def test_sizes_are_read_from_the_arrays(self):
+        graph = binned_graph(toy_records(), toy_vocab(3, 4), 2)
+        assert [f.name for f in fields(HeteroGraph)] == [
+            "patient_ids", "values", "observed", "diagnosed"]
+        assert (graph.n_patients, graph.window_hours, graph.n_labs, graph.n_diagnoses) == (2, 2, 3, 4)
+        smaller = replace(graph, values=graph.values[:1, :1, :2], diagnosed=graph.diagnosed[:1, :3])
+        assert (smaller.n_patients, smaller.window_hours, smaller.n_labs,
+                smaller.n_diagnoses) == (1, 1, 2, 3)
 
     def test_transpose_consistency_random(self):
         """Every edge, seen from either end, is the one the records give."""
@@ -114,8 +124,7 @@ class TestBuildGraph:
         g2 = binned_graph(records[::-1], vocab, 3)
 
         def keyed(graph):
-            observed = graph.observed.reshape(graph.n_patients, graph.window_hours, -1)
-            return {pid: (observed[p].tolist(), graph.diagnosed[p].tolist())
+            return {pid: (graph.observed[p].tolist(), graph.diagnosed[p].tolist())
                     for p, pid in enumerate(graph.patient_ids)}
 
         assert keyed(g1) == keyed(g2)

@@ -452,6 +452,23 @@ class TestCheckpoint:
         assert str(refused.value) == (f"{path}: unknown activation 'softsign'; "
                                       "expected one of ['relu', 'sigmoid', 'tanh']")
 
+    @pytest.mark.parametrize("field, edit, index", [
+        ("w_p", lambda a: [a[0], [a[1][0], math.nan]] + a[2:], [1, 1]),
+        ("r_tt", lambda a: a[:1] + [math.inf], [1]),
+        ("w_d", lambda a: [[-math.inf] + a[0][1:]] + a[1:], [0, 0]),
+    ], ids=["nan_w_p", "inf_r_tt", "minus_inf_w_d"])
+    def test_non_finite_entry_refused_naming_the_file_and_array(self, tmp_path, field, edit,
+                                                                index):
+        path = tmp_path / "hgm.json"
+        save_params(random_params(2, 2, 2, 2, seed=1), path)
+        obj = json.loads(path.read_text())
+        obj["arrays"][field] = edit(obj["arrays"][field])
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError) as refused:
+            load_params(path)
+        assert str(refused.value) == (f"{path}: array {field} holds non-finite entries, "
+                                      f"the first at index {index}")
+
     def test_wrong_kind_rejected(self, tmp_path):
         params = random_params(2, 2, 2, 2, seed=1)
         save_params(params, tmp_path / "x.json")
@@ -506,7 +523,7 @@ def scatter_add_ns_grad(params, graph, context, scores=None):
     """ns_grad with lab/diagnosis gradients scattered by np.add.at into zeros,
     one relation at a time; each relation's (scores, targets) go to `scores`."""
     act, deriv = params.activation_fns()
-    x_u = graph.x_patient_hour(*context.center)
+    x_u = graph.values[context.center]
     c_u = act(params.w_p @ x_u)
     grads = HgmParams(*(np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS),
                       params.activation)
@@ -529,7 +546,7 @@ def scatter_add_ns_grad(params, graph, context, scores=None):
             c_v = act(params.w_d[:, index])
             c_ut = c_u + params.r_pd
         else:
-            x_v = graph.xp[index[:, 0] * graph.window_hours + index[:, 1]].T
+            x_v = graph.values[index[:, 0], index[:, 1]].T
             c_v = act(params.w_p @ x_v)
             c_ut = c_u + params.r_tt if relation is Relation.TEMPORAL else c_u
         s = c_v.T @ c_ut
