@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .checkpoint import load_arrays, load_container, save_container
-from .hgm import HgmParams, embed_hours
+from .hgm import MAX_PARAM_ABS, HgmParams, embed_hours
 from .seeds import derive_seed
 
 
@@ -74,16 +74,18 @@ def build_features(binned, mode: FeatureMode, hgm_params: HgmParams | None = Non
     `binned` is the (values, observed) pair of ingest.bin_events. Rows run
     oldest to newest hour. The embedding block is hgm.embed_hours, so
     fully-missing hours inherit the previous hour's embedding plus the
-    temporal translation; the lab block is the hour's lab means.
+    temporal translation; the lab block is the hour's lab means. RAW_LABS
+    returns no copy: it is values[:, ::-1], a read-only reversed view.
     """
     if mode.needs_embedding and hgm_params is None:
         raise ValueError(f"feature mode {mode.value} requires trained embedding parameters")
     values, observed = binned
-    # a C-ordered copy: each patient's rows are one (T, F) block, and the
-    # embedding matmul reads contiguous hour vectors
-    labs = np.ascontiguousarray(values[:, ::-1])
     if mode is FeatureMode.RAW_LABS:
+        labs = values[:, ::-1]
+        labs.flags.writeable = False
         return labs
+    # a C-ordered copy: the embedding matmul reads contiguous hour vectors
+    labs = np.ascontiguousarray(values[:, ::-1])
     embeddings = embed_hours(hgm_params, labs, observed[:, ::-1])
     if mode is FeatureMode.EMBED_ONLY:
         return embeddings
@@ -186,7 +188,9 @@ def predict(params: CnnParams, x: np.ndarray) -> float:
 def train_cnn(features: np.ndarray, config: CnnTrainConfig, labels) -> CnnParams:
     """Seeded mini-batch SGD on (P, T, F) features and P binary labels.
 
-    Deterministic given (features, config, labels).
+    Deterministic given (features, config, labels). Raises FloatingPointError
+    when an epoch ends with a parameter entry that is non-finite or above
+    hgm.MAX_PARAM_ABS in magnitude.
     """
     config.validate()
     features = np.asarray(features, dtype=float)
@@ -209,7 +213,7 @@ def train_cnn(features: np.ndarray, config: CnnTrainConfig, labels) -> CnnParams
 
     params = init_cnn(features.shape[2], config, seed=derive_seed(config.seed, "cnn-init"))
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "cnn-shuffle"))
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             take = order[start:start + config.batch_size]
@@ -219,6 +223,13 @@ def train_cnn(features: np.ndarray, config: CnnTrainConfig, labels) -> CnnParams
             params.conv_bias -= scale * grads.conv_bias
             params.dense_w -= scale * grads.dense_w
             params.dense_b -= scale * grads.dense_b
+        # np.max keeps a NaN entry, which then fails the bound
+        largest = float(np.max([np.max(np.abs(p)) for p in
+                                (params.filters, params.conv_bias, params.dense_w, params.dense_b)]))
+        if not largest <= MAX_PARAM_ABS:
+            raise FloatingPointError(
+                f"cnn: a parameter non-finite or beyond {MAX_PARAM_ABS:g} after epoch "
+                f"{epoch + 1}/{config.epochs}: max |parameter| {largest:.4g}")
     return params
 
 

@@ -200,8 +200,12 @@ def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
     cnn_params = {}
     for arm in arms:
         cnn_cfg = replace(config.cnn, seed=derive_seed(config.seed, f"cnn:{arm}", fold_index, window_hours))
-        cnn_params[arm] = train_cnn(build_features(binned, ARM_MODES[arm], hgm_params),
-                                    cnn_cfg, labels)
+        try:
+            cnn_params[arm] = train_cnn(build_features(binned, ARM_MODES[arm], hgm_params),
+                                        cnn_cfg, labels)
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"fold {fold_index}, window {window_hours}h, arm {arm}: {exc}") from exc
     return FoldModels(fold_index, window_hours, normalizer, hgm_params, cnn_params)
 
 

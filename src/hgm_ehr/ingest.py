@@ -8,7 +8,10 @@ the endpoint: hour bin h covers events with hours in the half-open interval
 
 A split is binned once: `bin_events` turns all of its records into one
 (patient, hour, lab) tensor of hourly means plus its observed mask, which
-the graph and every arm's features read.
+the graph and every arm's features read. It allocates the two arrays once
+and bins record by record into each record's own slice, so binning holds
+nothing else larger than one record; every cell still sums its events in
+record order, so the bits are those of one bincount over the whole split.
 """
 
 from __future__ import annotations
@@ -239,24 +242,20 @@ def write_corpus(records, vocab: Vocabulary, out_dir) -> dict[str, Path]:
     return paths
 
 
-def _split_events(records, n_labs: int) -> tuple[np.ndarray, np.ndarray]:
-    """All events of a split in record order, and the record index of each.
+def _in_window(record, window_hours: int, n_labs: int) -> np.ndarray:
+    """The mask of a record's events that fall inside the window, its events checked first.
 
     A lab id outside [0, n_labs) or negative or non-finite hours raise
     ValueError naming the patient.
     """
-    events = np.concatenate([event_array()] + [rec.events for rec in records])
-    patient = np.repeat(np.arange(len(records)), [len(rec.events) for rec in records])
-    hours, lab = events["hours"], events["lab"]
-    bad_lab = (lab < 0) | (lab >= n_labs)
-    bad_hours = ~np.isfinite(hours) | (hours < 0)
-    for bad, problem in ((bad_lab, f"lab id outside vocabulary of size {n_labs}"),
-                         (bad_hours, "hours_before_end must be finite and >= 0")):
+    hours, lab = record.events["hours"], record.events["lab"]
+    for bad, problem in (((lab < 0) | (lab >= n_labs), f"lab id outside vocabulary of size {n_labs}"),
+                         (~np.isfinite(hours) | (hours < 0), "hours_before_end must be finite and >= 0")):
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"patient {records[patient[i]].patient_id!r}: {problem} "
+            raise ValueError(f"patient {record.patient_id!r}: {problem} "
                              f"(lab {lab[i]}, hours {hours[i]})")
-    return events, patient
+    return hours < window_hours
 
 
 def bin_events(records, window_hours: int, n_labs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,22 +265,26 @@ def bin_events(records, window_hours: int, n_labs: int) -> tuple[np.ndarray, np.
     values[p, h, i] is the mean of record p's lab-i events in hour bin h
     (hours before the endpoint, so h = 0 is the last hour), 0.0 where
     unobserved; observed is the explicit missingness mask. Events at or
-    beyond window_hours are dropped. Each cell sums its events in record
-    order, as a per-event loop would. A lab id outside [0, n_labs) or
-    negative or non-finite hours raise ValueError naming the patient.
+    beyond window_hours are dropped. Both arrays are allocated once and
+    filled record by record, one bincount per record into its own slice.
+    Each cell sums its events in record order, as a per-event loop would.
+    A lab id outside [0, n_labs) or negative or non-finite hours raise
+    ValueError naming the patient.
     """
     if window_hours < 1:
         raise ValueError("window_hours must be >= 1")
-    events, patient = _split_events(records, n_labs)
-    hours, lab = events["hours"], events["lab"]
-    keep = hours < window_hours
-    cell = (patient[keep] * window_hours + hours[keep].astype(np.int64)) * n_labs + lab[keep]
-    shape = (len(records), window_hours, n_labs)
-    size = math.prod(shape)
-    sums = np.bincount(cell, weights=events["value"][keep], minlength=size).reshape(shape)
-    counts = np.bincount(cell, minlength=size).reshape(shape)
-    observed = counts > 0
-    values = np.where(observed, sums / np.maximum(counts, 1), 0.0)
+    values = np.zeros((len(records), window_hours, n_labs))
+    observed = np.zeros(values.shape, dtype=bool)
+    size = window_hours * n_labs
+    for record, cell_values, seen in zip(records, values.reshape(len(records), size),
+                                         observed.reshape(len(records), size)):
+        events = record.events[_in_window(record, window_hours, n_labs)]
+        cell = events["hours"].astype(np.int64) * n_labs + events["lab"]
+        counts = np.bincount(cell, minlength=size)
+        np.greater(counts, 0, out=seen)
+        # a record with no events gets integer zeros from bincount; `out` keeps the floats
+        np.divide(np.bincount(cell, weights=events["value"], minlength=size), counts,
+                  out=cell_values, where=seen)
     return values, observed
 
 
@@ -299,9 +302,12 @@ def fit_normalizer(records, window_hours: int, n_labs: int) -> LabNormalizer:
     Labs never observed in the split get mean 0, std 1; near-constant labs
     get std 1 to avoid blow-ups. Bad lab ids or hours raise as in bin_events.
     """
-    events, _ = _split_events(records, n_labs)
-    events = events[events["hours"] < window_hours]
-    lab, value = events["lab"], events["value"]
+    keep = [_in_window(record, window_hours, n_labs) for record in records]
+    # only the two in-window columns, gathered in event order; no copy of the event table
+    lab = np.concatenate([np.empty(0, np.int64)]
+                         + [record.events["lab"][k] for record, k in zip(records, keep)])
+    value = np.concatenate([np.empty(0)]
+                           + [record.events["value"][k] for record, k in zip(records, keep)])
     sums = np.bincount(lab, weights=value, minlength=n_labs)
     sumsq = np.bincount(lab, weights=value * value, minlength=n_labs)
     counts = np.bincount(lab, minlength=n_labs)

@@ -231,6 +231,35 @@ class TestTrainCnn:
                                        getattr(expected, name) - 0.01 * getattr(grads, name),
                                        rtol=1e-10, atol=1e-13)
 
+    def test_divergence_raises(self):
+        # learning rate 1e3 on raw labs used to return filters near 4.4e22 and
+        # dense weights near 1.3e23 without a word
+        cfg = GenConfig(n_patients=40, n_labs=6, n_diagnoses=8, window_hours=6)
+        records = generate_synthetic(cfg, seed=3)
+        normalized = normalize_records(records, fit_normalizer(records, 6, 6))
+        feats = features(normalized, 6, FeatureMode.RAW_LABS, n_labs=6)
+        labels = np.array([rec.died for rec in records])
+        train_cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=5, learning_rate=1e3)
+        message = r"^cnn: a parameter non-finite or beyond 1e\+06 after epoch \d/5: max \|parameter\| "
+        with pytest.raises(FloatingPointError, match=message):
+            train_cnn(feats, train_cfg, labels)
+
+    def test_nan_parameter_raises(self, monkeypatch):
+        # one dense weight turns NaN after the first step
+        def nan_dense_w(params, batch, labels, weights):
+            probs, grads = batch_backward(params, batch, labels, weights)
+            grads.dense_w[0, 0] = np.nan
+            return probs, grads
+
+        batch_backward = cnn._batch_backward
+        monkeypatch.setattr(cnn, "_batch_backward", nan_dense_w)
+        rng = np.random.default_rng(9)
+        features, labels = self.separable_set(rng)
+        cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=3, seed=11)
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match=r"after epoch 1/3: max \|parameter\| nan$"):
+            train_cnn(features, cfg, labels)
+
     def test_single_class_rejected(self):
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError, match="both classes"):
@@ -338,6 +367,15 @@ class TestBuildFeatures:
         m = features([rec], 3, FeatureMode.EMBED_ONLY, params=params)[0]
         assert np.array_equal(m[0], np.zeros(5))
         assert np.array_equal(m[1], params.r_tt)  # zero + r_tt
+
+    def test_raw_labs_is_a_read_only_view(self):
+        cfg = GenConfig(n_patients=5, n_labs=4, n_diagnoses=5, window_hours=6)
+        values, observed = bin_events(generate_synthetic(cfg, seed=3), 6, 4)
+        labs = build_features((values, observed), FeatureMode.RAW_LABS)
+        assert np.shares_memory(labs, values)
+        assert not labs.flags.writeable
+        assert values.flags.writeable
+        assert np.array_equal(labs, values[:, ::-1])
 
     def test_embedding_mode_requires_params(self):
         rec = make_record("p", [(0.5, 0, 1.0)], set())

@@ -1,5 +1,6 @@
 import functools
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,6 +373,14 @@ class TestRunExperiment:
         with pytest.raises(FloatingPointError,
                            match=r"^fold 3, window 6h: hgm: non-finite .* epoch 2/2$"):
             train_fold(records, ("HGM",), 6, vocab, fast_config(), 3)
+
+    def test_diverging_cnn_names_fold_window_and_arm(self):
+        records, vocab = small_corpus(n=40)
+        cfg = fast_config()
+        cfg = replace(cfg, cnn=replace(cfg.cnn, learning_rate=1e3))
+        with pytest.raises(FloatingPointError,
+                           match=r"^fold 2, window 6h, arm CNN: cnn: .* after epoch \d+/10: "):
+            train_fold(records, ("CNN",), 6, vocab, cfg, 2)
 
     def test_std_is_sample_std(self):
         records, vocab = small_corpus()
