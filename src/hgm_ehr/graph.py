@@ -35,7 +35,6 @@ class NodeId(NamedTuple):
 class HeteroGraph:
     """Immutable after build; edges are read from `observed` and `diagnosed`, sizes from shapes."""
 
-    patient_ids: list[str]
     values: np.ndarray     # (n_patients, window_hours, n_labs) hourly lab means
     observed: np.ndarray   # same shape, bool mask: the tested edges
     diagnosed: np.ndarray  # (n_patients, n_diagnoses) bool: the diagnosed edges
@@ -67,7 +66,7 @@ def build_graph(records, vocab, binned) -> HeteroGraph:
                 raise ValueError(f"diagnosis id {dx} outside vocabulary of size {vocab.n_diagnoses}")
         diagnosed[p, list(rec.diagnoses)] = True
 
-    return HeteroGraph([rec.patient_id for rec in records], values, observed, diagnosed)
+    return HeteroGraph(values, observed, diagnosed)
 
 
 def neighbors(graph: HeteroGraph, node: NodeId, target_type: NodeType) -> list[NodeId]:

@@ -242,12 +242,9 @@ def write_corpus(records, vocab: Vocabulary, out_dir) -> dict[str, Path]:
     return paths
 
 
-def _in_window(record, window_hours: int, n_labs: int) -> np.ndarray:
-    """The mask of a record's events that fall inside the window, its events checked first.
-
-    A lab id outside [0, n_labs) or negative or non-finite hours raise
-    ValueError naming the patient.
-    """
+def _check_events(record, n_labs: int) -> None:
+    """Refuse a lab id outside [0, n_labs) or negative or non-finite hours
+    with a ValueError naming the patient, before any event is indexed or binned."""
     hours, lab = record.events["hours"], record.events["lab"]
     for bad, problem in (((lab < 0) | (lab >= n_labs), f"lab id outside vocabulary of size {n_labs}"),
                          (~np.isfinite(hours) | (hours < 0), "hours_before_end must be finite and >= 0")):
@@ -255,7 +252,12 @@ def _in_window(record, window_hours: int, n_labs: int) -> np.ndarray:
             i = int(np.argmax(bad))
             raise ValueError(f"patient {record.patient_id!r}: {problem} "
                              f"(lab {lab[i]}, hours {hours[i]})")
-    return hours < window_hours
+
+
+def _in_window(record, window_hours: int, n_labs: int) -> np.ndarray:
+    """The mask of a record's events that fall inside the window, its events checked first."""
+    _check_events(record, n_labs)
+    return record.events["hours"] < window_hours
 
 
 def bin_events(records, window_hours: int, n_labs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,10 +326,11 @@ def normalize_records(records, normalizer: LabNormalizer) -> list[PatientRecord]
 
     Z-scoring commutes with within-hour averaging, so normalizing events is
     equivalent to normalizing binned hours (up to rounding, so it is done
-    per event).
+    per event). Bad lab ids or hours raise as in bin_events, before any lookup.
     """
     out = []
     for rec in records:
+        _check_events(rec, len(normalizer.mean))
         events = rec.events.copy()
         lab = events["lab"]
         events["value"] = (events["value"] - normalizer.mean[lab]) / normalizer.std[lab]

@@ -7,18 +7,18 @@ uniform draws from same-type nodes with no one-hop connection to the
 center (for patient-hour negatives: hour nodes of patients sharing no
 diagnosis with the center's patient).
 
-Every pool is a sorted index array. A patient's diagnoses and their complement
-are the two runs of one row of a (patient, diagnosis) order array that the
-sampler builds once, as it does the non-sharing-patient mask and each
-diagnosis's sorted carrier list. The non-sharing patients and center (p, h)'s
-observed labs and their complement are nonzero indices of a mask row:
-graph.observed[p, h] for the labs. A context is drawn with one bounded-integer
-draw for all its diagnosis and lab positives, one per co-patient step
-(diagnosis, carrier, hour; the carrier bound depends on the diagnosis) and one
-for all its negatives. `Generator.integers` with an array of bounds consumes
-the bit stream exactly like the same bounds drawn one call at a time, and a
-bound of 1 consumes nothing, so the samples are those of drawing each positive
-and each negative block separately (tests/test_sampler.py pins both).
+Every pool is a sorted index array read from a row of the graph on each
+call: the nonzero indices of patient p's graph.diagnosed[p], of center
+(p, h)'s graph.observed[p, h], or of either's complement; the non-sharing
+patients are the complement of those carrying one of p's diagnoses, p among
+them. Beyond the graph the sampler keeps only each diagnosis's sorted carrier
+list and its size. A context is drawn with one bounded-integer draw for all
+its diagnosis and lab positives, one per co-patient step (diagnosis, carrier,
+hour; the carrier bound depends on the diagnosis) and one for all its
+negatives. `Generator.integers` with an array of bounds consumes the bit
+stream exactly like the same bounds drawn one call at a time, and a bound of
+1 consumes nothing, so the samples are those of drawing each positive and
+each negative block separately (tests/test_sampler.py pins both).
 
 A context holds its terms as arrays, one (index, target) pair per relation
 in the order tested, diagnosed, co-patient, temporal: each positive's
@@ -143,22 +143,16 @@ class Sampler:
         self.graph = graph
         self.config = config
         self.rng = np.random.default_rng(config.seed)
-        counts = graph.diagnosed.astype(float)
-        self._nonsharing = counts @ counts.T == 0
-        np.fill_diagonal(self._nonsharing, False)
-        # Row p holds patient p's diagnoses, then the others, each run sorted.
-        self._dx_order = np.argsort(~graph.diagnosed, axis=1, kind="stable").astype(
-            np.min_scalar_type(graph.n_diagnoses))
-        self._n_dx = graph.diagnosed.sum(axis=1).tolist()
         self._carriers = [np.flatnonzero(column).tolist() for column in graph.diagnosed.T]
         self._n_carriers = graph.diagnosed.sum(axis=0)
 
     def _pools(self, p: int, h: int):
         """Center (p, h)'s pools: (diagnoses, labs), then negatives (diagnoses, labs, patients)."""
-        order, n = self._dx_order[p], self._n_dx[p]
-        observed = self.graph.observed[p, h]
-        return ((order[:n], observed.nonzero()[0]),
-                (order[n:], (~observed).nonzero()[0], self._nonsharing[p].nonzero()[0]))
+        dx, labs = self.graph.diagnosed[p], self.graph.observed[p, h]
+        sharing = self.graph.diagnosed[:, dx].any(axis=1)
+        sharing[p] = True
+        return ((dx.nonzero()[0], labs.nonzero()[0]),
+                ((~dx).nonzero()[0], (~labs).nonzero()[0], (~sharing).nonzero()[0]))
 
     def sample_negatives(self, p: int, h: int, node_type: NodeType, count: int) -> np.ndarray:
         """Uniform with-replacement draws from center (p, h)'s non-neighbors:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,16 @@ from hgm_ehr.ingest import PatientRecord, Vocabulary, bin_events, event_array
 from hgm_ehr.sampler import ContextSample, Terms
 
 HGM_PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_record(pid, events, diagnoses, died=False, end_hour=20):

@@ -90,8 +90,7 @@ class TestBuildGraph:
 
     def test_sizes_are_read_from_the_arrays(self):
         graph = binned_graph(toy_records(), toy_vocab(3, 4), 2)
-        assert [f.name for f in fields(HeteroGraph)] == [
-            "patient_ids", "values", "observed", "diagnosed"]
+        assert [f.name for f in fields(HeteroGraph)] == ["values", "observed", "diagnosed"]
         assert (graph.n_patients, graph.window_hours, graph.n_labs, graph.n_diagnoses) == (2, 2, 3, 4)
         smaller = replace(graph, values=graph.values[:1, :1, :2], diagnosed=graph.diagnosed[:1, :3])
         assert (smaller.n_patients, smaller.window_hours, smaller.n_labs,
@@ -123,11 +122,11 @@ class TestBuildGraph:
         g1 = binned_graph(records, vocab, 3)
         g2 = binned_graph(records[::-1], vocab, 3)
 
-        def keyed(graph):
-            return {pid: (graph.observed[p].tolist(), graph.diagnosed[p].tolist())
-                    for p, pid in enumerate(graph.patient_ids)}
+        def keyed(graph, ordered):
+            return {rec.patient_id: (graph.observed[p].tolist(), graph.diagnosed[p].tolist())
+                    for p, rec in enumerate(ordered)}
 
-        assert keyed(g1) == keyed(g2)
+        assert keyed(g1, records) == keyed(g2, records[::-1])
 
     def test_temporal_links_only_consecutive_hours(self):
         graph = binned_graph([make_record("p0", [], set())], toy_vocab(), 4)

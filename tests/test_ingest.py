@@ -1,14 +1,12 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from hgm_ehr.evaluate import auroc
-from hgm_ehr.ingest import (EVENT_DTYPE, DataFormatError, GenConfig, Vocabulary, bin_events,
-                            fit_normalizer, generate_synthetic, normalize_records, parse_records,
-                            synthetic_vocabulary, write_corpus)
+from hgm_ehr.ingest import (EVENT_DTYPE, DataFormatError, GenConfig, LabNormalizer, Vocabulary,
+                            bin_events, fit_normalizer, generate_synthetic, normalize_records,
+                            parse_records, synthetic_vocabulary, write_corpus)
 
-from conftest import make_record
+from conftest import make_record, traced_peak
 
 
 def write_corpus_files(tmp_path, events_rows, diagnoses_rows, outcomes_rows):
@@ -150,14 +148,9 @@ def split_48h():
                                         window_hours=48), seed=5)
 
 
-def traced_peak(fn, *args):
-    """fn(*args) and the peak bytes it allocated, as tracemalloc counts them."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def unit_normalize(records, window_hours, n_labs):
+    """normalize_records under an identity normalizer of n_labs labs, called as bin_events is."""
+    return normalize_records(records, LabNormalizer(np.zeros(n_labs), np.ones(n_labs)))
 
 
 class TestBinEvents:
@@ -236,7 +229,7 @@ class TestBinEvents:
         records = [make_record("ok", [(0.5, 0, 1.0)], set()),
                    make_record("bad", [(0.5, 1, 1.0), (1.5, lab, 2.0)], set())]
         message = r"patient 'bad': lab id outside vocabulary of size 4"
-        for stage in (bin_events, fit_normalizer):
+        for stage in (bin_events, fit_normalizer, unit_normalize):
             with pytest.raises(ValueError, match=message):
                 stage(records, 6, 4)
 
@@ -245,7 +238,7 @@ class TestBinEvents:
         # -1.5 used to land in bin window-1 through int(-1.5) == -1
         records = [make_record("ok", [(0.5, 0, 1.0)], set()),
                    make_record("bad", [(hours, 1, 1.0)], set())]
-        for stage in (bin_events, fit_normalizer):
+        for stage in (bin_events, fit_normalizer, unit_normalize):
             with pytest.raises(ValueError, match=r"patient 'bad': hours_before_end must be finite"):
                 stage(records, 6, 4)
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from hgm_ehr.graph import NodeId, NodeType, neighbors
+from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, neighbors
 from hgm_ehr.ingest import GenConfig, generate_synthetic, synthetic_vocabulary
 from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError
 
-from conftest import binned_graph, make_context, make_record, toy_vocab
+from conftest import binned_graph, make_context, make_record, toy_vocab, traced_peak
 
 
 def ph(p, h):
@@ -171,6 +171,18 @@ def test_same_seed_same_samples(shared_dx_graph):
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(n_diagnoses=0).validate()
+
+
+def test_memory_holds_no_patient_by_patient_array():
+    # a (P, P) bool non-sharing mask alone is P**2 bytes; its float64 product ~8 P**2
+    rng = np.random.default_rng(0)
+    n = 2000
+    graph = HeteroGraph(np.zeros((n, 2, 3)), rng.random((n, 2, 3)) < 0.5,
+                        rng.random((n, 50)) < 0.11)
+    sampler, peak = traced_peak(Sampler, graph, SamplerConfig())
+    assert peak < n * n
+    context, peak = traced_peak(sampler.sample_context, 0, 1)
+    assert peak < n * n and context.n_positives() > 0
 
 
 def sharing_patients(graph, center):
