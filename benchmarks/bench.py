@@ -1,6 +1,7 @@
 """hgm-ehr bench: the criterion-4 desk experiment across master seeds.
 
     python benchmarks/bench.py --seeds [--jobs 2] [--out seeds.json] [--against parent.json]
+    python benchmarks/bench.py --label L [--src S] [--jobs N]
 
 `--seeds` runs the pinned desk experiment (500 synthetic patients, 30 labs,
 50 diagnoses, a 12 h window, 10 folds, all three arms; generator seed 20)
@@ -14,6 +15,13 @@ number of folds whose AUROC changed and the Nadeau-Bengio corrected
 resampled t, plus the largest test-score difference. A change is beyond
 fold noise when any arm has |t| >= 2.
 
+`--label L` runs what `--seeds` runs and writes `BENCH_L.json` at the
+repo root. It holds the host (git sha of `--src`, nproc, load average, CPU
+model, Python, numpy and the BLAS entry of `numpy.show_config`), the wall
+time of 3 serial desk runs at seed 101, `train_hgm` steps/s on desk fold 0
+over 5 runs with quartiles, and each seed's mean AUROC per arm. The timed
+runs come first, one at a time, before `--jobs` workers start.
+
 The program is imported from `--src`, by default this checkout's `src/`.
 To record another commit, point `--src` at that commit's `src/`.
 """
@@ -23,10 +31,14 @@ import json
 import math
 import os
 import platform
+import statistics
+import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,6 +54,9 @@ DESK_CNN = dict(n_filters=16, kernel=3, epochs=30, batch_size=32, learning_rate=
 # Test/train size ratio of one fold of a 10-fold split.
 TEST_TRAIN_RATIO = 1 / 9
 NOISE_T = 2.0
+# Timed repetitions in a BENCH file.
+DESK_RUNS = 3
+HGM_RUNS = 5
 
 
 def desk_config(seed):
@@ -167,13 +182,92 @@ def format_comparison(table):
     return "\n".join(lines)
 
 
+def seed_means(runs):
+    """{seed: {arm: mean per-fold AUROC}} of a `runs` table."""
+    return {seed: {arm: sum(result[arm]["auroc"]) / len(result[arm]["auroc"]) for arm in ARMS}
+            for seed, result in runs.items()}
+
+
 def format_means(runs):
     lines = [f"{'seed':<6}" + "".join(f"{arm:>9}" for arm in ARMS) + f"{'HGM_CNN-CNN':>13}"]
-    for seed, result in runs.items():
-        means = {arm: sum(result[arm]["auroc"]) / len(result[arm]["auroc"]) for arm in ARMS}
+    for seed, means in seed_means(runs).items():
         lines.append(f"{seed:<6}" + "".join(f"{means[arm]:>9.4f}" for arm in ARMS)
                      + f"{means['HGM_CNN'] - means['CNN']:>+13.4f}")
     return "\n".join(lines)
+
+
+def spread(values):
+    """Every value with its quartiles (inclusive method) and median."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"runs": values, "q1": q1, "median": median, "q3": q3}
+
+
+def cpu_model():
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
+def environment(src):
+    """The host and builds a BENCH file was measured on; `src` gives the git sha."""
+    import numpy as np
+
+    try:
+        sha = subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"],
+                             capture_output=True, text=True).stdout.strip() or None
+    except OSError:
+        sha = None
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        # the build's name, version and configuration, without its install paths
+        blas = {key: value for key, value in blas.items() if "directory" not in key}
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its config
+        blas = None
+    return {"git_sha": sha, "nproc": os.cpu_count(), "loadavg": list(os.getloadavg()),
+            "cpu": cpu_model(), "python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas}
+
+
+def time_desk_runs(seed, runs=DESK_RUNS):
+    """Wall seconds of `runs` serial desk experiments at master seed `seed`."""
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        run_seed(seed)
+        times.append(time.perf_counter() - start)
+    return {"seed": seed, **spread(times)}
+
+
+def time_hgm_steps(seed, runs=HGM_RUNS):
+    """train_hgm's SGD steps per second on desk fold 0, as train_fold calls it.
+
+    A step is one visit of the P*T schedule, untrainable centers included.
+    The fold's other work (binning, the HGM arm's CNN) is left untimed.
+    """
+    from hgm_ehr import evaluate
+    from hgm_ehr.ingest import generate_synthetic, synthetic_vocabulary
+
+    gen, experiment = desk_config(seed)
+    fold, train, _ = evaluate.plan_folds(generate_synthetic(gen, seed=GEN_SEED),
+                                         experiment.k_folds, seed, gen.window_hours)[0]
+    train_hgm, rates = evaluate.train_hgm, []
+
+    def timed(graph, config, **kwargs):
+        start = time.perf_counter()
+        params = train_hgm(graph, config, **kwargs)
+        steps = config.epochs * graph.n_patients * graph.window_hours
+        rates.append(steps / (time.perf_counter() - start))
+        return params
+
+    with mock.patch.object(evaluate, "train_hgm", timed):
+        for _ in range(runs):
+            evaluate.train_fold(train, ("HGM",), gen.window_hours, synthetic_vocabulary(gen),
+                                experiment, fold)
+    return {"seed": seed, "fold": fold, **spread(rates)}
 
 
 def parse_args(argv):
@@ -185,9 +279,10 @@ def parse_args(argv):
     parser.add_argument("--against", type=Path, help="an earlier --out file to compare with")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the source tree to import hgm_ehr from")
+    parser.add_argument("--label", help="also time the desk run and write BENCH_<label>.json")
     args = parser.parse_args(argv)
-    if not args.seeds:
-        parser.error("nothing to run: pass --seeds")
+    if not (args.seeds or args.label):
+        parser.error("nothing to run: pass --seeds or --label")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     return args
@@ -202,17 +297,30 @@ def main(argv=None):
     import numpy as np
 
     baseline = json.loads(args.against.read_text()) if args.against else None
-    runs = run_seeds(jobs=args.jobs, src=args.src.resolve())
+    src = args.src.resolve()
+    bench = None
+    if args.label:
+        # timed first and one at a time, before any seed worker starts
+        import_from(src)
+        bench = {"label": args.label, "environment": environment(src),
+                 "desk_run_s": time_desk_runs(SEEDS[0]),
+                 "hgm_steps_per_s": time_hgm_steps(SEEDS[0])}
+    runs = run_seeds(SEEDS, jobs=args.jobs, src=src)
     record = {
         "gen_seed": GEN_SEED, "seeds": list(SEEDS), "arms": list(ARMS), "window": WINDOW,
         "gen": DESK_GEN, "folds": DESK_FOLDS, "hgm": DESK_HGM, "cnn": DESK_CNN,
-        "src": str(args.src.resolve()),
+        "src": str(src),
         "python": platform.python_version(), "numpy": np.__version__,
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(format_means(runs))
     print(f"wrote {args.out}")
+    if bench is not None:
+        bench["mean_auroc"] = seed_means(runs)
+        path = ROOT / f"BENCH_{args.label}.json"
+        path.write_text(json.dumps(bench, indent=1) + "\n")
+        print(f"wrote {path}")
     if baseline is not None:
         print(f"against {args.against}:")
         print(format_comparison(compare(runs, baseline["runs"])))

@@ -91,3 +91,28 @@ class TestCompare:
 def test_nothing_to_run_without_seeds():
     with pytest.raises(SystemExit):
         bench.parse_args([])
+
+
+def test_label_writes_a_bench_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "SEEDS", (3, 4))
+    monkeypatch.setattr(bench, "desk_config",
+                        lambda seed: (TINY_GEN, replace(TINY_EXPERIMENT, seed=seed)))
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert bench.main(["--label", "t", "--src", str(src), "--out", str(tmp_path / "seeds.json")]) == 0
+
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["label"] == "t"
+    env = record["environment"]
+    assert set(env) == {"git_sha", "nproc", "loadavg", "cpu", "python", "numpy", "blas"}
+    assert not any("directory" in key for key in env["blas"] or {})
+    assert env["nproc"] >= 1 and len(env["loadavg"]) == 3
+    for key, runs in (("desk_run_s", bench.DESK_RUNS), ("hgm_steps_per_s", bench.HGM_RUNS)):
+        timing = record[key]
+        assert timing["seed"] == 3 and len(timing["runs"]) == runs
+        assert 0 < timing["q1"] <= timing["median"] <= timing["q3"]
+    assert record["desk_run_s"]["median"] == sorted(record["desk_run_s"]["runs"])[1]
+    assert record["hgm_steps_per_s"]["fold"] == 0
+    seeds = json.loads((tmp_path / "seeds.json").read_text())
+    assert record["mean_auroc"] == bench.seed_means(seeds["runs"])
+    assert sorted(record["mean_auroc"]) == ["3", "4"]
