@@ -91,7 +91,7 @@ def run_seed(seed, gen=None, experiment=None):
         folds = outcome.report.folds
         cuts = np.cumsum([f.n_test for f in folds])[:-1]
         result[arm] = {
-            "folds": [f.fold_index for f in folds],
+            "folds": [f.fold for f in folds],
             "auroc": [f.auroc for f in folds],
             "auprc": [f.auprc for f in folds],
             "scores": [s.tolist() for s in np.split(outcome.scores, cuts)],

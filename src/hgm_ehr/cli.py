@@ -25,8 +25,8 @@ from pathlib import Path
 
 from . import evaluate
 from .checkpoint import load_container, save_container, write_json_atomic
-from .cnn import CnnTrainConfig, load_cnn, save_cnn
-from .evaluate import ARM_MODES, ExperimentConfig, FoldModels
+from .cnn import CnnTrainConfig, FeatureMode, load_cnn, save_cnn
+from .evaluate import ARMS, ExperimentConfig, FoldModels
 from .hgm import HgmTrainConfig, load_params, save_params
 from .ingest import (DEFAULT_WINDOWS, GenConfig, Vocabulary, fit_normalizer, generate_synthetic,
                      parse_records, synthetic_vocabulary, write_corpus)
@@ -45,7 +45,7 @@ class RunConfig:
     outcomes_file: Path | None = None
     vocabulary_file: Path | None = None
     windows: tuple = (12,)
-    arms: tuple = ("HGM", "CNN", "HGM_CNN")
+    arms: tuple = ARMS
     out_dir: Path = Path("runs/out")
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
@@ -66,8 +66,8 @@ class RunConfig:
         if not self.arms:
             raise ValueError("at least one arm is required")
         for arm in self.arms:
-            if arm not in ARM_MODES:
-                raise ValueError(f"unknown arm {arm!r}; expected one of {sorted(ARM_MODES)}")
+            if arm not in ARMS:
+                raise ValueError(f"unknown arm {arm!r}; expected one of {sorted(ARMS)}")
             if self.arms.count(arm) > 1:
                 raise ValueError(f"arm {arm!r} is listed more than once")
         if self.experiment.k_folds < 2:
@@ -194,8 +194,8 @@ def _load_corpus(config: RunConfig):
 
 def _write_outcome(out_dir: Path, outcome) -> None:
     report = outcome.report
-    stem = f"{report.arm}_{report.window_hours}h"
-    write_json_atomic(out_dir / f"report_{stem}.json", report.to_dict())
+    stem = f"{report.arm}_{report.window}h"
+    write_json_atomic(out_dir / f"report_{stem}.json", asdict(report))
     roc = evaluate.roc_points(outcome.scores, outcome.labels)
     pr = evaluate.pr_points(outcome.scores, outcome.labels)
     _write_curve(out_dir / f"roc_{stem}.csv", ("threshold", "fpr", "tpr"), roc)
@@ -297,9 +297,9 @@ def _load_fold(config: RunConfig, fingerprints: dict, train, arms, window: int, 
             f"(fingerprints: {_fingerprint_path(config)})")
     normalizer = fit_normalizer(train, window, vocab.n_labs)
     hgm_params = (load_params(_hgm_path(config, window, fold_index))
-                  if any(ARM_MODES[arm].needs_embedding for arm in arms) else None)
+                  if any(FeatureMode(arm).needs_embedding for arm in arms) else None)
     cnn_params = {arm: load_cnn(_cnn_path(config, arm, window, fold_index)) for arm in arms}
-    return FoldModels(fold_index, window, normalizer, hgm_params, cnn_params)
+    return FoldModels(window, normalizer, hgm_params, cnn_params)
 
 
 def _report(config: RunConfig, command: str, jobs: int = 1, fit=None) -> int:

@@ -32,9 +32,11 @@ from .seeds import derive_seed
 
 
 class FeatureMode(Enum):
-    RAW_LABS = "raw_labs"
-    EMBED_ONLY = "embed_only"
-    EMBED_PLUS_LABS = "embed_plus_labs"
+    """The arms: each value is the arm's name in configs, reports and file names."""
+
+    EMBED_ONLY = "HGM"
+    RAW_LABS = "CNN"
+    EMBED_PLUS_LABS = "HGM_CNN"
 
     @property
     def needs_embedding(self) -> bool:
@@ -92,10 +94,10 @@ def build_features(binned, mode: FeatureMode, hgm_params: HgmParams | None = Non
     return np.concatenate([embeddings, labs], axis=2)
 
 
-def init_cnn(n_features: int, config: CnnTrainConfig, seed: int | None = None) -> CnnParams:
+def init_cnn(n_features: int, config: CnnTrainConfig, seed: int) -> CnnParams:
     """Seeded Glorot-uniform filters and dense weights, zero biases."""
     config.validate()
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     fan_in = config.kernel * n_features
     limit = np.sqrt(6.0 / (fan_in + config.n_filters))
     filters = rng.uniform(-limit, limit, size=(config.n_filters, config.kernel, n_features))

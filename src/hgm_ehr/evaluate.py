@@ -22,18 +22,12 @@ from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
 
-ARMS = ("HGM", "CNN", "HGM_CNN")
-
-ARM_MODES = {
-    "HGM": FeatureMode.EMBED_ONLY,
-    "CNN": FeatureMode.RAW_LABS,
-    "HGM_CNN": FeatureMode.EMBED_PLUS_LABS,
-}
+ARMS = tuple(mode.value for mode in FeatureMode)
 
 
 @dataclass(frozen=True)
 class FoldReport:
-    fold_index: int
+    fold: int
     auroc: float
     auprc: float
     n_test: int
@@ -43,27 +37,12 @@ class FoldReport:
 @dataclass
 class ExperimentReport:
     arm: str
-    window_hours: int
+    window: int
     folds: list[FoldReport]
     mean_auroc: float
     std_auroc: float
     mean_auprc: float
     std_auprc: float
-
-    def to_dict(self) -> dict:
-        return {
-            "arm": self.arm,
-            "window": self.window_hours,
-            "folds": [
-                {"fold": f.fold_index, "auroc": f.auroc, "auprc": f.auprc,
-                 "n_test": f.n_test, "n_pos": f.n_pos}
-                for f in self.folds
-            ],
-            "mean_auroc": self.mean_auroc,
-            "std_auroc": self.std_auroc,
-            "mean_auprc": self.mean_auprc,
-            "std_auprc": self.std_auprc,
-        }
 
 
 @dataclass
@@ -170,7 +149,6 @@ def pr_points(scores, labels):
 class FoldModels:
     """Everything fitted on one training fold."""
 
-    fold_index: int
     window_hours: int
     normalizer: object
     hgm_params: HgmParams | None
@@ -188,7 +166,7 @@ def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
     binned = bin_events(normalize_records(train_records, normalizer), window_hours, vocab.n_labs)
 
     hgm_params = None
-    if any(ARM_MODES[arm].needs_embedding for arm in arms):
+    if any(FeatureMode(arm).needs_embedding for arm in arms):
         graph = build_graph(train_records, vocab, binned)
         hgm_cfg = replace(config.hgm, seed=derive_seed(config.seed, "hgm", fold_index, window_hours))
         try:
@@ -201,12 +179,12 @@ def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
     for arm in arms:
         cnn_cfg = replace(config.cnn, seed=derive_seed(config.seed, f"cnn:{arm}", fold_index, window_hours))
         try:
-            cnn_params[arm] = train_cnn(build_features(binned, ARM_MODES[arm], hgm_params),
+            cnn_params[arm] = train_cnn(build_features(binned, FeatureMode(arm), hgm_params),
                                         cnn_cfg, labels)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"fold {fold_index}, window {window_hours}h, arm {arm}: {exc}") from exc
-    return FoldModels(fold_index, window_hours, normalizer, hgm_params, cnn_params)
+    return FoldModels(window_hours, normalizer, hgm_params, cnn_params)
 
 
 def score_fold(models: FoldModels, test_records, arms, vocab: Vocabulary) -> dict:
@@ -217,7 +195,7 @@ def score_fold(models: FoldModels, test_records, arms, vocab: Vocabulary) -> dic
     for arm in arms:
         params = models.cnn_params[arm]
         out[arm] = np.array([predict(params, x)
-                             for x in build_features(binned, ARM_MODES[arm], models.hgm_params)])
+                             for x in build_features(binned, FeatureMode(arm), models.hgm_params)])
     return out
 
 
@@ -291,8 +269,8 @@ def run_experiments(records, vocab: Vocabulary, arms, window_hours: int,
     so it must pickle: a module-level function or a functools.partial of one.
     """
     for arm in arms:
-        if arm not in ARM_MODES:
-            raise ValueError(f"unknown arm {arm!r}; expected one of {sorted(ARM_MODES)}")
+        if arm not in ARMS:
+            raise ValueError(f"unknown arm {arm!r}; expected one of {sorted(ARMS)}")
     plan = plan_folds(records, config.k_folds, config.seed, window_hours)
     settings = (tuple(arms), window_hours, vocab, config, fit)
 
@@ -323,7 +301,7 @@ def assemble_outcome(arm: str, window_hours: int, fold_results) -> ArmOutcome:
         except ValueError as exc:
             raise ValueError(f"window {window_hours}h fold {fold_index}, arm {arm}: {exc}") from exc
         fold_reports.append(FoldReport(
-            fold_index=fold_index,
+            fold=fold_index,
             auroc=fold_auroc,
             auprc=fold_auprc,
             n_test=int(np.asarray(labels).size),
@@ -336,7 +314,7 @@ def assemble_outcome(arm: str, window_hours: int, fold_results) -> ArmOutcome:
     ddof = 1 if len(fold_reports) > 1 else 0
     report = ExperimentReport(
         arm=arm,
-        window_hours=window_hours,
+        window=window_hours,
         folds=fold_reports,
         mean_auroc=float(aurocs.mean()),
         std_auroc=float(aurocs.std(ddof=ddof)),

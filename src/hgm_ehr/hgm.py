@@ -276,8 +276,8 @@ def _column_sums(index: np.ndarray, terms: np.ndarray, n_columns: int) -> np.nda
     return sums.reshape(n_columns, d).T
 
 
-def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample,
-                   want_grad: bool, want_scores: bool = False):
+def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample):
+    """(loss, gradients, scores, positive mask) of one context, scores in term order."""
     act, deriv = params.activation_fns()
     x_u = graph.values[context.center]
     c_u = act(params.w_p @ x_u)
@@ -311,55 +311,49 @@ def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample
     pos = y == 1.0
     loss = float(_softplus(np.where(pos, -s, s)).sum())
 
-    grads = None
-    if want_grad:
-        grads = HgmParams(*(np.zeros(getattr(params, name).shape) for name in PARAM_FIELDS),
-                          params.activation)
-        dc_u = np.zeros(params.d)
-        g_all = _sigmoid_act(s) - y
-        start = 0
-        for relation, index, c_v, c_t, x_v in present:
-            g = g_all[start:start + len(index)]
-            start += len(index)
-            if relation is Relation.TESTED:
-                grads.r_ip += float(g.sum()) * c_u
-                dc_u += c_t @ g
-                grads.w_i = _column_sums(index, c_u[:, None] * g * deriv(c_v), params.n_labs)
-                continue
-            c_vg = c_v @ g
-            dc_u += c_vg
-            d_cv = c_t[:, None] * g
-            if relation is Relation.DIAGNOSED:
-                grads.r_pd += c_vg
-                grads.w_d = _column_sums(index, d_cv * deriv(c_v), params.n_diagnoses)
-            else:
-                if relation is Relation.TEMPORAL:
-                    grads.r_tt += c_vg
-                grads.w_p += (d_cv * deriv(c_v)) @ x_v.T
-        grads.w_p += (dc_u * deriv(c_u))[:, None] * x_u
-    if want_scores:
-        return loss, grads, s[pos], s[~pos]
-    return loss, grads
+    grads = HgmParams(*(np.zeros(getattr(params, name).shape) for name in PARAM_FIELDS),
+                      params.activation)
+    dc_u = np.zeros(params.d)
+    g_all = _sigmoid_act(s) - y
+    start = 0
+    for relation, index, c_v, c_t, x_v in present:
+        g = g_all[start:start + len(index)]
+        start += len(index)
+        if relation is Relation.TESTED:
+            grads.r_ip += float(g.sum()) * c_u
+            dc_u += c_t @ g
+            grads.w_i = _column_sums(index, c_u[:, None] * g * deriv(c_v), params.n_labs)
+            continue
+        c_vg = c_v @ g
+        dc_u += c_vg
+        d_cv = c_t[:, None] * g
+        if relation is Relation.DIAGNOSED:
+            grads.r_pd += c_vg
+            grads.w_d = _column_sums(index, d_cv * deriv(c_v), params.n_diagnoses)
+        else:
+            if relation is Relation.TEMPORAL:
+                grads.r_tt += c_vg
+            grads.w_p += (d_cv * deriv(c_v)) @ x_v.T
+    grads.w_p += (dc_u * deriv(c_u))[:, None] * x_u
+    return loss, grads, s, pos
 
 
 def ns_loss(params: HgmParams, graph: HeteroGraph, context: ContextSample) -> float:
     """Negative-sampling loss: -log sigmoid(score) for positives plus
     -log sigmoid(-score) for their negatives, translated scoring throughout."""
-    loss, _ = _loss_and_grad(params, graph, context, want_grad=False)
-    return loss
+    return _loss_and_grad(params, graph, context)[0]
 
 
 def ns_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample) -> HgmParams:
     """Exact analytic gradients of ns_loss, shaped as HgmParams; entries
     untouched by the context are zero."""
-    _, grads = _loss_and_grad(params, graph, context, want_grad=True)
-    return grads
+    return _loss_and_grad(params, graph, context)[1]
 
 
 def context_scores(params: HgmParams, graph: HeteroGraph, context: ContextSample):
     """Raw pair scores of a context as (positive_scores, negative_scores)."""
-    _, _, pos, neg = _loss_and_grad(params, graph, context, want_grad=False, want_scores=True)
-    return pos, neg
+    _, _, s, pos = _loss_and_grad(params, graph, context)
+    return s[pos], s[~pos]
 
 
 def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, on_epoch=None) -> HgmParams:
@@ -396,7 +390,7 @@ def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, on_epoch=None) -> HgmP
             except UntrainableCenterError:
                 skipped += 1
                 continue
-            loss, grads = _loss_and_grad(params, graph, context, want_grad=True)
+            loss, grads, _, _ = _loss_and_grad(params, graph, context)
             epoch_loss += loss
             n_contexts += 1
             for name in PARAM_FIELDS:

@@ -79,24 +79,19 @@ class Vocabulary:
     def n_diagnoses(self) -> int:
         return len(self.diagnoses)
 
-    def lab_id(self, name: str, add: bool = False) -> int:
-        idx = self._lab_index.get(name)
-        if idx is None:
-            if not add:
-                raise KeyError(f"unknown lab name: {name!r}")
-            idx = len(self.labs)
-            self.labs.append(name)
-            self._lab_index[name] = idx
-        return idx
+    def lab_id(self, name: str) -> int:
+        """The lab's index; a new name is appended first."""
+        return self._index(name, self.labs, self._lab_index)
 
-    def diagnosis_id(self, name: str, add: bool = False) -> int:
-        idx = self._diagnosis_index.get(name)
-        if idx is None:
-            if not add:
-                raise KeyError(f"unknown diagnosis name: {name!r}")
-            idx = len(self.diagnoses)
-            self.diagnoses.append(name)
-            self._diagnosis_index[name] = idx
+    def diagnosis_id(self, name: str) -> int:
+        """The diagnosis' index; a new name is appended first."""
+        return self._index(name, self.diagnoses, self._diagnosis_index)
+
+    @staticmethod
+    def _index(name: str, names: list, index: dict) -> int:
+        idx = index.setdefault(name, len(names))
+        if idx == len(names):
+            names.append(name)
         return idx
 
     def save(self, path) -> None:
@@ -192,7 +187,7 @@ def parse_records(events_file, diagnoses_file, outcomes_file, vocab: Vocabulary 
             raise DataFormatError(f"{events_file}:{line_no}: hours_before_end must be finite and >= 0")
         if not math.isfinite(value):
             raise DataFormatError(f"{events_file}:{line_no}: value must be finite")
-        events[pid].append((hours, vocab.lab_id(lab_name, add=True), value))
+        events[pid].append((hours, vocab.lab_id(lab_name), value))
     for pid, record in records.items():
         record.events = event_array(events[pid])
 
@@ -201,7 +196,7 @@ def parse_records(events_file, diagnoses_file, outcomes_file, vocab: Vocabulary 
         record = records.get(pid)
         if record is None:
             raise DataFormatError(f"{diagnoses_file}:{line_no}: patient {pid!r} not present in outcomes file")
-        record.diagnoses.add(vocab.diagnosis_id(dx_name, add=True))
+        record.diagnoses.add(vocab.diagnosis_id(dx_name))
 
     return list(records.values()), vocab
 
@@ -243,11 +238,12 @@ def write_corpus(records, vocab: Vocabulary, out_dir) -> dict[str, Path]:
 
 
 def _check_events(record, n_labs: int) -> None:
-    """Refuse a lab id outside [0, n_labs) or negative or non-finite hours
-    with a ValueError naming the patient, before any event is indexed or binned."""
+    """Refuse a lab id outside [0, n_labs), negative or non-finite hours or a non-finite
+    value with a ValueError naming the patient, before any event is indexed or binned."""
     hours, lab = record.events["hours"], record.events["lab"]
     for bad, problem in (((lab < 0) | (lab >= n_labs), f"lab id outside vocabulary of size {n_labs}"),
-                         (~np.isfinite(hours) | (hours < 0), "hours_before_end must be finite and >= 0")):
+                         (~np.isfinite(hours) | (hours < 0), "hours_before_end must be finite and >= 0"),
+                         (~np.isfinite(record.events["value"]), "value must be finite")):
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"patient {record.patient_id!r}: {problem} "
@@ -270,8 +266,8 @@ def bin_events(records, window_hours: int, n_labs: int) -> tuple[np.ndarray, np.
     beyond window_hours are dropped. Both arrays are allocated once and
     filled record by record, one bincount per record into its own slice.
     Each cell sums its events in record order, as a per-event loop would.
-    A lab id outside [0, n_labs) or negative or non-finite hours raise
-    ValueError naming the patient.
+    A lab id outside [0, n_labs), negative or non-finite hours or a
+    non-finite value raise ValueError naming the patient.
     """
     if window_hours < 1:
         raise ValueError("window_hours must be >= 1")
@@ -302,7 +298,7 @@ def fit_normalizer(records, window_hours: int, n_labs: int) -> LabNormalizer:
     """Fit per-lab mean/std over in-window event values.
 
     Labs never observed in the split get mean 0, std 1; near-constant labs
-    get std 1 to avoid blow-ups. Bad lab ids or hours raise as in bin_events.
+    get std 1 to avoid blow-ups. Bad lab ids, hours or values raise as in bin_events.
     """
     keep = [_in_window(record, window_hours, n_labs) for record in records]
     # only the two in-window columns, gathered in event order; no copy of the event table
@@ -326,7 +322,7 @@ def normalize_records(records, normalizer: LabNormalizer) -> list[PatientRecord]
 
     Z-scoring commutes with within-hour averaging, so normalizing events is
     equivalent to normalizing binned hours (up to rounding, so it is done
-    per event). Bad lab ids or hours raise as in bin_events, before any lookup.
+    per event). Bad lab ids, hours or values raise as in bin_events, before any lookup.
     """
     out = []
     for rec in records:

@@ -1,13 +1,13 @@
 import functools
 import logging
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from hgm_ehr import evaluate
-from hgm_ehr.cnn import CnnTrainConfig
-from hgm_ehr.evaluate import (ExperimentConfig, assemble_outcome, auprc, auroc, kfold_split,
+from hgm_ehr.cnn import CnnTrainConfig, FeatureMode
+from hgm_ehr.evaluate import (ARMS, ExperimentConfig, assemble_outcome, auprc, auroc, kfold_split,
                               pr_points, roc_points, run_experiments,
                               score_fold, train_fold)
 from hgm_ehr.hgm import HgmTrainConfig
@@ -300,7 +300,7 @@ class TestRunExperiment:
         records, vocab = small_corpus()
         report = run_experiments(records, vocab, ("CNN",), 6, fast_config())["CNN"].report
         assert report.arm == "CNN"
-        assert report.window_hours == 6
+        assert report.window == 6
         assert len(report.folds) == 4
         assert all(0.0 <= f.auroc <= 1.0 and 0.0 <= f.auprc <= 1.0 for f in report.folds)
         assert sum(f.n_test for f in report.folds) == len(records)
@@ -310,14 +310,33 @@ class TestRunExperiment:
     def test_shared_split_across_arms(self):
         records, vocab = small_corpus()
         outcomes = run_experiments(records, vocab, ("CNN", "HGM_CNN"), 6, fast_config())
-        folds_a = [(f.fold_index, f.n_test, f.n_pos) for f in outcomes["CNN"].report.folds]
-        folds_b = [(f.fold_index, f.n_test, f.n_pos) for f in outcomes["HGM_CNN"].report.folds]
+        folds_a = [(f.fold, f.n_test, f.n_pos) for f in outcomes["CNN"].report.folds]
+        folds_b = [(f.fold, f.n_test, f.n_pos) for f in outcomes["HGM_CNN"].report.folds]
         assert folds_a == folds_b
 
     def test_unknown_arm_rejected(self):
         records, vocab = small_corpus()
-        with pytest.raises(ValueError, match="unknown arm"):
+        message = r"^unknown arm 'MLP'; expected one of \['CNN', 'HGM', 'HGM_CNN'\]$"
+        with pytest.raises(ValueError, match=message):
             run_experiments(records, vocab, ("MLP",), 6, fast_config())
+
+    def test_arms_are_the_feature_modes(self):
+        # the enum's order is the arms' order; each arm's CNN input is the README's arm table
+        assert ARMS == ("HGM", "CNN", "HGM_CNN")
+        assert [FeatureMode(arm) for arm in ARMS] == [
+            FeatureMode.EMBED_ONLY, FeatureMode.RAW_LABS, FeatureMode.EMBED_PLUS_LABS]
+        assert [FeatureMode(arm).needs_embedding for arm in ARMS] == [True, False, True]
+
+    def test_non_finite_event_value_names_patient(self):
+        # one NaN used to surface as a CNN or HGM divergence naming neither patient nor stage
+        from hgm_ehr.seeds import derive_seed
+
+        cfg = GenConfig(n_patients=40, n_labs=6, n_diagnoses=8, window_hours=6, prevalence=0.4)
+        records = generate_synthetic(cfg, seed=derive_seed(3, "synth"))
+        bad = next(r for r in records if r.patient_id == "p00005")
+        bad.events["value"][0] = np.nan
+        with pytest.raises(ValueError, match=r"^patient 'p00005': value must be finite"):
+            run_experiments(records, synthetic_vocabulary(cfg), ARMS, 6, fast_config(k=2, seed=3))
 
     def test_single_class_fold_skipped_with_warning(self, caplog):
         # two deaths placed in two different test folds: those folds are
@@ -391,7 +410,7 @@ class TestRunExperiment:
     def test_report_dict_schema(self):
         records, vocab = small_corpus()
         report = run_experiments(records, vocab, ("HGM",), 6, fast_config())["HGM"].report
-        d = report.to_dict()
+        d = asdict(report)
         assert set(d) == {"arm", "window", "folds", "mean_auroc", "std_auroc",
                           "mean_auprc", "std_auprc"}
         assert all(set(f) == {"fold", "auroc", "auprc", "n_test", "n_pos"} for f in d["folds"])

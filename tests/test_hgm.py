@@ -328,12 +328,12 @@ class TestTrainHgm:
 
     def test_nan_parameter_raises_with_finite_loss(self, monkeypatch):
         # only one entry of the last parameter turns NaN, and the loss stays finite
-        def nan_r_tt(params, graph, context, **kwargs):
-            _, grads = loss_and_grad(params, graph, context, **kwargs)
+        def nan_r_tt(params, graph, context):
+            _, grads, s, pos = loss_and_grad(params, graph, context)
             for name in PARAM_FIELDS:
                 getattr(grads, name)[...] = 0.0
             grads.r_tt[0] = np.nan
-            return 1.0, grads
+            return 1.0, grads, s, pos
 
         loss_and_grad = hgm._loss_and_grad
         monkeypatch.setattr(hgm, "_loss_and_grad", nan_r_tt)

@@ -242,6 +242,16 @@ class TestBinEvents:
             with pytest.raises(ValueError, match=r"patient 'bad': hours_before_end must be finite"):
                 stage(records, 6, 4)
 
+    @pytest.mark.parametrize("stage", [bin_events, fit_normalizer, unit_normalize],
+                             ids=["bin_events", "fit_normalizer", "normalize_records"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_value_names_patient(self, stage, value):
+        # a NaN value used to make its lab's normalizer mean and std NaN for the whole split
+        records = [make_record("ok", [(0.5, 0, 1.0)], set()),
+                   make_record("bad", [(0.5, 1, 1.0), (1.5, 2, value)], set())]
+        with pytest.raises(ValueError, match=r"patient 'bad': value must be finite \(lab 2, hours 1.5\)"):
+            stage(records, 6, 4)
+
 
 class TestNormalizer:
     def test_event_level_zscore(self):
