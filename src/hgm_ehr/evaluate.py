@@ -17,7 +17,7 @@ import numpy as np
 from .cnn import CnnTrainConfig, FeatureMode, build_features, predict, train_cnn
 from .graph import build_graph
 from .hgm import HgmParams, HgmTrainConfig, train_hgm
-from .ingest import Vocabulary, bin_events, fit_normalizer, normalize_records
+from .ingest import Vocabulary, bin_events, check_records, fit_normalizer
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -159,11 +159,11 @@ def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
                config: ExperimentConfig, fold_index: int) -> FoldModels:
     """Fit normalizer, embeddings (when any arm needs them) and per-arm CNNs.
 
-    The training split is normalized and binned once; the graph and every
-    arm's features read that one tensor.
+    The training split is z-scored and binned in one pass; the graph and
+    every arm's features read that one tensor.
     """
     normalizer = fit_normalizer(train_records, window_hours, vocab.n_labs)
-    binned = bin_events(normalize_records(train_records, normalizer), window_hours, vocab.n_labs)
+    binned = bin_events(train_records, window_hours, normalizer)
 
     hgm_params = None
     if any(FeatureMode(arm).needs_embedding for arm in arms):
@@ -172,7 +172,7 @@ def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
         try:
             hgm_params = train_hgm(graph, hgm_cfg)
         except FloatingPointError as exc:
-            raise FloatingPointError(f"fold {fold_index}, window {window_hours}h: {exc}") from exc
+            raise FloatingPointError(f"window {window_hours}h fold {fold_index}: {exc}") from exc
 
     labels = np.array([int(r.died) for r in train_records])
     cnn_params = {}
@@ -183,14 +183,13 @@ def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
                                         cnn_cfg, labels)
         except FloatingPointError as exc:
             raise FloatingPointError(
-                f"fold {fold_index}, window {window_hours}h, arm {arm}: {exc}") from exc
+                f"window {window_hours}h fold {fold_index}, arm {arm}: {exc}") from exc
     return FoldModels(window_hours, normalizer, hgm_params, cnn_params)
 
 
-def score_fold(models: FoldModels, test_records, arms, vocab: Vocabulary) -> dict:
-    """Mortality scores for held-out patients, per arm, from one binning of the split."""
-    binned = bin_events(normalize_records(test_records, models.normalizer),
-                        models.window_hours, vocab.n_labs)
+def score_fold(models: FoldModels, test_records, arms) -> dict:
+    """Held-out mortality scores per arm, from one pass that z-scores and bins the split."""
+    binned = bin_events(test_records, models.window_hours, models.normalizer)
     out = {}
     for arm in arms:
         params = models.cnn_params[arm]
@@ -235,7 +234,7 @@ def _run_fold(fold, arms, window_hours: int, vocab: Vocabulary, config: Experime
     fold_index, train, test = fold
     # train_fold is looked up per call, so a patched evaluate.train_fold is the one run
     models = (fit or train_fold)(train, arms, window_hours, vocab, config, fold_index)
-    scores = score_fold(models, test, arms, vocab)
+    scores = score_fold(models, test, arms)
     labels = np.array([int(r.died) for r in test])
     return fold_index, scores, labels
 
@@ -260,7 +259,7 @@ def run_experiments(records, vocab: Vocabulary, arms, window_hours: int,
 
     Embeddings are trained once per fold and reused by every arm that needs
     them. Folds whose test set is single-class are skipped with a warning.
-    Returns {arm: ArmOutcome}.
+    A bad record is refused before any fold trains. Returns {arm: ArmOutcome}.
 
     fit gives a fold's models: it is called as train_fold is, with
     (train_records, arms, window_hours, vocab, config, fold_index), and
@@ -271,6 +270,7 @@ def run_experiments(records, vocab: Vocabulary, arms, window_hours: int,
     for arm in arms:
         if arm not in ARMS:
             raise ValueError(f"unknown arm {arm!r}; expected one of {sorted(ARMS)}")
+    check_records(records, vocab.n_labs)
     plan = plan_folds(records, config.k_folds, config.seed, window_hours)
     settings = (tuple(arms), window_hours, vocab, config, fit)
 

@@ -51,8 +51,8 @@ class HeteroGraph:
 def build_graph(records, vocab, binned) -> HeteroGraph:
     """Materialize the graph of records from their binned (values, observed) pair.
 
-    `binned` is bin_events(records, window_hours, vocab.n_labs); the graph
-    holds its two arrays, not copies.
+    `binned` is bin_events(records, window_hours, normalizer), the records'
+    z-scored hourly means and mask; the graph holds its two arrays, not copies.
     """
     values, observed = binned
     n, _, n_labs = values.shape

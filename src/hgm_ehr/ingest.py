@@ -6,12 +6,12 @@ lab's vocabulary id) and `value`, in file order. Hours count backwards from
 the endpoint: hour bin h covers events with hours in the half-open interval
 [h, h+1), so bin 0 is the hour immediately before the endpoint.
 
-A split is binned once: `bin_events` turns all of its records into one
-(patient, hour, lab) tensor of hourly means plus its observed mask, which
-the graph and every arm's features read. It allocates the two arrays once
-and bins record by record into each record's own slice, so binning holds
-nothing else larger than one record; every cell still sums its events in
-record order, so the bits are those of one bincount over the whole split.
+A split is ingested in one pass: `bin_events` z-scores each in-window event
+and bins it into one (patient, hour, lab) tensor of hourly means plus its
+observed mask, which the graph and every arm's features read. It fills the
+two arrays, allocated once, record by record and copies no record; every
+cell sums its events in record order, so the bits are those of one
+bincount over the whole split.
 """
 
 from __future__ import annotations
@@ -250,40 +250,10 @@ def _check_events(record, n_labs: int) -> None:
                              f"(lab {lab[i]}, hours {hours[i]})")
 
 
-def _in_window(record, window_hours: int, n_labs: int) -> np.ndarray:
-    """The mask of a record's events that fall inside the window, its events checked first."""
-    _check_events(record, n_labs)
-    return record.events["hours"] < window_hours
-
-
-def bin_events(records, window_hours: int, n_labs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bin a split's events into hourly lab means over the last window_hours.
-
-    Returns (values, observed), both (n_records, window_hours, n_labs):
-    values[p, h, i] is the mean of record p's lab-i events in hour bin h
-    (hours before the endpoint, so h = 0 is the last hour), 0.0 where
-    unobserved; observed is the explicit missingness mask. Events at or
-    beyond window_hours are dropped. Both arrays are allocated once and
-    filled record by record, one bincount per record into its own slice.
-    Each cell sums its events in record order, as a per-event loop would.
-    A lab id outside [0, n_labs), negative or non-finite hours or a
-    non-finite value raise ValueError naming the patient.
-    """
-    if window_hours < 1:
-        raise ValueError("window_hours must be >= 1")
-    values = np.zeros((len(records), window_hours, n_labs))
-    observed = np.zeros(values.shape, dtype=bool)
-    size = window_hours * n_labs
-    for record, cell_values, seen in zip(records, values.reshape(len(records), size),
-                                         observed.reshape(len(records), size)):
-        events = record.events[_in_window(record, window_hours, n_labs)]
-        cell = events["hours"].astype(np.int64) * n_labs + events["lab"]
-        counts = np.bincount(cell, minlength=size)
-        np.greater(counts, 0, out=seen)
-        # a record with no events gets integer zeros from bincount; `out` keeps the floats
-        np.divide(np.bincount(cell, weights=events["value"], minlength=size), counts,
-                  out=cell_values, where=seen)
-    return values, observed
+def check_records(records, n_labs: int) -> None:
+    """Refuse the first record with a bad lab id, hours or value, naming the patient."""
+    for record in records:
+        _check_events(record, n_labs)
 
 
 @dataclass
@@ -294,13 +264,48 @@ class LabNormalizer:
     std: np.ndarray
 
 
+def bin_events(records, window_hours: int,
+               normalizer: LabNormalizer) -> tuple[np.ndarray, np.ndarray]:
+    """Z-score a split's in-window events and bin them into hourly lab means.
+
+    Returns (values, observed), both (n_records, window_hours, n_labs) with
+    n_labs = len(normalizer.mean): values[p, h, i] is the mean of record p's
+    lab-i events in hour bin h (h = 0 is the last hour before the endpoint),
+    each z-scored as (value - mean[i]) / std[i], and 0.0 where unobserved;
+    observed is the missingness mask. Events at or beyond window_hours are
+    dropped. One bincount per record fills its slice of the two arrays, so
+    no record is copied, and each cell sums its events in record order.
+    Bad lab ids, hours or values raise ValueError naming the patient.
+    """
+    if window_hours < 1:
+        raise ValueError("window_hours must be >= 1")
+    n_labs = len(normalizer.mean)
+    check_records(records, n_labs)
+    values = np.zeros((len(records), window_hours, n_labs))
+    observed = np.zeros(values.shape, dtype=bool)
+    size = window_hours * n_labs
+    for record, cell_values, seen in zip(records, values.reshape(len(records), size),
+                                         observed.reshape(len(records), size)):
+        events = record.events[record.events["hours"] < window_hours]
+        lab = events["lab"]
+        cell = events["hours"].astype(np.int64) * n_labs + lab
+        counts = np.bincount(cell, minlength=size)
+        np.greater(counts, 0, out=seen)
+        z = (events["value"] - normalizer.mean[lab]) / normalizer.std[lab]
+        # a record with no events gets integer zeros from bincount; `out` keeps the floats
+        np.divide(np.bincount(cell, weights=z, minlength=size), counts,
+                  out=cell_values, where=seen)
+    return values, observed
+
+
 def fit_normalizer(records, window_hours: int, n_labs: int) -> LabNormalizer:
     """Fit per-lab mean/std over in-window event values.
 
     Labs never observed in the split get mean 0, std 1; near-constant labs
     get std 1 to avoid blow-ups. Bad lab ids, hours or values raise as in bin_events.
     """
-    keep = [_in_window(record, window_hours, n_labs) for record in records]
+    check_records(records, n_labs)
+    keep = [record.events["hours"] < window_hours for record in records]
     # only the two in-window columns, gathered in event order; no copy of the event table
     lab = np.concatenate([np.empty(0, np.int64)]
                          + [record.events["lab"][k] for record, k in zip(records, keep)])
@@ -320,9 +325,9 @@ def fit_normalizer(records, window_hours: int, n_labs: int) -> LabNormalizer:
 def normalize_records(records, normalizer: LabNormalizer) -> list[PatientRecord]:
     """Copies of the records with every event value z-scored per lab.
 
-    Z-scoring commutes with within-hour averaging, so normalizing events is
-    equivalent to normalizing binned hours (up to rounding, so it is done
-    per event). Bad lab ids, hours or values raise as in bin_events, before any lookup.
+    A reference only, called by no stage: bin_events of its copies under a
+    unit normalizer must equal bin_events of the records (a test checks the
+    bits). Bad lab ids, hours or values raise as in bin_events, before any lookup.
     """
     out = []
     for rec in records:

@@ -5,7 +5,7 @@ import pytest
 
 from hgm_ehr.graph import NodeId, NodeType, build_graph
 from hgm_ehr.hgm import exact_softmax_loss
-from hgm_ehr.ingest import PatientRecord, Vocabulary, bin_events, event_array
+from hgm_ehr.ingest import LabNormalizer, PatientRecord, Vocabulary, bin_events, event_array
 from hgm_ehr.sampler import ContextSample, Terms
 
 HGM_PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
@@ -19,6 +19,12 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def unit_normalizer(n_labs):
+    """A normalizer that z-scores nothing: (v - 0.0) / 1.0 is v bit for bit, -0.0 included,
+    so bin_events under it gives the raw hourly means."""
+    return LabNormalizer(np.zeros(n_labs), np.ones(n_labs))
 
 
 def make_record(pid, events, diagnoses, died=False, end_hour=20):
@@ -68,7 +74,8 @@ def make_context(center, pos_labs=(), neg_labs=(), pos_diagnoses=(), neg_diagnos
 
 def binned_graph(records, vocab, window_hours):
     """build_graph over the records binned at window_hours (values as given)."""
-    return build_graph(records, vocab, bin_events(records, window_hours, vocab.n_labs))
+    return build_graph(records, vocab,
+                       bin_events(records, window_hours, unit_normalizer(vocab.n_labs)))
 
 
 def toy_vocab(n_labs=3, n_diagnoses=3):

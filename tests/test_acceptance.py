@@ -236,7 +236,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
 
 
 def test_criterion_7_imputation_contract():
-    from conftest import make_record
+    from conftest import make_record, unit_normalizer
 
     vocab = toy_vocab(n_labs=4, n_diagnoses=3)
     params = init_params(8, 4, 4, 3, seed=99)
@@ -244,7 +244,7 @@ def test_criterion_7_imputation_contract():
     rec = make_record("p", [(2.4, 1, 0.7), (0.2, 2, -1.1)], {0}, died=True)
     checked = 0
     for mode in (FeatureMode.EMBED_ONLY, FeatureMode.EMBED_PLUS_LABS):
-        m = build_features(bin_events([rec], 3, vocab.n_labs), mode, params)[0]
+        m = build_features(bin_events([rec], 3, unit_normalizer(vocab.n_labs)), mode, params)[0]
         prev_col = m[0, :8]
         missing_col = m[1, :8]
         if not np.array_equal(missing_col, prev_col + params.r_tt):

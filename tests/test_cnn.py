@@ -10,10 +10,10 @@ from hgm_ehr.cnn import (CnnParams, CnnTrainConfig, FeatureMode, backward, build
 from hgm_ehr.graph import NodeType, build_graph
 from hgm_ehr.hgm import init_params, project
 from hgm_ehr.ingest import (GenConfig, bin_events, fit_normalizer, generate_synthetic,
-                            normalize_records, synthetic_vocabulary)
+                            synthetic_vocabulary)
 from hgm_ehr.seeds import derive_seed
 
-from conftest import make_record, toy_vocab
+from conftest import make_record, toy_vocab, unit_normalizer
 
 GRAD_FIELDS = ("filters", "conv_bias", "dense_w", "dense_b")
 
@@ -236,8 +236,7 @@ class TestTrainCnn:
         # dense weights near 1.3e23 without a word
         cfg = GenConfig(n_patients=40, n_labs=6, n_diagnoses=8, window_hours=6)
         records = generate_synthetic(cfg, seed=3)
-        normalized = normalize_records(records, fit_normalizer(records, 6, 6))
-        feats = features(normalized, 6, FeatureMode.RAW_LABS, n_labs=6)
+        feats = features(records, 6, FeatureMode.RAW_LABS, normalizer=fit_normalizer(records, 6, 6))
         labels = np.array([rec.died for rec in records])
         train_cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=5, learning_rate=1e3)
         message = r"^cnn: a parameter non-finite or beyond 1e\+06 after epoch \d/5: max \|parameter\| "
@@ -276,8 +275,10 @@ class TestTrainCnn:
             train_cnn(np.zeros(shape), CnnTrainConfig(epochs=1), labels)
 
 
-def features(records, window, mode, n_labs=3, params=None):
-    return build_features(bin_events(records, window, n_labs), mode, params)
+def features(records, window, mode, n_labs=3, params=None, normalizer=None):
+    """build_features over the records binned under normalizer (default: values as given)."""
+    return build_features(bin_events(records, window, normalizer or unit_normalizer(n_labs)),
+                          mode, params)
 
 
 def reference_features(records, normalizer, window, n_labs, params):
@@ -344,8 +345,8 @@ class TestBuildFeatures:
         monkeypatch.setattr(evaluate, "train_cnn",
                             lambda feats, config, labels: seen.append((feats, labels)))
         evaluate.train_fold(records, ("CNN",), 4, toy_vocab(3, 4), evaluate.ExperimentConfig(), 0)
-        normalized = normalize_records(records, fit_normalizer(records, 4, 3))
-        expected = features(normalized, 4, FeatureMode.RAW_LABS)
+        expected = features(records, 4, FeatureMode.RAW_LABS,
+                            normalizer=fit_normalizer(records, 4, 3))
         feats, labels = seen[0]
         assert labels.tolist() == [int(rec.died) for rec in records]
         assert np.array_equal(feats, expected)
@@ -354,7 +355,7 @@ class TestBuildFeatures:
         params = init_params(6, 3, 3, 4, seed=1)
         # hour 2 (oldest) and hour 0 observed; hour 1 fully missing
         rec = make_record("p", [(2.5, 0, 1.0), (0.5, 1, 2.0)], {1})
-        values, observed = bin_events([rec], 3, 3)
+        values, observed = bin_events([rec], 3, unit_normalizer(3))
         m = build_features((values, observed), FeatureMode.EMBED_ONLY, params)[0]
         oldest = project(params, NodeType.PATIENT_HOUR, values[0, 2])
         assert np.array_equal(m[0], oldest)
@@ -370,7 +371,7 @@ class TestBuildFeatures:
 
     def test_raw_labs_is_a_read_only_view(self):
         cfg = GenConfig(n_patients=5, n_labs=4, n_diagnoses=5, window_hours=6)
-        values, observed = bin_events(generate_synthetic(cfg, seed=3), 6, 4)
+        values, observed = bin_events(generate_synthetic(cfg, seed=3), 6, unit_normalizer(4))
         labs = build_features((values, observed), FeatureMode.RAW_LABS)
         assert np.shares_memory(labs, values)
         assert not labs.flags.writeable
@@ -403,7 +404,7 @@ class TestBuildFeatures:
         params.w_p *= 50.0  # out of the activation's near-linear range
         expected, (values, observed) = reference_features(records, normalizer, 8, 6, params)
         assert not observed.any(axis=2).all()  # some hours are imputed
-        binned = bin_events(normalize_records(records, normalizer), 8, 6)
+        binned = bin_events(records, 8, normalizer)
         for mode in FeatureMode:
             assert np.array_equal(build_features(binned, mode, params), expected[mode]), mode
         graph = build_graph(records, vocab, binned)
@@ -542,8 +543,7 @@ class TestFlatGatherMatchesGenericKernels:
         # run the two kernels must still rank every patient the same way
         cfg = GenConfig(n_patients=60, n_labs=5, n_diagnoses=6, window_hours=8)
         records = generate_synthetic(cfg, seed=13)
-        normalized = normalize_records(records, fit_normalizer(records, 8, 5))
-        feats = features(normalized, 8, FeatureMode.RAW_LABS, n_labs=5)
+        feats = features(records, 8, FeatureMode.RAW_LABS, normalizer=fit_normalizer(records, 8, 5))
         labels = np.array([rec.died for rec in records])
         train_cfg = CnnTrainConfig(n_filters=8, kernel=3, epochs=10, seed=4)
         params = train_cnn(feats, train_cfg, labels)

@@ -11,8 +11,10 @@ from hgm_ehr.evaluate import (ARMS, ExperimentConfig, assemble_outcome, auprc, a
                               pr_points, roc_points, run_experiments,
                               score_fold, train_fold)
 from hgm_ehr.hgm import HgmTrainConfig
-from hgm_ehr.ingest import GenConfig, generate_synthetic, synthetic_vocabulary
+from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
 from hgm_ehr.sampler import SamplerConfig
+
+from conftest import traced_peak
 
 
 def brute_force_auroc(scores, labels):
@@ -327,16 +329,20 @@ class TestRunExperiment:
             FeatureMode.EMBED_ONLY, FeatureMode.RAW_LABS, FeatureMode.EMBED_PLUS_LABS]
         assert [FeatureMode(arm).needs_embedding for arm in ARMS] == [True, False, True]
 
-    def test_non_finite_event_value_names_patient(self):
-        # one NaN used to surface as a CNN or HGM divergence naming neither patient nor stage
+    def test_non_finite_event_value_names_patient(self, monkeypatch):
+        # one NaN used to surface as a CNN or HGM divergence naming neither patient nor stage;
+        # p00005 is held out in fold 0, which used to train before scoring refused it
         from hgm_ehr.seeds import derive_seed
 
         cfg = GenConfig(n_patients=40, n_labs=6, n_diagnoses=8, window_hours=6, prevalence=0.4)
         records = generate_synthetic(cfg, seed=derive_seed(3, "synth"))
         bad = next(r for r in records if r.patient_id == "p00005")
         bad.events["value"][0] = np.nan
+        calls = []
+        monkeypatch.setattr(evaluate, "train_fold", functools.partial(recorded_train_fold, calls))
         with pytest.raises(ValueError, match=r"^patient 'p00005': value must be finite"):
             run_experiments(records, synthetic_vocabulary(cfg), ARMS, 6, fast_config(k=2, seed=3))
+        assert calls == []
 
     def test_single_class_fold_skipped_with_warning(self, caplog):
         # two deaths placed in two different test folds: those folds are
@@ -390,7 +396,7 @@ class TestRunExperiment:
         monkeypatch.setattr(evaluate, "train_hgm", diverge)
         records, vocab = small_corpus(n=12)
         with pytest.raises(FloatingPointError,
-                           match=r"^fold 3, window 6h: hgm: non-finite .* epoch 2/2$"):
+                           match=r"^window 6h fold 3: hgm: non-finite .* epoch 2/2$"):
             train_fold(records, ("HGM",), 6, vocab, fast_config(), 3)
 
     def test_diverging_cnn_names_fold_window_and_arm(self):
@@ -398,7 +404,7 @@ class TestRunExperiment:
         cfg = fast_config()
         cfg = replace(cfg, cnn=replace(cfg.cnn, learning_rate=1e3))
         with pytest.raises(FloatingPointError,
-                           match=r"^fold 2, window 6h, arm CNN: cnn: .* after epoch \d+/10: "):
+                           match=r"^window 6h fold 2, arm CNN: cnn: .* after epoch \d+/10: "):
             train_fold(records, ("CNN",), 6, vocab, cfg, 2)
 
     def test_std_is_sample_std(self):
@@ -415,6 +421,17 @@ class TestRunExperiment:
                           "mean_auprc", "std_auprc"}
         assert all(set(f) == {"fold", "auroc", "auprc", "n_test", "n_pos"} for f in d["folds"])
 
+    def test_scoring_peak_memory_is_the_binned_split(self):
+        # the split is z-scored as it is binned; copying its records z-scored
+        # first held ~1.95x the binned pair
+        cfg = GenConfig(n_patients=100, n_labs=8, n_diagnoses=12, window_hours=48, prevalence=0.35)
+        records = generate_synthetic(cfg, seed=13)
+        train, test = records[:50], records[50:]
+        models = train_fold(train, ("CNN",), 48, synthetic_vocabulary(cfg), fast_config(), 0)
+        _, peak = traced_peak(score_fold, models, test, ("CNN",))
+        values, observed = bin_events(test, 48, models.normalizer)
+        assert peak <= 1.5 * (values.nbytes + observed.nbytes)
+
     def test_label_permutation_guard(self):
         # scores from a trained fold carry no information about permuted labels
         records, vocab = small_corpus(n=120)
@@ -424,7 +441,7 @@ class TestRunExperiment:
         train = [by_id[i] for i in ids if i not in set(folds[0])]
         test = [by_id[i] for i in folds[0]]
         models = train_fold(train, ("CNN",), 6, vocab, fast_config(), fold_index=0)
-        scores = score_fold(models, test, ("CNN",), vocab)["CNN"]
+        scores = score_fold(models, test, ("CNN",))["CNN"]
         rng = np.random.default_rng(4)
         aurocs = []
         for _ in range(40):

@@ -6,7 +6,7 @@ import pytest
 from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, all_nodes, build_graph, neighbors
 from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
 
-from conftest import binned_graph, make_record, toy_records, toy_vocab
+from conftest import binned_graph, make_record, toy_records, toy_vocab, unit_normalizer
 
 
 def ph(p, h):
@@ -82,7 +82,7 @@ class TestBuildGraph:
 
     def test_graph_holds_the_binned_pair(self):
         records = toy_records()
-        values, observed = bin_events(records, 2, 3)
+        values, observed = bin_events(records, 2, unit_normalizer(3))
         graph = build_graph(records, toy_vocab(), (values, observed))
         assert graph.values is values and graph.observed is observed
         with pytest.raises(ValueError, match="does not match"):

@@ -13,7 +13,7 @@ from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_
 from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError
 from hgm_ehr.seeds import derive_seed
 
-from conftest import binned_graph, make_context, make_record, toy_vocab
+from conftest import binned_graph, make_context, make_record, toy_vocab, unit_normalizer
 from test_sampler import edge_case_graphs
 
 PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
@@ -398,7 +398,7 @@ class TestEmbedPatientHour:
     def test_observed_hour_is_projection(self, toy_graph):
         graph, vocab, records = toy_graph
         params = random_params(4, 3, 3, 3, seed=8)
-        values, observed = bin_events(records, 2, 3)
+        values, observed = bin_events(records, 2, unit_normalizer(3))
         out = embed_hours(params, values, observed)
         assert observed.any(axis=2).all()
         for p in range(2):

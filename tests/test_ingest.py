@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from hgm_ehr.evaluate import auroc
-from hgm_ehr.ingest import (EVENT_DTYPE, DataFormatError, GenConfig, LabNormalizer, Vocabulary,
-                            bin_events, fit_normalizer, generate_synthetic, normalize_records,
-                            parse_records, synthetic_vocabulary, write_corpus)
+from hgm_ehr.ingest import (EVENT_DTYPE, DataFormatError, GenConfig, Vocabulary, bin_events,
+                            fit_normalizer, generate_synthetic, normalize_records, parse_records,
+                            synthetic_vocabulary, write_corpus)
 
-from conftest import make_record, traced_peak
+from conftest import make_record, traced_peak, unit_normalizer
 
 
 def write_corpus_files(tmp_path, events_rows, diagnoses_rows, outcomes_rows):
@@ -57,6 +57,13 @@ class TestParseRecords:
     def test_malformed_row_names_file_and_line(self, tmp_path):
         files = write_corpus_files(tmp_path, ["p1,notanumber,sodium,1.0"], [], ["p1,0,10"])
         with pytest.raises(DataFormatError, match=r"events\.csv:2"):
+            parse_records(*files)
+
+    @pytest.mark.parametrize("hours, value", [("-1", "1.0"), ("nan", "1.0"), ("inf", "1.0"),
+                                              ("1.0", "nan"), ("1.0", "inf"), ("1.0", "-inf")])
+    def test_non_finite_or_negative_number_names_file_and_line(self, tmp_path, hours, value):
+        files = write_corpus_files(tmp_path, [f"p1,{hours},sodium,{value}"], [], ["p1,0,10"])
+        with pytest.raises(DataFormatError, match=r"events\.csv:2: (hours_before_end|value) must"):
             parse_records(*files)
 
     def test_event_patient_missing_from_outcomes(self, tmp_path):
@@ -148,32 +155,37 @@ def split_48h():
                                         window_hours=48), seed=5)
 
 
+def unit_bin(records, window_hours, n_labs):
+    """bin_events under a unit normalizer of n_labs labs, called as fit_normalizer is."""
+    return bin_events(records, window_hours, unit_normalizer(n_labs))
+
+
 def unit_normalize(records, window_hours, n_labs):
-    """normalize_records under an identity normalizer of n_labs labs, called as bin_events is."""
-    return normalize_records(records, LabNormalizer(np.zeros(n_labs), np.ones(n_labs)))
+    """normalize_records under a unit normalizer of n_labs labs, called as fit_normalizer is."""
+    return normalize_records(records, unit_normalizer(n_labs))
 
 
 class TestBinEvents:
     def test_within_hour_duplicates_averaged(self):
         rec = make_record("p", [(3.2, 5, 2.0), (3.8, 5, 4.0)], set())
-        values, observed = bin_events([rec], 6, 10)
+        values, observed = bin_events([rec], 6, unit_normalizer(10))
         assert values[0, 3, 5] == pytest.approx(3.0)
         assert observed[0, 3, 5]
 
     def test_no_events_yields_all_unobserved(self):
-        values, observed = bin_events([make_record("p", [], set())], 6, 4)
+        values, observed = bin_events([make_record("p", [], set())], 6, unit_normalizer(4))
         assert values.shape == observed.shape == (1, 6, 4)
         assert not observed.any()
         assert np.all(values == 0.0)
 
     def test_out_of_window_event_dropped(self):
-        _, observed = bin_events([make_record("p", [(7.5, 2, 9.0)], set())], 6, 4)
+        _, observed = bin_events([make_record("p", [(7.5, 2, 9.0)], set())], 6, unit_normalizer(4))
         assert not observed.any()
 
     def test_window_boundary_is_half_open(self):
         # an event at exactly window_hours is outside; at window-epsilon it is in bin window-1
         rec = make_record("p", [(6.0, 0, 1.0), (5.999, 1, 2.0)], set())
-        _, observed = bin_events([rec], 6, 2)
+        _, observed = bin_events([rec], 6, unit_normalizer(2))
         assert not observed[0, 5, 0]
         assert observed[0, 5, 1]
 
@@ -184,7 +196,7 @@ class TestBinEvents:
                                               int(rng.integers(0, 5)), float(rng.normal()))
                                              for _ in range(40)], set())
                        for i in range(3)]
-            values, observed = bin_events(records, window, 5)
+            values, observed = bin_events(records, window, unit_normalizer(5))
             assert values.shape == observed.shape == (3, window, 5)
 
     def test_observed_count_bounded_by_in_window_events(self):
@@ -193,7 +205,7 @@ class TestBinEvents:
             events = [(float(rng.uniform(0, 9)), int(rng.integers(0, 5)), float(rng.normal()))
                       for _ in range(rng.integers(0, 30))]
             rec = make_record("p", events, set())
-            _, observed = bin_events([rec], 6, 5)
+            _, observed = bin_events([rec], 6, unit_normalizer(5))
             in_window = sum(1 for t, _, _ in events if t < 6)
             assert int(observed.sum()) <= in_window
 
@@ -201,10 +213,11 @@ class TestBinEvents:
         rng = np.random.default_rng(2)
         events = [(float(rng.uniform(0, 6)), int(rng.integers(0, 4)), float(rng.normal()))
                   for _ in range(25)]
-        base_values, base_observed = bin_events([make_record("p", events, set())], 6, 4)
+        base_values, base_observed = bin_events([make_record("p", events, set())], 6,
+                                                unit_normalizer(4))
         for _ in range(5):
             perm = [events[i] for i in rng.permutation(len(events))]
-            values, observed = bin_events([make_record("p", perm, set())], 6, 4)
+            values, observed = bin_events([make_record("p", perm, set())], 6, unit_normalizer(4))
             assert np.array_equal(observed, base_observed)
             assert np.allclose(values, base_values)
 
@@ -212,16 +225,26 @@ class TestBinEvents:
         # no event leaks into a neighbouring patient, hour or lab cell
         cfg = GenConfig(n_patients=12, n_labs=5, n_diagnoses=4, window_hours=6)
         records = generate_synthetic(cfg, seed=11)
-        values, observed = bin_events(records, 6, 5)
+        values, observed = bin_events(records, 6, unit_normalizer(5))
         for p, rec in enumerate(records):
-            alone_values, alone_observed = bin_events([rec], 6, 5)
+            alone_values, alone_observed = bin_events([rec], 6, unit_normalizer(5))
             assert np.array_equal(values[p], alone_values[0])
             assert np.array_equal(observed[p], alone_observed[0])
+
+    def test_z_scores_as_normalize_records_does(self):
+        # one pass z-scores each in-window event as it bins it: the bits are
+        # those of binning normalize_records' copies of the records unscaled
+        records = split_48h()
+        assert any((rec.events["hours"] >= 48).any() for rec in records)
+        norm = fit_normalizer(records, 48, 10)
+        fused = bin_events(records, 48, norm)
+        reference = bin_events(normalize_records(records, norm), 48, unit_normalizer(10))
+        assert [a.tobytes() for a in fused] == [a.tobytes() for a in reference]
 
     def test_peak_memory_is_the_output(self):
         # values and observed are allocated once and filled record by record;
         # binning the whole split in one bincount held ~5x the output
-        (values, observed), peak = traced_peak(bin_events, split_48h(), 48, 10)
+        (values, observed), peak = traced_peak(bin_events, split_48h(), 48, unit_normalizer(10))
         assert peak <= 1.25 * (values.nbytes + observed.nbytes)
 
     @pytest.mark.parametrize("lab", [-1, 4])
@@ -229,7 +252,7 @@ class TestBinEvents:
         records = [make_record("ok", [(0.5, 0, 1.0)], set()),
                    make_record("bad", [(0.5, 1, 1.0), (1.5, lab, 2.0)], set())]
         message = r"patient 'bad': lab id outside vocabulary of size 4"
-        for stage in (bin_events, fit_normalizer, unit_normalize):
+        for stage in (unit_bin, fit_normalizer, unit_normalize):
             with pytest.raises(ValueError, match=message):
                 stage(records, 6, 4)
 
@@ -238,11 +261,11 @@ class TestBinEvents:
         # -1.5 used to land in bin window-1 through int(-1.5) == -1
         records = [make_record("ok", [(0.5, 0, 1.0)], set()),
                    make_record("bad", [(hours, 1, 1.0)], set())]
-        for stage in (bin_events, fit_normalizer, unit_normalize):
+        for stage in (unit_bin, fit_normalizer, unit_normalize):
             with pytest.raises(ValueError, match=r"patient 'bad': hours_before_end must be finite"):
                 stage(records, 6, 4)
 
-    @pytest.mark.parametrize("stage", [bin_events, fit_normalizer, unit_normalize],
+    @pytest.mark.parametrize("stage", [unit_bin, fit_normalizer, unit_normalize],
                              ids=["bin_events", "fit_normalizer", "normalize_records"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_value_names_patient(self, stage, value):
