@@ -11,7 +11,9 @@ and bins it into one (patient, hour, lab) tensor of hourly means plus its
 observed mask, which the graph and every arm's features read. It fills the
 two arrays, allocated once, record by record and copies no record; every
 cell sums its events in record order, so the bits are those of one
-bincount over the whole split.
+bincount over the whole split. Each array is a private anonymous mapping,
+not a heap block, so its pages leave with it and where the heap's free
+blocks lie never moves a fold's peak memory.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import json
 import logging
 import math
+import mmap
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -281,9 +284,10 @@ def bin_events(records, window_hours: int,
         raise ValueError("window_hours must be >= 1")
     n_labs = len(normalizer.mean)
     check_records(records, n_labs)
-    values = np.zeros((len(records), window_hours, n_labs))
-    observed = np.zeros(values.shape, dtype=bool)
     size = window_hours * n_labs
+    cells = len(records) * size
+    values = np.frombuffer(mmap.mmap(-1, 8 * cells or 1, mmap.MAP_PRIVATE), np.float64, cells)
+    observed = np.frombuffer(mmap.mmap(-1, cells or 1, mmap.MAP_PRIVATE), bool, cells)
     for record, cell_values, seen in zip(records, values.reshape(len(records), size),
                                          observed.reshape(len(records), size)):
         events = record.events[record.events["hours"] < window_hours]
@@ -295,7 +299,8 @@ def bin_events(records, window_hours: int,
         # a record with no events gets integer zeros from bincount; `out` keeps the floats
         np.divide(np.bincount(cell, weights=z, minlength=size), counts,
                   out=cell_values, where=seen)
-    return values, observed
+    shape = (len(records), window_hours, n_labs)
+    return values.reshape(shape), observed.reshape(shape)
 
 
 def fit_normalizer(records, window_hours: int, n_labs: int) -> LabNormalizer:

@@ -423,14 +423,16 @@ class TestRunExperiment:
 
     def test_scoring_peak_memory_is_the_binned_split(self):
         # the split is z-scored as it is binned; copying its records z-scored
-        # first held ~1.95x the binned pair
+        # first held ~1.95x the binned pair. The pair is mapped outside the heap,
+        # where tracemalloc does not see it, so it is added to the traced peak
         cfg = GenConfig(n_patients=100, n_labs=8, n_diagnoses=12, window_hours=48, prevalence=0.35)
         records = generate_synthetic(cfg, seed=13)
         train, test = records[:50], records[50:]
         models = train_fold(train, ("CNN",), 48, synthetic_vocabulary(cfg), fast_config(), 0)
         _, peak = traced_peak(score_fold, models, test, ("CNN",))
         values, observed = bin_events(test, 48, models.normalizer)
-        assert peak <= 1.5 * (values.nbytes + observed.nbytes)
+        pair = values.nbytes + observed.nbytes
+        assert peak + pair <= 1.5 * pair
 
     def test_label_permutation_guard(self):
         # scores from a trained fold carry no information about permuted labels

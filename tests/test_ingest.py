@@ -243,9 +243,17 @@ class TestBinEvents:
 
     def test_peak_memory_is_the_output(self):
         # values and observed are allocated once and filled record by record;
-        # binning the whole split in one bincount held ~5x the output
+        # binning the whole split in one bincount held ~5x the output. The two
+        # are mappings of their own, which tracemalloc does not see, so they are
+        # added here; as heap blocks they would count twice and fail
         (values, observed), peak = traced_peak(bin_events, split_48h(), 48, unit_normalizer(10))
-        assert peak <= 1.25 * (values.nbytes + observed.nbytes)
+        output = values.nbytes + observed.nbytes
+        assert peak + output <= 1.25 * output
+
+    def test_empty_split_bins_to_empty_arrays(self):
+        values, observed = bin_events([], 6, unit_normalizer(4))
+        assert values.shape == observed.shape == (0, 6, 4)
+        assert (values.dtype, observed.dtype) == (np.float64, np.bool_)
 
     @pytest.mark.parametrize("lab", [-1, 4])
     def test_lab_outside_vocabulary_names_patient(self, lab):
