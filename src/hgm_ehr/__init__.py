@@ -7,7 +7,7 @@ from .evaluate import (ARMS, ExperimentConfig, ExperimentReport, FoldReport, aup
                        kfold_split, run_experiments)
 from .graph import HeteroGraph, NodeId, NodeType, build_graph, neighbors
 from .hgm import (HgmParams, HgmTrainConfig, Relation, embed_hours, exact_softmax_loss, ns_grad,
-                  ns_loss, project, score, train_hgm)
+                  ns_loss, train_hgm)
 from .ingest import (EVENT_DTYPE, GenConfig, PatientRecord, Vocabulary, bin_events, event_array,
                      generate_synthetic, parse_records)
 from .sampler import ContextSample, Sampler, SamplerConfig

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import logging
@@ -24,7 +23,7 @@ from functools import partial
 from pathlib import Path
 
 from . import evaluate
-from .checkpoint import load_container, save_container, write_json_atomic
+from .checkpoint import load_container, save_container, write_json_atomic, write_text_atomic
 from .cnn import CnnTrainConfig, FeatureMode, load_cnn, save_cnn
 from .evaluate import ARMS, ExperimentConfig, FoldModels
 from .hgm import HgmTrainConfig, load_params, save_params
@@ -203,14 +202,9 @@ def _write_outcome(out_dir: Path, outcome) -> None:
 
 
 def _write_curve(path: Path, header, points) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for point in points:
-            writer.writerow([repr(v) for v in point])
-    os.replace(tmp, path)
+    # CSV as the csv module writes it: CRLF line ends; no name or float repr needs quoting
+    rows = [header] + [[repr(v) for v in point] for point in points]
+    write_text_atomic(path, "".join(",".join(row) + "\r\n" for row in rows))
 
 
 def _checkpoint_dir(config: RunConfig) -> Path:

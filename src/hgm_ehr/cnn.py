@@ -252,12 +252,9 @@ def save_cnn(params: CnnParams, path) -> None:
 
 
 def load_cnn(path) -> CnnParams:
-    payload = load_container(path, kind="cnn")
-    dims = payload["dims"]
-    n_filters = dims["filters"]
-    return CnnParams(**load_arrays(path, payload, {
-        "filters": (n_filters, dims["kernel"], dims["features"]),
-        "conv_bias": (n_filters,),
-        "dense_w": (n_filters, 2),
+    return CnnParams(**load_arrays(path, load_container(path, kind="cnn"), {
+        "filters": ("filters", "kernel", "features"),
+        "conv_bias": ("filters",),
+        "dense_w": ("filters", 2),
         "dense_b": (2,),
     }))

@@ -44,9 +44,6 @@ class HeteroGraph:
     n_labs = property(lambda self: self.values.shape[2])
     n_diagnoses = property(lambda self: self.diagnosed.shape[1])
 
-    def patient_hours(self):
-        return np.ndindex(self.n_patients, self.window_hours)
-
 
 def build_graph(records, vocab, binned) -> HeteroGraph:
     """Materialize the graph of records from their binned (values, observed) pair.
@@ -98,10 +95,3 @@ def neighbors(graph: HeteroGraph, node: NodeId, target_type: NodeType) -> list[N
             mask = np.repeat(graph.diagnosed[:, node.index, None], window, axis=1)
     return [NodeId(target_type, tuple(i) if mask.ndim == 2 else i[0])
             for i in np.argwhere(mask).tolist()]
-
-
-def all_nodes(graph: HeteroGraph) -> list[NodeId]:
-    nodes = [NodeId(NodeType.PATIENT_HOUR, (p, h)) for p, h in graph.patient_hours()]
-    nodes += [NodeId(NodeType.LAB, i) for i in range(graph.n_labs)]
-    nodes += [NodeId(NodeType.DIAGNOSIS, j) for j in range(graph.n_diagnoses)]
-    return nodes

@@ -116,12 +116,6 @@ class HgmParams:
     def n_diagnoses(self) -> int:
         return self.w_d.shape[1]
 
-    def copy(self) -> "HgmParams":
-        return HgmParams(
-            self.w_p.copy(), self.w_i.copy(), self.w_d.copy(),
-            self.r_ip.copy(), self.r_pd.copy(), self.r_tt.copy(), self.activation,
-        )
-
     def activation_fns(self):
         try:
             return ACTIVATIONS[self.activation]
@@ -167,46 +161,6 @@ def init_params(d, p_in, n_labs, n_diagnoses, activation="tanh", seed=0) -> HgmP
         w_p=u(d, p_in), w_i=u(d, n_labs), w_d=u(d, n_diagnoses),
         r_ip=u(d), r_pd=u(d), r_tt=u(d), activation=activation,
     )
-
-
-def project(params: HgmParams, node_type: NodeType, raw_vector) -> np.ndarray:
-    """Type projection: activation(W_type . x)."""
-    matrix = {
-        NodeType.PATIENT_HOUR: params.w_p,
-        NodeType.LAB: params.w_i,
-        NodeType.DIAGNOSIS: params.w_d,
-    }[node_type]
-    x = np.asarray(raw_vector, dtype=float)
-    if x.shape != (matrix.shape[1],):
-        raise ValueError(
-            f"raw vector of length {x.shape} does not match input dim {matrix.shape[1]} "
-            f"for {node_type.value}"
-        )
-    act, _ = params.activation_fns()
-    return act(matrix @ x)
-
-
-def score(params: HgmParams, center_emb, relation: Relation, neighbor_emb) -> float:
-    """Translated dot-product similarity between center and neighbor embeddings."""
-    c_u = np.asarray(center_emb, dtype=float)
-    c_v = np.asarray(neighbor_emb, dtype=float)
-    if relation is Relation.TESTED:
-        return float((c_v + params.r_ip) @ c_u)
-    if relation is Relation.DIAGNOSED:
-        return float((c_u + params.r_pd) @ c_v)
-    if relation is Relation.TEMPORAL:
-        return float((c_u + params.r_tt) @ c_v)
-    return float(c_u @ c_v)
-
-
-def embed_node(params: HgmParams, graph: HeteroGraph, node: NodeId) -> np.ndarray:
-    """Embedding of a graph node (lab/diagnosis raw vectors are one-hot)."""
-    act, _ = params.activation_fns()
-    if node.type is NodeType.PATIENT_HOUR:
-        return act(params.w_p @ graph.values[node.index])
-    if node.type is NodeType.LAB:
-        return act(params.w_i[:, node.index].copy())
-    return act(params.w_d[:, node.index].copy())
 
 
 def embed_all(params: HgmParams, graph: HeteroGraph):
@@ -350,12 +304,6 @@ def ns_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample) -> Hg
     return _loss_and_grad(params, graph, context)[1]
 
 
-def context_scores(params: HgmParams, graph: HeteroGraph, context: ContextSample):
-    """Raw pair scores of a context as (positive_scores, negative_scores)."""
-    _, _, s, pos = _loss_and_grad(params, graph, context)
-    return s[pos], s[~pos]
-
-
 def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, on_epoch=None) -> HgmParams:
     """SGD over epochs x shuffled patient-hour centers, one context per step:
     each epoch permutes the P*T flat row numbers, row r being center (p, h) = divmod(r, T).
@@ -452,9 +400,7 @@ def load_params(path) -> HgmParams:
     if activation not in ACTIVATIONS:
         raise ValueError(f"{path}: unknown activation {activation!r}; "
                          f"expected one of {sorted(ACTIVATIONS)}")
-    dims = payload["dims"]
-    d = dims["d"]
     return HgmParams(**load_arrays(path, payload, {
-        "w_p": (d, dims["p_in"]), "w_i": (d, dims["labs"]), "w_d": (d, dims["diagnoses"]),
-        "r_ip": (d,), "r_pd": (d,), "r_tt": (d,),
+        "w_p": ("d", "p_in"), "w_i": ("d", "labs"), "w_d": ("d", "diagnoses"),
+        "r_ip": ("d",), "r_pd": ("d",), "r_tt": ("d",),
     }), activation=activation)

@@ -352,6 +352,15 @@ _RISK_DIAGNOSIS_BASE = -1.2
 _RISK_DIAGNOSIS_GAIN = 2.0
 _PATIENT_OFFSET_SD = 0.5
 _LAB_BASELINE_SD = 2.0
+_RISK_LAB_FRACTION = 0.2
+_RISK_DIAGNOSIS_FRACTION = 0.2
+_BACKGROUND_DIAGNOSIS_RATE = 2.0  # expected non-risk diagnoses per patient
+_HOUR_SKIP_PROB = 0.30
+_LAB_OBS_PROB = 0.35
+_DUPLICATE_EVENT_PROB = 0.10
+_NOISE_SD = 1.0
+_DRIFT_SCALE = 2.0
+_OVERFLOW_HOURS = 2  # hours generated beyond the window, which binning drops
 
 
 @dataclass(frozen=True)
@@ -364,15 +373,6 @@ class GenConfig:
     window_hours: int
     signal: float = 1.0
     prevalence: float = 0.3
-    risk_lab_fraction: float = 0.2
-    risk_diagnosis_fraction: float = 0.2
-    background_diagnosis_rate: float = 2.0
-    hour_skip_prob: float = 0.30
-    lab_obs_prob: float = 0.35
-    duplicate_event_prob: float = 0.10
-    noise_sd: float = 1.0
-    drift_scale: float = 2.0
-    overflow_hours: int = 2
 
     def validate(self) -> None:
         if self.n_patients < 1 or self.n_labs < 1 or self.n_diagnoses < 1:
@@ -383,22 +383,14 @@ class GenConfig:
             raise ValueError("signal must lie in [0, 1]")
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError("prevalence must lie in (0, 1)")
-        for name in ("risk_lab_fraction", "risk_diagnosis_fraction", "hour_skip_prob",
-                     "lab_obs_prob", "duplicate_event_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.noise_sd < 0 or self.drift_scale < 0 or self.background_diagnosis_rate < 0:
-            raise ValueError("noise_sd, drift_scale and background_diagnosis_rate must be >= 0")
-        if self.overflow_hours < 0:
-            raise ValueError("overflow_hours must be >= 0")
 
     @property
     def n_risk_labs(self) -> int:
-        return max(1, round(self.n_labs * self.risk_lab_fraction))
+        return max(1, round(self.n_labs * _RISK_LAB_FRACTION))
 
     @property
     def n_risk_diagnoses(self) -> int:
-        return max(1, round(self.n_diagnoses * self.risk_diagnosis_fraction))
+        return max(1, round(self.n_diagnoses * _RISK_DIAGNOSIS_FRACTION))
 
 
 def _sigmoid(x: float) -> float:
@@ -427,9 +419,9 @@ def generate_synthetic(config: GenConfig, seed: int) -> list[PatientRecord]:
     n_risk_labs = config.n_risk_labs
     n_risk_dx = config.n_risk_diagnoses
     base_logit = math.log(config.prevalence / (1.0 - config.prevalence))
-    bg_rate = min(1.0, config.background_diagnosis_rate / max(1, config.n_diagnoses - n_risk_dx))
+    bg_rate = min(1.0, _BACKGROUND_DIAGNOSIS_RATE / max(1, config.n_diagnoses - n_risk_dx))
     lab_baseline = rng.normal(0.0, _LAB_BASELINE_SD, size=config.n_labs)
-    total_hours = config.window_hours + config.overflow_hours
+    total_hours = config.window_hours + _OVERFLOW_HOURS
 
     records = []
     for p in range(config.n_patients):
@@ -448,16 +440,16 @@ def generate_synthetic(config: GenConfig, seed: int) -> list[PatientRecord]:
         offsets = rng.normal(0.0, _PATIENT_OFFSET_SD, size=config.n_labs)
         events = []
         for h in range(total_hours):
-            if rng.random() < config.hour_skip_prob:
+            if rng.random() < _HOUR_SKIP_PROB:
                 continue
             toward_end = max(0.0, 1.0 - h / config.window_hours)
-            observed = np.flatnonzero(rng.random(config.n_labs) < config.lab_obs_prob)
+            observed = np.flatnonzero(rng.random(config.n_labs) < _LAB_OBS_PROB)
             for lab in observed.tolist():
-                n_events = 2 if rng.random() < config.duplicate_event_prob else 1
-                drift = config.drift_scale * z * toward_end if lab < n_risk_labs else 0.0
+                n_events = 2 if rng.random() < _DUPLICATE_EVENT_PROB else 1
+                drift = _DRIFT_SCALE * z * toward_end if lab < n_risk_labs else 0.0
                 for _ in range(n_events):
                     t = h + rng.random()
-                    value = lab_baseline[lab] + offsets[lab] + drift + config.noise_sd * rng.normal()
+                    value = lab_baseline[lab] + offsets[lab] + drift + _NOISE_SD * rng.normal()
                     events.append((float(t), lab, float(value)))
         records.append(PatientRecord(pid, event_array(events), diagnoses, bool(died), end_hour))
     return records

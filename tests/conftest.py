@@ -118,7 +118,8 @@ def shared_dx_graph():
 
 
 def patient_hour_centers(graph):
-    return [NodeId(NodeType.PATIENT_HOUR, (p, h)) for p, h in graph.patient_hours()]
+    return [NodeId(NodeType.PATIENT_HOUR, hour)
+            for hour in np.ndindex(graph.n_patients, graph.window_hours)]
 
 
 def total_exact_loss(params, graph):

@@ -15,7 +15,7 @@ from hgm_ehr import cli
 from hgm_ehr.cnn import CnnParams, CnnTrainConfig, FeatureMode, backward, build_features, \
     ce_loss, forward
 from hgm_ehr.evaluate import ExperimentConfig, auprc, auroc, run_experiments
-from hgm_ehr.hgm import HgmTrainConfig, context_scores, init_params, ns_grad, ns_loss, train_hgm
+from hgm_ehr.hgm import HgmTrainConfig, _loss_and_grad, init_params, ns_grad, ns_loss, train_hgm
 from hgm_ehr.ingest import (GenConfig, bin_events, generate_synthetic, parse_records,
                             synthetic_vocabulary)
 from hgm_ehr.sampler import Sampler, SamplerConfig
@@ -127,7 +127,7 @@ def test_criterion_2_metric_oracles():
 def test_criterion_3_full_softmax_oracle_and_separation():
     start = time.perf_counter()
     graph = binned_graph(toy_records(), toy_vocab(), 2)
-    centers = list(graph.patient_hours())
+    centers = list(np.ndindex(graph.n_patients, graph.window_hours))
 
     params = random_params(4, 3, 3, 3, seed=2, scale=0.8)
     initial = total_exact_loss(params, graph)
@@ -146,9 +146,9 @@ def test_criterion_3_full_softmax_oracle_and_separation():
     neg_sig = []
     for i in range(200):
         ctx = sampler.sample_context(*centers[i % len(centers)])
-        pos, neg = context_scores(trained, graph, ctx)
-        pos_sig.extend((1.0 / (1.0 + np.exp(-pos))).tolist())
-        neg_sig.extend((1.0 / (1.0 + np.exp(-neg))).tolist())
+        _, _, scores, positive = _loss_and_grad(trained, graph, ctx)
+        pos_sig.extend((1.0 / (1.0 + np.exp(-scores[positive]))).tolist())
+        neg_sig.extend((1.0 / (1.0 + np.exp(-scores[~positive]))).tolist())
     mean_pos = float(np.mean(pos_sig))
     mean_neg = float(np.mean(neg_sig))
 

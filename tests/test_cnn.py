@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -7,8 +8,8 @@ import pytest
 from hgm_ehr import cnn
 from hgm_ehr.cnn import (CnnParams, CnnTrainConfig, FeatureMode, backward, build_features,
                          ce_loss, forward, init_cnn, load_cnn, predict, save_cnn, train_cnn)
-from hgm_ehr.graph import NodeType, build_graph
-from hgm_ehr.hgm import init_params, project
+from hgm_ehr.graph import build_graph
+from hgm_ehr.hgm import ACTIVATIONS, init_params, load_params, save_params
 from hgm_ehr.ingest import (GenConfig, bin_events, fit_normalizer, generate_synthetic,
                             synthetic_vocabulary)
 from hgm_ehr.seeds import derive_seed
@@ -293,6 +294,7 @@ def reference_features(records, normalizer, window, n_labs, params):
     values = np.zeros((len(records), window, n_labs))
     observed = np.zeros((len(records), window, n_labs), dtype=bool)
     embeddings = np.zeros((len(records), window, params.d))
+    act = ACTIVATIONS[params.activation][0]
     for p, rec in enumerate(records):
         sums = {}
         for hours, lab, value in rec.events.tolist():
@@ -306,7 +308,7 @@ def reference_features(records, normalizer, window, n_labs, params):
         previous = None
         for t, hour in enumerate(range(window - 1, -1, -1)):
             if observed[p, hour].any():
-                emb = project(params, NodeType.PATIENT_HOUR, values[p, hour])
+                emb = act(params.w_p @ values[p, hour])
             elif previous is not None:
                 emb = previous + params.r_tt
             else:
@@ -357,10 +359,11 @@ class TestBuildFeatures:
         rec = make_record("p", [(2.5, 0, 1.0), (0.5, 1, 2.0)], {1})
         values, observed = bin_events([rec], 3, unit_normalizer(3))
         m = build_features((values, observed), FeatureMode.EMBED_ONLY, params)[0]
-        oldest = project(params, NodeType.PATIENT_HOUR, values[0, 2])
+        act = ACTIVATIONS[params.activation][0]
+        oldest = act(params.w_p @ values[0, 2])
         assert np.array_equal(m[0], oldest)
         assert np.array_equal(m[1], oldest + params.r_tt)  # bit-level imputation
-        assert np.array_equal(m[2], project(params, NodeType.PATIENT_HOUR, values[0, 0]))
+        assert np.array_equal(m[2], act(params.w_p @ values[0, 0]))
 
     def test_leading_missing_hours_start_from_zero(self):
         params = init_params(5, 3, 3, 4, seed=2)
@@ -395,15 +398,17 @@ class TestBuildFeatures:
 
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "relu"])
     def test_features_and_graph_match_per_event_oracle(self, activation):
-        cfg = GenConfig(n_patients=30, n_labs=6, n_diagnoses=8, window_hours=8,
-                        hour_skip_prob=0.5, duplicate_event_prob=0.4)
+        cfg = GenConfig(n_patients=30, n_labs=6, n_diagnoses=8, window_hours=8)
         records = generate_synthetic(cfg, seed=21)
         vocab = synthetic_vocabulary(cfg)
         normalizer = fit_normalizer(records, 8, 6)
         params = init_params(7, 6, 6, 8, activation=activation, seed=5)
         params.w_p *= 50.0  # out of the activation's near-linear range
         expected, (values, observed) = reference_features(records, normalizer, 8, 6, params)
-        assert not observed.any(axis=2).all()  # some hours are imputed
+        # some cells average several events, some hours are imputed
+        shared = sum(int((np.bincount(ev["hours"].astype(int) * 6 + ev["lab"]) > 1).sum())
+                     for ev in (rec.events[rec.events["hours"] < 8] for rec in records))
+        assert shared > 0 and (~observed.any(axis=2)).sum() > 0
         binned = bin_events(records, 8, normalizer)
         for mode in FeatureMode:
             assert np.array_equal(build_features(binned, mode, params), expected[mode]), mode
@@ -424,9 +429,33 @@ class TestCnnCheckpoint:
     def test_wrong_kind_rejected(self, tmp_path):
         rng = np.random.default_rng(12)
         save_cnn(random_cnn(rng), tmp_path / "cnn.json")
-        from hgm_ehr.hgm import load_params
         with pytest.raises(ValueError, match="kind"):
             load_params(tmp_path / "cnn.json")
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda obj, dim, array: obj.pop("dims"), "'dims' is missing or not an object"),
+        (lambda obj, dim, array: obj["dims"].pop(dim), "dims {dim!r} is missing or not an integer"),
+        (lambda obj, dim, array: obj.pop("arrays"), "'arrays' is missing or not an object"),
+        (lambda obj, dim, array: obj["arrays"].pop(array), "array {array!r} is missing"),
+        (lambda obj, dim, array: obj.update(arrays=list(obj["arrays"].values())),
+         "'arrays' is missing or not an object"),
+    ], ids=["dims", "dims_key", "arrays", "array", "arrays_list"])
+    @pytest.mark.parametrize("kind", ["cnn", "hgm"])
+    def test_malformed_checkpoint_refused_naming_the_file_and_key(self, tmp_path, kind, edit,
+                                                                  named):
+        path = tmp_path / f"{kind}.json"
+        if kind == "cnn":
+            save_cnn(random_cnn(np.random.default_rng(13)), path)
+            load, dim, array = load_cnn, "features", "dense_b"
+        else:
+            save_params(init_params(3, 2, 2, 2, seed=1), path)
+            load, dim, array = load_params, "d", "r_tt"
+        obj = json.loads(path.read_text())
+        edit(obj, dim, array)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError) as refused:
+            load(path)
+        assert str(refused.value) == f"{path}: " + named.format(dim=dim, array=array)
 
 
 def generic_batch_backward(params, batch, labels, weights):

@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, all_nodes, build_graph, neighbors
+from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, build_graph, neighbors
 from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
 
 from conftest import binned_graph, make_record, toy_records, toy_vocab, unit_normalizer
@@ -102,10 +102,10 @@ class TestBuildGraph:
         records = generate_synthetic(cfg, seed=7)
         graph = binned_graph(records, synthetic_vocabulary(cfg), 4)
         expected = record_neighbors(records, cfg.n_labs, cfg.n_diagnoses, 4)
-        assert len(all_nodes(graph)) == len(expected)
-        for node in all_nodes(graph):
+        assert len(expected) == 15 * 4 + 8 + 10  # every patient-hour, lab and diagnosis
+        for node, by_type in expected.items():
             for target_type in NodeType:
-                assert neighbors(graph, node, target_type) == expected[node][target_type], \
+                assert neighbors(graph, node, target_type) == by_type[target_type], \
                     (node, target_type)
         # tested and diagnosed edges from both ends, co-patient and temporal
         # edges all occur, so none of the comparisons above is vacuous
@@ -199,7 +199,12 @@ class TestNeighbors:
 
 
 def test_all_nodes_covers_every_type(toy_graph):
+    """Every node of every type, counted from the arrays' shapes, has its neighbors among them."""
     graph, _, _ = toy_graph
-    nodes = all_nodes(graph)
-    assert len(nodes) == 2 * 2 + 3 + 3
-    assert len({n for n in nodes}) == len(nodes)
+    nodes = ([ph(p, h) for p, h in np.ndindex(graph.n_patients, graph.window_hours)]
+             + [NodeId(NodeType.LAB, i) for i in range(graph.n_labs)]
+             + [NodeId(NodeType.DIAGNOSIS, j) for j in range(graph.n_diagnoses)])
+    assert len(set(nodes)) == len(nodes) == 2 * 2 + 3 + 3
+    for node in nodes:
+        for target_type in NodeType:
+            assert set(neighbors(graph, node, target_type)) <= set(nodes)

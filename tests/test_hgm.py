@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -5,10 +6,10 @@ import numpy as np
 import pytest
 
 from hgm_ehr import hgm
-from hgm_ehr.graph import NodeId, NodeType, all_nodes, neighbors
-from hgm_ehr.hgm import (HgmParams, HgmTrainConfig, Relation, context_scores, embed_hours,
-                         embed_node, exact_softmax_loss, init_params, load_params, ns_grad,
-                         ns_loss, project, save_params, score, softmax_context_loss, train_hgm)
+from hgm_ehr.graph import NodeId, NodeType, neighbors
+from hgm_ehr.hgm import (ACTIVATIONS, HgmParams, HgmTrainConfig, Relation, embed_hours,
+                         exact_softmax_loss, init_params, load_params, ns_grad, ns_loss,
+                         save_params, softmax_context_loss, train_hgm)
 from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
 from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError
 from hgm_ehr.seeds import derive_seed
@@ -45,56 +46,6 @@ def ph(p, h):
     return NodeId(NodeType.PATIENT_HOUR, (p, h))
 
 
-class TestProject:
-    def test_zero_matrix_tanh(self):
-        params = zero_params()
-        out = project(params, NodeType.LAB, [1.0, 0.0])
-        assert np.array_equal(out, np.zeros(2))
-
-    def test_zero_matrix_sigmoid(self):
-        params = zero_params(activation="sigmoid")
-        out = project(params, NodeType.DIAGNOSIS, [1.0, 1.0])
-        assert np.array_equal(out, np.full(2, 0.5))
-
-    def test_identity_matrix_tanh_hand_value(self):
-        params = zero_params()
-        params.w_p[...] = np.eye(2)
-        out = project(params, NodeType.PATIENT_HOUR, [0.5, -0.5])
-        assert out == pytest.approx([0.46211715726000974, -0.46211715726000974], abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="input dim"):
-            project(zero_params(), NodeType.LAB, [1.0, 2.0, 3.0])
-
-
-class TestScore:
-    def test_all_zero_is_zero(self):
-        params = zero_params()
-        for rel in Relation:
-            assert score(params, np.zeros(2), rel, np.zeros(2)) == 0.0
-
-    def test_lab_hand_case(self):
-        params = zero_params()
-        params.r_ip[...] = [1.0, 0.0]
-        assert score(params, [1.0, 0.0], Relation.TESTED, [0.0, 1.0]) == pytest.approx(1.0)
-
-    def test_copatient_self_similarity(self):
-        params = zero_params()
-        e = np.array([0.3, -0.7])
-        assert score(params, e, Relation.CO_PATIENT, e) == pytest.approx(float(e @ e))
-
-    def test_diagnosed_and_temporal_forms(self):
-        params = zero_params()
-        params.r_pd[...] = [0.5, -0.5]
-        params.r_tt[...] = [-1.0, 2.0]
-        c_u = np.array([1.0, 2.0])
-        c_v = np.array([3.0, 4.0])
-        assert score(params, c_u, Relation.DIAGNOSED, c_v) == pytest.approx(
-            float((c_u + params.r_pd) @ c_v))
-        assert score(params, c_u, Relation.TEMPORAL, c_v) == pytest.approx(
-            float((c_u + params.r_tt) @ c_v))
-
-
 class TestExactSoftmaxLoss:
     def test_single_candidate_softmax_is_zero(self):
         for s in (-2.0, 0.0, 3.7):
@@ -103,7 +54,7 @@ class TestExactSoftmaxLoss:
     def test_zero_embeddings_give_log_n(self, toy_graph):
         graph, _, _ = toy_graph
         params = zero_params(d=4, p_in=3, n_labs=3, n_diagnoses=3)
-        n_vertices = len(all_nodes(graph))
+        n_vertices = 2 * 2 + 3 + 3  # patient-hours, labs, diagnoses
         center = ph(0, 1)
         n_neighbors = sum(
             len(neighbors(graph, center, t))
@@ -115,26 +66,24 @@ class TestExactSoftmaxLoss:
     def test_matches_brute_force_oracle(self, toy_graph):
         graph, _, _ = toy_graph
         params = random_params(4, 3, 3, 3, seed=5, scale=0.8)
+        act = ACTIVATIONS[params.activation][0]
+        # independent re-derivation: every candidate vertex scored with the
+        # relation form of its type, then every neighbor
+        c_hour = {hour: act(params.w_p @ graph.values[hour]) for hour in np.ndindex(2, 2)}
+        c_lab = [act(params.w_i[:, i]) for i in range(3)]
+        c_dx = [act(params.w_d[:, j]) for j in range(3)]
         for center in [ph(p, h) for p in range(2) for h in range(2)]:
-            # independent re-derivation: loop every candidate vertex with the
-            # relation form of its type, then every neighbor
-            c_u = embed_node(params, graph, center)
-            z = 0.0
-            for node in all_nodes(graph):
-                c_v = embed_node(params, graph, node)
-                if node.type is NodeType.LAB:
-                    z += math.exp(float(np.dot(c_v + params.r_ip, c_u)))
-                elif node.type is NodeType.DIAGNOSIS:
-                    z += math.exp(float(np.dot(c_u + params.r_pd, c_v)))
-                else:
-                    z += math.exp(float(np.dot(c_u, c_v)))
+            c_u = c_hour[center.index]
+            tested = {i: float(np.dot(c_lab[i] + params.r_ip, c_u)) for i in range(3)}
+            diagnosed = {j: float(np.dot(c_u + params.r_pd, c_dx[j])) for j in range(3)}
+            co_patient = {hour: float(np.dot(c_u, c_v)) for hour, c_v in c_hour.items()}
+            z = sum(math.exp(s) for scores in (tested, diagnosed, co_patient)
+                    for s in scores.values())
             expected = 0.0
-            for t, rel in ((NodeType.LAB, Relation.TESTED),
-                           (NodeType.DIAGNOSIS, Relation.DIAGNOSED),
-                           (NodeType.PATIENT_HOUR, Relation.CO_PATIENT)):
+            for t, scores in ((NodeType.LAB, tested), (NodeType.DIAGNOSIS, diagnosed),
+                              (NodeType.PATIENT_HOUR, co_patient)):
                 for nb in neighbors(graph, center, t):
-                    s = score(params, c_u, rel, embed_node(params, graph, nb))
-                    expected -= s - math.log(z)
+                    expected -= scores[nb.index] - math.log(z)
             assert exact_softmax_loss(params, graph, center) == pytest.approx(expected, rel=1e-10)
 
 
@@ -161,27 +110,28 @@ class TestNsLoss:
         params = random_params(4, 4, 4, 4, seed=11, scale=1.5)
         sampler = Sampler(graph, SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=3,
                                                negatives_per_positive=2, seed=3))
+        act = ACTIVATIONS[params.activation][0]
         for center in (ph(0, 0), ph(0, 1), ph(1, 1)):
             ctx = sampler.sample_context(*center.index)
-            c_u = embed_node(params, graph, center)
+            c_u = act(params.w_p @ graph.values[center.index])
 
-            def pair_loss(node, rel, positive):
-                s = score(params, c_u, rel, embed_node(params, graph, node))
+            def pair_loss(node, positive, r_tt=0.0):
+                # the pair's translated dot product; a co-patient pair translates by zero
+                if node.type is NodeType.LAB:
+                    s = float((act(params.w_i[:, node.index]) + params.r_ip) @ c_u)
+                elif node.type is NodeType.DIAGNOSIS:
+                    s = float((c_u + params.r_pd) @ act(params.w_d[:, node.index]))
+                else:
+                    s = float((c_u + r_tt) @ act(params.w_p @ graph.values[node.index]))
                 return -math.log(1.0 / (1.0 + math.exp(s if not positive else -s)))
 
             expected = 0.0
-            for pos, negs in zip(ctx.pos_labs, ctx.neg_labs):
-                expected += pair_loss(pos, Relation.TESTED, True)
-                expected += sum(pair_loss(n, Relation.TESTED, False) for n in negs)
-            for pos, negs in zip(ctx.pos_diagnoses, ctx.neg_diagnoses):
-                expected += pair_loss(pos, Relation.DIAGNOSED, True)
-                expected += sum(pair_loss(n, Relation.DIAGNOSED, False) for n in negs)
-            for pos, negs in zip(ctx.pos_patients, ctx.neg_patients):
-                expected += pair_loss(pos, Relation.CO_PATIENT, True)
-                expected += sum(pair_loss(n, Relation.CO_PATIENT, False) for n in negs)
+            for pos, negs in zip(ctx.pos_labs + ctx.pos_diagnoses + ctx.pos_patients,
+                                 ctx.neg_labs + ctx.neg_diagnoses + ctx.neg_patients):
+                expected += pair_loss(pos, True) + sum(pair_loss(n, False) for n in negs)
             if ctx.pos_temporal is not None:
-                expected += pair_loss(ctx.pos_temporal, Relation.TEMPORAL, True)
-                expected += sum(pair_loss(n, Relation.TEMPORAL, False) for n in ctx.neg_temporal)
+                expected += pair_loss(ctx.pos_temporal, True, params.r_tt)
+                expected += sum(pair_loss(n, False, params.r_tt) for n in ctx.neg_temporal)
             assert ns_loss(params, graph, ctx) == pytest.approx(expected, rel=1e-10)
 
     def test_nonnegative(self, shared_dx_graph):
@@ -361,7 +311,7 @@ class TestTrainHgm:
             n_diagnoses=3, n_labs=3, n_copatients=3, negatives_per_positive=2,
             seed=derive_seed(train_cfg.seed, "hgm-sampler")))
         shuffle = np.random.default_rng(derive_seed(train_cfg.seed, "hgm-shuffle"))
-        centers = list(graph.patient_hours())
+        centers = list(np.ndindex(graph.n_patients, graph.window_hours))
         total = train_cfg.epochs * len(centers)
         span = train_cfg.learning_rate - train_cfg.min_learning_rate
         step = skipped = 0
@@ -401,10 +351,10 @@ class TestEmbedPatientHour:
         values, observed = bin_events(records, 2, unit_normalizer(3))
         out = embed_hours(params, values, observed)
         assert observed.any(axis=2).all()
+        act = ACTIVATIONS[params.activation][0]
         for p in range(2):
             for t in range(2):
-                assert np.array_equal(out[p, t],
-                                      project(params, NodeType.PATIENT_HOUR, values[p, t]))
+                assert np.array_equal(out[p, t], act(params.w_p @ values[p, t]))
 
     def test_missing_hour_uses_previous_plus_temporal(self):
         params = random_params(4, 3, 3, 3, seed=9)
@@ -422,7 +372,7 @@ class TestEmbedPatientHour:
         observed = np.array([[[True] * 3, [False] * 3, [False, True, False]]])
         out = embed_hours(params, values, observed)
         assert np.array_equal(out[0, 1], out[0, 0] + params.r_tt)
-        assert np.array_equal(out[0, 2], project(params, NodeType.PATIENT_HOUR, values[0, 2]))
+        assert np.array_equal(out[0, 2], ACTIVATIONS["sigmoid"][0](params.w_p @ values[0, 2]))
 
     def test_missing_without_previous_is_zero(self):
         params = random_params(4, 3, 3, 3, seed=11, activation="sigmoid")
@@ -496,7 +446,7 @@ def test_exact_and_sampled_losses_agree_in_ordering(toy_graph):
     snapshots = []
     for step in range(121):
         if step % 40 == 0:
-            snapshots.append(params.copy())
+            snapshots.append(copy.deepcopy(params))
         if step < 120:
             exact_loss_fd_step(params, graph, lr=0.03)
 
@@ -577,7 +527,7 @@ class TestNsGradMatchesScatterAdd:
         sampler = Sampler(graph, SamplerConfig(n_diagnoses=4, n_labs=4, n_copatients=2,
                                                negatives_per_positive=3, seed=d))
         contexts = []
-        for p, h in graph.patient_hours():
+        for p, h in np.ndindex(graph.n_patients, graph.window_hours):
             try:
                 contexts.append(sampler.sample_context(p, h))
             except UntrainableCenterError:
@@ -609,7 +559,7 @@ class TestNsGradMatchesScatterAdd:
             params = random_params(4, graph.n_labs, graph.n_labs, graph.n_diagnoses,
                                    activation=activation, seed=5, scale=0.5)
             sampler = Sampler(graph, config)
-            for p, h in graph.patient_hours():
+            for p, h in np.ndindex(graph.n_patients, graph.window_hours):
                 try:
                     ctx = sampler.sample_context(p, h)
                 except UntrainableCenterError:
@@ -619,9 +569,11 @@ class TestNsGradMatchesScatterAdd:
                 got = ns_grad(params, graph, ctx)
                 for name in PARAM_FIELDS:
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
-                pos, neg = context_scores(params, graph, ctx)
-                assert np.array_equal(pos, np.concatenate([s[y == 1.0] for s, y in relations]))
-                assert np.array_equal(neg, np.concatenate([s[y == 0.0] for s, y in relations]))
+                _, _, scores, pos = hgm._loss_and_grad(params, graph, ctx)
+                assert np.array_equal(scores[pos],
+                                      np.concatenate([s[y == 1.0] for s, y in relations]))
+                assert np.array_equal(scores[~pos],
+                                      np.concatenate([s[y == 0.0] for s, y in relations]))
                 expected = sum(float(np.logaddexp(0.0, -s[y == 1.0]).sum())
                                + float(np.logaddexp(0.0, s[y == 0.0]).sum()) for s, y in relations)
                 assert ns_loss(params, graph, ctx) == pytest.approx(expected, rel=1e-12)
