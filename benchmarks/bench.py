@@ -256,9 +256,9 @@ def time_hgm_steps(seed, runs=HGM_RUNS):
                                          experiment.k_folds, seed, gen.window_hours)[0]
     train_hgm, rates = evaluate.train_hgm, []
 
-    def timed(graph, config, **kwargs):
+    def timed(graph, config, seed, **kwargs):
         start = time.perf_counter()
-        params = train_hgm(graph, config, **kwargs)
+        params = train_hgm(graph, config, seed, **kwargs)
         steps = config.epochs * graph.n_patients * graph.window_hours
         rates.append(steps / (time.perf_counter() - start))
         return params

@@ -69,16 +69,10 @@ class RunConfig:
                 raise ValueError(f"unknown arm {arm!r}; expected one of {sorted(ARMS)}")
             if self.arms.count(arm) > 1:
                 raise ValueError(f"arm {arm!r} is listed more than once")
-        if self.experiment.k_folds < 2:
-            raise ValueError("folds must be >= 2")
         if self.source == "files":
             for name in ("events_file", "diagnoses_file", "outcomes_file"):
                 if getattr(self, name) is None:
                     raise ValueError(f"files source requires [data] {name.removesuffix('_file')}")
-        else:
-            self.gen.validate()
-        self.experiment.hgm.validate()
-        self.experiment.cnn.validate()
 
 
 def _path(text: str) -> Path | None:
@@ -134,6 +128,9 @@ CONFIG_KEYS = {
 
 # The synthetic corpus shape has no dataclass default; its window is the longest one run.
 _GEN_DEFAULTS = dict(n_patients=200, n_labs=30, n_diagnoses=50)
+# Each config class but RunConfig, and the one section whose keys set its fields.
+_SECTION_OF = {target: section for (section, _), (target, _, _) in CONFIG_KEYS.items()
+               if target is not RunConfig}
 
 
 def load_run_config(path) -> RunConfig:
@@ -157,16 +154,21 @@ def load_run_config(path) -> RunConfig:
             except ValueError as exc:
                 raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
 
-    hgm = HgmTrainConfig(sampler=SamplerConfig(**values[SamplerConfig]), **values[HgmTrainConfig])
-    experiment = ExperimentConfig(hgm=hgm, cnn=CnnTrainConfig(**values[CnnTrainConfig]),
-                                  **values[ExperimentConfig])
+    def build(target, **kwargs):
+        try:
+            return target(**kwargs)
+        except ValueError as exc:  # a value out of range, named with its file and section
+            raise ValueError(f"{path}: [{_SECTION_OF[target]}] {exc}") from None
+
+    hgm = build(HgmTrainConfig, sampler=build(SamplerConfig, **values[SamplerConfig]),
+                **values[HgmTrainConfig])
+    cnn = build(CnnTrainConfig, **values[CnnTrainConfig])
+    experiment = build(ExperimentConfig, hgm=hgm, cnn=cnn, **values[ExperimentConfig])
     config = RunConfig(experiment=experiment, **values[RunConfig])
     # Each source refuses the [data] keys only the other one reads.
     data = parser["data"] if parser.has_section("data") else {}
     unread, kind = [], ""
     if config.source == "synthetic":
-        config.gen = GenConfig(**{**_GEN_DEFAULTS, **values[GenConfig]},
-                               window_hours=max(config.windows))
         unread = [key for key in data if CONFIG_KEYS["data", key][1].endswith("_file")]
         kind = "input-file"
     elif config.source == "files":
@@ -176,6 +178,9 @@ def load_run_config(path) -> RunConfig:
         raise ValueError(f"{path}: [data] {', '.join(unread)}: {kind} key(s), "
                          f"not read under source = {config.source}")
     config.validate()
+    if config.source == "synthetic":
+        config.gen = build(GenConfig, **{**_GEN_DEFAULTS, **values[GenConfig]},
+                           window_hours=max(config.windows))
     return config
 
 

@@ -60,10 +60,9 @@ class CnnTrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 32
     epochs: int = 10
-    seed: int = 0
     class_weighting: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_filters < 1 or self.kernel < 1:
             raise ValueError("n_filters and kernel must be >= 1")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
@@ -96,7 +95,6 @@ def build_features(binned, mode: FeatureMode, hgm_params: HgmParams | None = Non
 
 def init_cnn(n_features: int, config: CnnTrainConfig, seed: int) -> CnnParams:
     """Seeded Glorot-uniform filters and dense weights, zero biases."""
-    config.validate()
     rng = np.random.default_rng(seed)
     fan_in = config.kernel * n_features
     limit = np.sqrt(6.0 / (fan_in + config.n_filters))
@@ -187,14 +185,13 @@ def predict(params: CnnParams, x: np.ndarray) -> float:
     return float(forward(params, x)[1])
 
 
-def train_cnn(features: np.ndarray, config: CnnTrainConfig, labels) -> CnnParams:
+def train_cnn(features: np.ndarray, config: CnnTrainConfig, labels, seed: int) -> CnnParams:
     """Seeded mini-batch SGD on (P, T, F) features and P binary labels.
 
-    Deterministic given (features, config, labels). Raises FloatingPointError
+    Deterministic given (features, config, labels, seed). Raises FloatingPointError
     when an epoch ends with a parameter entry that is non-finite or above
     hgm.MAX_PARAM_ABS in magnitude.
     """
-    config.validate()
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels).astype(int)
     if len(features) == 0:
@@ -213,8 +210,8 @@ def train_cnn(features: np.ndarray, config: CnnTrainConfig, labels) -> CnnParams
         class_w = np.ones(2)
     weights = class_w[labels]
 
-    params = init_cnn(features.shape[2], config, seed=derive_seed(config.seed, "cnn-init"))
-    shuffle_rng = np.random.default_rng(derive_seed(config.seed, "cnn-shuffle"))
+    params = init_cnn(features.shape[2], config, seed=derive_seed(seed, "cnn-init"))
+    shuffle_rng = np.random.default_rng(derive_seed(seed, "cnn-shuffle"))
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):

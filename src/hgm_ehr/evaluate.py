@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,6 +60,10 @@ class ExperimentConfig:
     seed: int = 0
     hgm: HgmTrainConfig = field(default_factory=HgmTrainConfig)
     cnn: CnnTrainConfig = field(default_factory=CnnTrainConfig)
+
+    def __post_init__(self) -> None:
+        if self.k_folds < 2:
+            raise ValueError("folds must be >= 2")
 
 
 def kfold_split(patient_ids, k: int, seed: int) -> list[list[str]]:
@@ -168,19 +172,19 @@ def train_fold(train_records, arms, window_hours: int, vocab: Vocabulary,
     hgm_params = None
     if any(FeatureMode(arm).needs_embedding for arm in arms):
         graph = build_graph(train_records, vocab, binned)
-        hgm_cfg = replace(config.hgm, seed=derive_seed(config.seed, "hgm", fold_index, window_hours))
         try:
-            hgm_params = train_hgm(graph, hgm_cfg)
+            hgm_params = train_hgm(graph, config.hgm,
+                                   derive_seed(config.seed, "hgm", fold_index, window_hours))
         except FloatingPointError as exc:
             raise FloatingPointError(f"window {window_hours}h fold {fold_index}: {exc}") from exc
 
     labels = np.array([int(r.died) for r in train_records])
     cnn_params = {}
     for arm in arms:
-        cnn_cfg = replace(config.cnn, seed=derive_seed(config.seed, f"cnn:{arm}", fold_index, window_hours))
         try:
-            cnn_params[arm] = train_cnn(build_features(binned, FeatureMode(arm), hgm_params),
-                                        cnn_cfg, labels)
+            cnn_params[arm] = train_cnn(
+                build_features(binned, FeatureMode(arm), hgm_params), config.cnn, labels,
+                derive_seed(config.seed, f"cnn:{arm}", fold_index, window_hours))
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"window {window_hours}h fold {fold_index}, arm {arm}: {exc}") from exc

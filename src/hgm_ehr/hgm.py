@@ -30,7 +30,7 @@ per-call cost.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -100,13 +100,13 @@ class HgmParams:
     r_tt: np.ndarray
     activation: str = "tanh"
 
+    def __post_init__(self) -> None:
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+
     @property
     def d(self) -> int:
         return self.w_p.shape[0]
-
-    @property
-    def p_in(self) -> int:
-        return self.w_p.shape[1]
 
     @property
     def n_labs(self) -> int:
@@ -116,12 +116,6 @@ class HgmParams:
     def n_diagnoses(self) -> int:
         return self.w_d.shape[1]
 
-    def activation_fns(self):
-        try:
-            return ACTIVATIONS[self.activation]
-        except KeyError:
-            raise ValueError(f"unknown activation {self.activation!r}") from None
-
 
 @dataclass(frozen=True)
 class HgmTrainConfig:
@@ -130,10 +124,9 @@ class HgmTrainConfig:
     min_learning_rate: float = 1e-4
     d: int = 128
     activation: str = "tanh"
-    seed: int = 0
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.min_learning_rate < 0:
@@ -146,26 +139,23 @@ class HgmTrainConfig:
             raise ValueError("embedding dimension must be >= 2")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        self.sampler.validate()
 
 
-def init_params(d, p_in, n_labs, n_diagnoses, activation="tanh", seed=0) -> HgmParams:
-    """Seeded uniform init in [-0.5/d, 0.5/d) per entry."""
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
+def init_params(d, n_labs, n_diagnoses, activation="tanh", seed=0) -> HgmParams:
+    """Seeded uniform init in [-0.5/d, 0.5/d) per entry; W_p and W_i both take n_labs inputs."""
     rng = np.random.default_rng(seed)
     bound = 0.5 / d
     def u(*shape):
         return rng.uniform(-bound, bound, size=shape)
     return HgmParams(
-        w_p=u(d, p_in), w_i=u(d, n_labs), w_d=u(d, n_diagnoses),
+        w_p=u(d, n_labs), w_i=u(d, n_labs), w_d=u(d, n_diagnoses),
         r_ip=u(d), r_pd=u(d), r_tt=u(d), activation=activation,
     )
 
 
 def embed_all(params: HgmParams, graph: HeteroGraph):
     """Embeddings of every node: (patient-hour P x T x d, lab L x d, diagnosis D x d)."""
-    act, _ = params.activation_fns()
+    act, _ = ACTIVATIONS[params.activation]
     c_ph = act(graph.values @ params.w_p.T)
     c_lab = act(params.w_i.T.copy())
     c_dx = act(params.w_d.T.copy())
@@ -232,7 +222,7 @@ def _column_sums(index: np.ndarray, terms: np.ndarray, n_columns: int) -> np.nda
 
 def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample):
     """(loss, gradients, scores, positive mask) of one context, scores in term order."""
-    act, deriv = params.activation_fns()
+    act, deriv = ACTIVATIONS[params.activation]
     x_u = graph.values[context.center]
     c_u = act(params.w_p @ x_u)
 
@@ -304,7 +294,7 @@ def ns_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample) -> Hg
     return _loss_and_grad(params, graph, context)[1]
 
 
-def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, on_epoch=None) -> HgmParams:
+def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, seed: int, on_epoch=None) -> HgmParams:
     """SGD over epochs x shuffled patient-hour centers, one context per step:
     each epoch permutes the P*T flat row numbers, row r being center (p, h) = divmod(r, T).
 
@@ -314,13 +304,12 @@ def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, on_epoch=None) -> HgmP
     Raises FloatingPointError when an epoch ends with a non-finite mean loss
     or a parameter entry that is non-finite or above MAX_PARAM_ABS in magnitude.
     """
-    config.validate()
     params = init_params(
-        config.d, graph.n_labs, graph.n_labs, graph.n_diagnoses,
-        activation=config.activation, seed=derive_seed(config.seed, "hgm-init"),
+        config.d, graph.n_labs, graph.n_diagnoses,
+        activation=config.activation, seed=derive_seed(seed, "hgm-init"),
     )
-    sampler = Sampler(graph, replace(config.sampler, seed=derive_seed(config.seed, "hgm-sampler")))
-    shuffle_rng = np.random.default_rng(derive_seed(config.seed, "hgm-shuffle"))
+    sampler = Sampler(graph, config.sampler, derive_seed(seed, "hgm-sampler"))
+    shuffle_rng = np.random.default_rng(derive_seed(seed, "hgm-shuffle"))
     n_centers = graph.n_patients * graph.window_hours
     total_steps = max(1, config.epochs * n_centers)
     lr_span = config.learning_rate - config.min_learning_rate
@@ -371,7 +360,7 @@ def embed_hours(params: HgmParams, values: np.ndarray, observed: np.ndarray) -> 
     fully-missing hour chains from the previous hour: previous + r_tt (the
     temporal translation), or the zero vector when there is no previous hour.
     """
-    act, _ = params.activation_fns()
+    act, _ = ACTIVATIONS[params.activation]
     emb = act((params.w_p[None, None] @ values[..., None])[..., 0])
     missing = ~observed.any(axis=2)
     for t in range(values.shape[1]):
@@ -384,8 +373,7 @@ def save_params(params: HgmParams, path) -> None:
     save_container(path, kind="hgm", payload={
         "activation": params.activation,
         "dims": {
-            "d": params.d, "p_in": params.p_in,
-            "labs": params.n_labs, "diagnoses": params.n_diagnoses,
+            "d": params.d, "labs": params.n_labs, "diagnoses": params.n_diagnoses,
         },
         "arrays": {
             "w_p": params.w_p.tolist(), "w_i": params.w_i.tolist(), "w_d": params.w_d.tolist(),
@@ -401,6 +389,6 @@ def load_params(path) -> HgmParams:
         raise ValueError(f"{path}: unknown activation {activation!r}; "
                          f"expected one of {sorted(ACTIVATIONS)}")
     return HgmParams(**load_arrays(path, payload, {
-        "w_p": ("d", "p_in"), "w_i": ("d", "labs"), "w_d": ("d", "diagnoses"),
+        "w_p": ("d", "labs"), "w_i": ("d", "labs"), "w_d": ("d", "diagnoses"),
         "r_ip": ("d",), "r_pd": ("d",), "r_tt": ("d",),
     }), activation=activation)

@@ -240,23 +240,18 @@ def write_corpus(records, vocab: Vocabulary, out_dir) -> dict[str, Path]:
     return paths
 
 
-def _check_events(record, n_labs: int) -> None:
-    """Refuse a lab id outside [0, n_labs), negative or non-finite hours or a non-finite
-    value with a ValueError naming the patient, before any event is indexed or binned."""
-    hours, lab = record.events["hours"], record.events["lab"]
-    for bad, problem in (((lab < 0) | (lab >= n_labs), f"lab id outside vocabulary of size {n_labs}"),
-                         (~np.isfinite(hours) | (hours < 0), "hours_before_end must be finite and >= 0"),
-                         (~np.isfinite(record.events["value"]), "value must be finite")):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"patient {record.patient_id!r}: {problem} "
-                             f"(lab {lab[i]}, hours {hours[i]})")
-
-
 def check_records(records, n_labs: int) -> None:
-    """Refuse the first record with a bad lab id, hours or value, naming the patient."""
+    """Refuse the first record with a lab id outside [0, n_labs), negative or non-finite hours
+    or a non-finite value with a ValueError naming the patient, before any event is binned."""
     for record in records:
-        _check_events(record, n_labs)
+        hours, lab = record.events["hours"], record.events["lab"]
+        for bad, problem in (((lab < 0) | (lab >= n_labs), f"lab id outside vocabulary of size {n_labs}"),
+                             (~np.isfinite(hours) | (hours < 0), "hours_before_end must be finite and >= 0"),
+                             (~np.isfinite(record.events["value"]), "value must be finite")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"patient {record.patient_id!r}: {problem} "
+                                 f"(lab {lab[i]}, hours {hours[i]})")
 
 
 @dataclass
@@ -334,9 +329,9 @@ def normalize_records(records, normalizer: LabNormalizer) -> list[PatientRecord]
     unit normalizer must equal bin_events of the records (a test checks the
     bits). Bad lab ids, hours or values raise as in bin_events, before any lookup.
     """
+    check_records(records, len(normalizer.mean))
     out = []
     for rec in records:
-        _check_events(rec, len(normalizer.mean))
         events = rec.events.copy()
         lab = events["lab"]
         events["value"] = (events["value"] - normalizer.mean[lab]) / normalizer.std[lab]
@@ -374,7 +369,7 @@ class GenConfig:
     signal: float = 1.0
     prevalence: float = 0.3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_patients < 1 or self.n_labs < 1 or self.n_diagnoses < 1:
             raise ValueError("n_patients, n_labs and n_diagnoses must all be >= 1")
         if self.window_hours < 1:
@@ -414,7 +409,6 @@ def generate_synthetic(config: GenConfig, seed: int) -> list[PatientRecord]:
     diagnoses, drifting risk-lab trajectories) follow z, and the label
     follows z scaled by config.signal. Pure function of (config, seed).
     """
-    config.validate()
     rng = np.random.default_rng(seed)
     n_risk_labs = config.n_risk_labs
     n_risk_dx = config.n_risk_diagnoses

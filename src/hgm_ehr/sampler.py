@@ -55,9 +55,8 @@ class SamplerConfig:
     n_labs: int = 10
     n_copatients: int = 10
     negatives_per_positive: int = 5
-    seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.n_diagnoses, self.n_labs, self.n_copatients, self.negatives_per_positive) < 1:
             raise ValueError("all sampler counts must be >= 1")
 
@@ -138,11 +137,10 @@ class ContextSample:
 class Sampler:
     """Seeded context sampler; one instance per worker, graph is read-only."""
 
-    def __init__(self, graph: HeteroGraph, config: SamplerConfig):
-        config.validate()
+    def __init__(self, graph: HeteroGraph, config: SamplerConfig, seed: int):
         self.graph = graph
         self.config = config
-        self.rng = np.random.default_rng(config.seed)
+        self.rng = np.random.default_rng(seed)
         self._carriers = [np.flatnonzero(column).tolist() for column in graph.diagnosed.T]
         self._n_carriers = graph.diagnosed.sum(axis=0)
 

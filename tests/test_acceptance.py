@@ -129,19 +129,19 @@ def test_criterion_3_full_softmax_oracle_and_separation():
     graph = binned_graph(toy_records(), toy_vocab(), 2)
     centers = list(np.ndindex(graph.n_patients, graph.window_hours))
 
-    params = random_params(4, 3, 3, 3, seed=2, scale=0.8)
+    params = random_params(4, 3, 3, seed=2, scale=0.8)
     initial = total_exact_loss(params, graph)
     for _ in range(200):
         exact_loss_fd_step(params, graph, lr=0.03)
     final = total_exact_loss(params, graph)
 
     train_cfg = HgmTrainConfig(
-        epochs=200, d=8, seed=5, learning_rate=0.15,
+        epochs=200, d=8, learning_rate=0.15,
         sampler=SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=3,
                               negatives_per_positive=3))
-    trained = train_hgm(graph, train_cfg)
+    trained = train_hgm(graph, train_cfg, 5)
     sampler = Sampler(graph, SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=3,
-                                           negatives_per_positive=3, seed=123))
+                                           negatives_per_positive=3), 123)
     pos_sig = []
     neg_sig = []
     for i in range(200):
@@ -239,7 +239,7 @@ def test_criterion_7_imputation_contract():
     from conftest import make_record, unit_normalizer
 
     vocab = toy_vocab(n_labs=4, n_diagnoses=3)
-    params = init_params(8, 4, 4, 3, seed=99)
+    params = init_params(8, 4, 3, seed=99)
     # hour 2 observed, hour 1 fully missing, hour 0 observed
     rec = make_record("p", [(2.4, 1, 0.7), (0.2, 2, -1.1)], {0}, died=True)
     checked = 0

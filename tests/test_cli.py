@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,20 @@ def trained_checkpoints(tmp_path_factory):
         return out, write_config(tmp_path / "run.ini", out, n_patients=18, folds=2,
                                  arms="HGM_CNN")
     return copy
+
+
+@pytest.mark.parametrize("target, valid, bad, message", [
+    (GenConfig, dict(n_patients=5, n_labs=5, n_diagnoses=5, window_hours=6), dict(prevalence=1.0),
+     "prevalence must lie in"),
+    (SamplerConfig, {}, dict(negatives_per_positive=0), "sampler counts must be >= 1"),
+    (HgmTrainConfig, {}, dict(d=1), "embedding dimension must be >= 2"),
+    (CnnTrainConfig, {}, dict(kernel=0), "n_filters and kernel must be >= 1"),
+], ids=["GenConfig", "SamplerConfig", "HgmTrainConfig", "CnnTrainConfig"])
+def test_config_refuses_a_bad_value_when_built_and_replaced(target, valid, bad, message):
+    with pytest.raises(ValueError, match=message):
+        target(**valid, **bad)
+    with pytest.raises(ValueError, match=message):
+        replace(target(**valid), **bad)
 
 
 def test_splitmix_seed_derivation_is_stable():
@@ -299,16 +314,23 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=message):
             load_run_config(path)
 
-    @pytest.mark.parametrize("line, message", [
-        ("min_learning_rate = -1.0", "min_learning_rate must be >= 0"),
-        ("min_learning_rate = 0.5", "must not exceed learning_rate"),
-        ("activation = softsign", "unknown activation"),
-    ], ids=["negative_min_learning_rate", "min_above_learning_rate", "unknown_activation"])
-    def test_bad_hgm_value_rejected(self, tmp_path, line, message):
+    @pytest.mark.parametrize("line, edited, named", [
+        ("epochs = 2", "epochs = 2\nmin_learning_rate = -1.0",
+         "[hgm] min_learning_rate must be >= 0"),
+        ("epochs = 2", "epochs = 2\nmin_learning_rate = 0.5",
+         "[hgm] min_learning_rate must not exceed learning_rate"),
+        ("epochs = 2", "epochs = 2\nactivation = softsign", "[hgm] unknown activation 'softsign'"),
+        ("filters = 4", "filters = 0", "[cnn] n_filters and kernel must be >= 1"),
+        ("prevalence = 0.4", "prevalence = 1.5", "[data] prevalence must lie in (0, 1)"),
+    ], ids=["negative_min_learning_rate", "min_above_learning_rate", "unknown_activation",
+            "cnn_filters", "data_prevalence"])
+    def test_bad_hgm_value_rejected(self, tmp_path, capsys, line, edited, named):
         path = write_config(tmp_path / "run.ini", tmp_path / "out")
-        path.write_text(path.read_text().replace("epochs = 2\n", f"epochs = 2\n{line}\n"))
-        with pytest.raises(ValueError, match=message):
-            load_run_config(path)
+        path.write_text(path.read_text().replace(f"\n{line}\n", f"\n{edited}\n"))
+        assert edited in path.read_text()
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"hgm-ehr: error: {path}: {named}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_kernel_longer_than_window_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -190,8 +190,8 @@ class TestTrainCnn:
     def test_zero_epochs_returns_init(self):
         rng = np.random.default_rng(7)
         features, labels = self.separable_set(rng)
-        cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=0, seed=5)
-        params = train_cnn(features, cfg, labels)
+        cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=0)
+        params = train_cnn(features, cfg, labels, 5)
         expected = init_cnn(3, cfg, seed=derive_seed(5, "cnn-init"))
         for name in GRAD_FIELDS:
             assert np.array_equal(getattr(params, name), getattr(expected, name))
@@ -199,17 +199,17 @@ class TestTrainCnn:
     def test_learns_separable_toy(self):
         rng = np.random.default_rng(8)
         features, labels = self.separable_set(rng, n=80)
-        cfg = CnnTrainConfig(n_filters=8, kernel=2, epochs=50, learning_rate=0.05, seed=3)
-        params = train_cnn(features, cfg, labels)
+        cfg = CnnTrainConfig(n_filters=8, kernel=2, epochs=50, learning_rate=0.05)
+        params = train_cnn(features, cfg, labels, 3)
         correct = sum((predict(params, x) > 0.5) == y for x, y in zip(features, labels))
         assert correct / len(features) > 0.95
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(9)
         features, labels = self.separable_set(rng)
-        cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=5, seed=11)
-        a = train_cnn(features, cfg, labels)
-        b = train_cnn(features, cfg, labels)
+        cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=5)
+        a = train_cnn(features, cfg, labels, 11)
+        b = train_cnn(features, cfg, labels, 11)
         for name in GRAD_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -220,8 +220,8 @@ class TestTrainCnn:
         features = rng.normal(size=(10, 4, 3))
         labels = np.arange(10) < 3
         cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=1, batch_size=10, learning_rate=0.1,
-                             seed=6, class_weighting=class_weighting)
-        params = train_cnn(features, cfg, labels)
+                             class_weighting=class_weighting)
+        params = train_cnn(features, cfg, labels, 6)
         # n / (2 n_neg) for survivors and n / (2 n_pos) for deaths, or 1 for both
         weights = np.where(labels, 10 / 6, 10 / 14) if class_weighting else np.ones(10)
         expected = init_cnn(3, cfg, seed=derive_seed(6, "cnn-init"))
@@ -242,7 +242,7 @@ class TestTrainCnn:
         train_cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=5, learning_rate=1e3)
         message = r"^cnn: a parameter non-finite or beyond 1e\+06 after epoch \d/5: max \|parameter\| "
         with pytest.raises(FloatingPointError, match=message):
-            train_cnn(feats, train_cfg, labels)
+            train_cnn(feats, train_cfg, labels, 0)
 
     def test_nan_parameter_raises(self, monkeypatch):
         # one dense weight turns NaN after the first step
@@ -255,25 +255,25 @@ class TestTrainCnn:
         monkeypatch.setattr(cnn, "_batch_backward", nan_dense_w)
         rng = np.random.default_rng(9)
         features, labels = self.separable_set(rng)
-        cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=3, seed=11)
+        cfg = CnnTrainConfig(n_filters=4, kernel=2, epochs=3)
         with np.errstate(all="ignore"), pytest.raises(
                 FloatingPointError, match=r"after epoch 1/3: max \|parameter\| nan$"):
-            train_cnn(features, cfg, labels)
+            train_cnn(features, cfg, labels, 11)
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError, match="both classes"):
-            train_cnn(rng.normal(size=(10, 4, 3)), CnnTrainConfig(epochs=1), np.ones(10, bool))
+            train_cnn(rng.normal(size=(10, 4, 3)), CnnTrainConfig(epochs=1), np.ones(10, bool), 0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train_cnn(np.empty((0, 4, 3)), CnnTrainConfig(epochs=1), np.empty(0, bool))
+            train_cnn(np.empty((0, 4, 3)), CnnTrainConfig(epochs=1), np.empty(0, bool), 0)
 
     @pytest.mark.parametrize("shape, n_labels", [((6, 4, 3), 5), ((6, 4, 3), 7), ((6, 12), 6)])
     def test_features_and_labels_must_match(self, shape, n_labels):
         labels = np.arange(n_labels) % 2
         with pytest.raises(ValueError, match="do not match"):
-            train_cnn(np.zeros(shape), CnnTrainConfig(epochs=1), labels)
+            train_cnn(np.zeros(shape), CnnTrainConfig(epochs=1), labels, 0)
 
 
 def features(records, window, mode, n_labs=3, params=None, normalizer=None):
@@ -324,7 +324,7 @@ def reference_features(records, normalizer, window, n_labs, params):
 
 class TestBuildFeatures:
     def test_embed_plus_labs_width(self):
-        params = init_params(8, 3, 3, 4, seed=0)
+        params = init_params(8, 3, 4, seed=0)
         rec = make_record("p", [(0.5, 0, 1.0)], {1})
         m = features([rec], 6, FeatureMode.EMBED_PLUS_LABS, params=params)
         assert m.shape == (1, 6, 11)  # d = 8 embedding columns, then 3 labs
@@ -345,7 +345,7 @@ class TestBuildFeatures:
         records = generate_synthetic(cfg, seed=6)
         seen = []
         monkeypatch.setattr(evaluate, "train_cnn",
-                            lambda feats, config, labels: seen.append((feats, labels)))
+                            lambda feats, config, labels, seed: seen.append((feats, labels)))
         evaluate.train_fold(records, ("CNN",), 4, toy_vocab(3, 4), evaluate.ExperimentConfig(), 0)
         expected = features(records, 4, FeatureMode.RAW_LABS,
                             normalizer=fit_normalizer(records, 4, 3))
@@ -354,7 +354,7 @@ class TestBuildFeatures:
         assert np.array_equal(feats, expected)
 
     def test_missing_hour_embedding_chains_previous_plus_translation(self):
-        params = init_params(6, 3, 3, 4, seed=1)
+        params = init_params(6, 3, 4, seed=1)
         # hour 2 (oldest) and hour 0 observed; hour 1 fully missing
         rec = make_record("p", [(2.5, 0, 1.0), (0.5, 1, 2.0)], {1})
         values, observed = bin_events([rec], 3, unit_normalizer(3))
@@ -366,7 +366,7 @@ class TestBuildFeatures:
         assert np.array_equal(m[2], act(params.w_p @ values[0, 0]))
 
     def test_leading_missing_hours_start_from_zero(self):
-        params = init_params(5, 3, 3, 4, seed=2)
+        params = init_params(5, 3, 4, seed=2)
         rec = make_record("p", [(0.5, 0, 1.0)], set())
         m = features([rec], 3, FeatureMode.EMBED_ONLY, params=params)[0]
         assert np.array_equal(m[0], np.zeros(5))
@@ -389,7 +389,7 @@ class TestBuildFeatures:
     def test_column_count_always_window(self):
         cfg = GenConfig(n_patients=5, n_labs=4, n_diagnoses=5, window_hours=6)
         records = generate_synthetic(cfg, seed=3)
-        params = init_params(3, 4, 4, 5, seed=4)
+        params = init_params(3, 4, 5, seed=4)
         widths = {FeatureMode.RAW_LABS: 4, FeatureMode.EMBED_ONLY: 3,
                   FeatureMode.EMBED_PLUS_LABS: 7}
         for mode in FeatureMode:
@@ -402,7 +402,7 @@ class TestBuildFeatures:
         records = generate_synthetic(cfg, seed=21)
         vocab = synthetic_vocabulary(cfg)
         normalizer = fit_normalizer(records, 8, 6)
-        params = init_params(7, 6, 6, 8, activation=activation, seed=5)
+        params = init_params(7, 6, 8, activation=activation, seed=5)
         params.w_p *= 50.0  # out of the activation's near-linear range
         expected, (values, observed) = reference_features(records, normalizer, 8, 6, params)
         # some cells average several events, some hours are imputed
@@ -448,7 +448,7 @@ class TestCnnCheckpoint:
             save_cnn(random_cnn(np.random.default_rng(13)), path)
             load, dim, array = load_cnn, "features", "dense_b"
         else:
-            save_params(init_params(3, 2, 2, 2, seed=1), path)
+            save_params(init_params(3, 2, 2, seed=1), path)
             load, dim, array = load_params, "d", "r_tt"
         obj = json.loads(path.read_text())
         edit(obj, dim, array)
@@ -574,11 +574,11 @@ class TestFlatGatherMatchesGenericKernels:
         records = generate_synthetic(cfg, seed=13)
         feats = features(records, 8, FeatureMode.RAW_LABS, normalizer=fit_normalizer(records, 8, 5))
         labels = np.array([rec.died for rec in records])
-        train_cfg = CnnTrainConfig(n_filters=8, kernel=3, epochs=10, seed=4)
-        params = train_cnn(feats, train_cfg, labels)
+        train_cfg = CnnTrainConfig(n_filters=8, kernel=3, epochs=10)
+        params = train_cnn(feats, train_cfg, labels, 4)
         scores = np.array([predict(params, x) for x in feats])
         monkeypatch.setattr(cnn, "_batch_backward", generic_batch_backward)
-        ref_params = train_cnn(feats, train_cfg, labels)
+        ref_params = train_cnn(feats, train_cfg, labels, 4)
         ref_scores = generic_batch_backward(ref_params, feats, labels.astype(int),
                                             np.ones(len(feats)))[0][:, 1]
         assert 0 < labels.sum() < len(labels)

@@ -322,6 +322,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             run_experiments(records, vocab, ("MLP",), 6, fast_config())
 
+    def test_one_fold_refused(self):
+        # one fold tests every patient and leaves none to train on
+        records, vocab = small_corpus(n=40)
+        with pytest.raises(ValueError, match=r"^folds must be >= 2$"):
+            run_experiments(records, vocab, ("CNN",), 6, replace(fast_config(), k_folds=1))
+
     def test_arms_are_the_feature_modes(self):
         # the enum's order is the arms' order; each arm's CNN input is the README's arm table
         assert ARMS == ("HGM", "CNN", "HGM_CNN")
@@ -390,7 +396,7 @@ class TestRunExperiment:
         assert trained == []
 
     def test_diverging_embeddings_name_fold_and_window(self, monkeypatch):
-        def diverge(graph, config, on_epoch=None):
+        def diverge(graph, config, seed, on_epoch=None):
             raise FloatingPointError("hgm: non-finite loss or parameters after epoch 2/2")
 
         monkeypatch.setattr(evaluate, "train_hgm", diverge)

@@ -27,8 +27,8 @@ def zero_params(d=2, p_in=2, n_labs=2, n_diagnoses=2, activation="tanh"):
     )
 
 
-def random_params(d, p_in, n_labs, n_diagnoses, activation="tanh", seed=0, scale=1.0):
-    params = init_params(d, p_in, n_labs, n_diagnoses, activation=activation, seed=seed)
+def random_params(d, n_labs, n_diagnoses, activation="tanh", seed=0, scale=1.0):
+    params = init_params(d, n_labs, n_diagnoses, activation=activation, seed=seed)
     for name in PARAM_FIELDS:
         getattr(params, name)[...] *= scale * d  # undo the 1/d init scale
     return params
@@ -65,7 +65,7 @@ class TestExactSoftmaxLoss:
 
     def test_matches_brute_force_oracle(self, toy_graph):
         graph, _, _ = toy_graph
-        params = random_params(4, 3, 3, 3, seed=5, scale=0.8)
+        params = random_params(4, 3, 3, seed=5, scale=0.8)
         act = ACTIVATIONS[params.activation][0]
         # independent re-derivation: every candidate vertex scored with the
         # relation form of its type, then every neighbor
@@ -98,7 +98,7 @@ class TestNsLoss:
         graph, _, _ = toy_graph
         params = zero_params(d=3, p_in=3, n_labs=3, n_diagnoses=3)
         sampler = Sampler(graph, SamplerConfig(n_diagnoses=4, n_labs=4, n_copatients=4,
-                                               negatives_per_positive=3, seed=2))
+                                               negatives_per_positive=3), 2)
         ctx = sampler.sample_context(0, 1)
         n_pos = ctx.n_positives()
         n_neg = sum(len(negs) for negs in
@@ -107,9 +107,9 @@ class TestNsLoss:
 
     def test_matches_independent_reimplementation(self, shared_dx_graph):
         graph, _, _ = shared_dx_graph
-        params = random_params(4, 4, 4, 4, seed=11, scale=1.5)
+        params = random_params(4, 4, 4, seed=11, scale=1.5)
         sampler = Sampler(graph, SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=3,
-                                               negatives_per_positive=2, seed=3))
+                                               negatives_per_positive=2), 3)
         act = ACTIVATIONS[params.activation][0]
         for center in (ph(0, 0), ph(0, 1), ph(1, 1)):
             ctx = sampler.sample_context(*center.index)
@@ -137,9 +137,9 @@ class TestNsLoss:
     def test_nonnegative(self, shared_dx_graph):
         graph, _, _ = shared_dx_graph
         sampler = Sampler(graph, SamplerConfig(n_diagnoses=2, n_labs=2, n_copatients=2,
-                                               negatives_per_positive=2, seed=4))
+                                               negatives_per_positive=2), 4)
         for seed in range(8):
-            params = random_params(3, 4, 4, 4, seed=seed, scale=2.0)
+            params = random_params(3, 4, 4, seed=seed, scale=2.0)
             ctx = sampler.sample_context(0, 1)
             assert ns_loss(params, graph, ctx) >= 0.0
 
@@ -155,11 +155,11 @@ def random_instance(seed, activation="tanh"):
     graph = binned_graph(records, synthetic_vocabulary(cfg), cfg.window_hours)
     sampler = Sampler(graph, SamplerConfig(
         n_diagnoses=int(rng.integers(1, 4)), n_labs=int(rng.integers(1, 4)),
-        n_copatients=int(rng.integers(1, 4)), negatives_per_positive=int(rng.integers(1, 4)),
-        seed=int(rng.integers(0, 2**31))))
+        n_copatients=int(rng.integers(1, 4)), negatives_per_positive=int(rng.integers(1, 4))),
+        int(rng.integers(0, 2**31)))
     ctx = sampler.sample_context(int(rng.integers(0, graph.n_patients)),
                                  int(rng.integers(0, graph.window_hours)))
-    params = random_params(int(rng.integers(2, 5)), cfg.n_labs, cfg.n_labs, cfg.n_diagnoses,
+    params = random_params(int(rng.integers(2, 5)), cfg.n_labs, cfg.n_diagnoses,
                            activation=activation, seed=int(rng.integers(0, 2**31)),
                            scale=float(rng.uniform(0.5, 2.0)))
     return params, graph, ctx
@@ -196,14 +196,14 @@ class TestNsGrad:
         graph, _, _ = toy_graph
         params = zero_params(d=3, p_in=3, n_labs=3, n_diagnoses=3)
         sampler = Sampler(graph, SamplerConfig(n_diagnoses=2, n_labs=2, n_copatients=2,
-                                               negatives_per_positive=2, seed=5))
+                                               negatives_per_positive=2), 5)
         grads = ns_grad(params, graph, sampler.sample_context(0, 1))
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(grads, name), np.zeros_like(getattr(params, name)))
 
     def test_duplicated_positive_doubles_contribution(self, toy_graph):
         graph, _, _ = toy_graph
-        params = random_params(3, 3, 3, 3, seed=6, scale=1.0)
+        params = random_params(3, 3, 3, seed=6, scale=1.0)
         single = make_context((0, 1), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
         doubled = make_context((0, 1), pos_labs=(lab_node(0), lab_node(0)),
                                neg_labs=((lab_node(2),), (lab_node(2),)))
@@ -214,7 +214,7 @@ class TestNsGrad:
 
     def test_untouched_entries_zero(self, toy_graph):
         graph, _, _ = toy_graph
-        params = random_params(3, 3, 3, 3, seed=7, scale=1.0)
+        params = random_params(3, 3, 3, seed=7, scale=1.0)
         ctx = make_context((0, 0), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
         grads = ns_grad(params, graph, ctx)
         assert np.array_equal(grads.w_i[:, 1], np.zeros(3))  # lab 1 not in context
@@ -226,30 +226,30 @@ class TestNsGrad:
 class TestTrainHgm:
     def test_zero_epochs_returns_initialization(self, toy_graph):
         graph, _, _ = toy_graph
-        cfg = HgmTrainConfig(epochs=0, d=4, seed=9)
-        params = train_hgm(graph, cfg)
-        expected = init_params(4, 3, 3, 3, activation="tanh",
+        cfg = HgmTrainConfig(epochs=0, d=4)
+        params = train_hgm(graph, cfg, 9)
+        expected = init_params(4, 3, 3, activation="tanh",
                                seed=derive_seed(9, "hgm-init"))
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(params, name), getattr(expected, name))
 
     def test_same_seed_bit_identical(self, shared_dx_graph):
         graph, _, _ = shared_dx_graph
-        cfg = HgmTrainConfig(epochs=3, d=4, seed=12, learning_rate=0.1,
+        cfg = HgmTrainConfig(epochs=3, d=4, learning_rate=0.1,
                              sampler=SamplerConfig(n_diagnoses=2, n_labs=2, n_copatients=2,
                                                    negatives_per_positive=2))
-        a = train_hgm(graph, cfg)
-        b = train_hgm(graph, cfg)
+        a = train_hgm(graph, cfg, 12)
+        b = train_hgm(graph, cfg, 12)
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_epoch_loss_non_increasing_early(self, toy_graph):
         graph, _, _ = toy_graph
         losses = []
-        cfg = HgmTrainConfig(epochs=10, d=8, seed=3, learning_rate=0.08,
+        cfg = HgmTrainConfig(epochs=10, d=8, learning_rate=0.08,
                              sampler=SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=3,
                                                    negatives_per_positive=3))
-        train_hgm(graph, cfg, on_epoch=lambda e, loss: losses.append(loss))
+        train_hgm(graph, cfg, 3, on_epoch=lambda e, loss: losses.append(loss))
         assert len(losses) == 10
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier * 1.05
@@ -260,10 +260,10 @@ class TestTrainHgm:
         # returned with only a RuntimeWarning
         cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
         graph = binned_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
-        train_cfg = HgmTrainConfig(epochs=12, d=4, seed=1, learning_rate=50.0, activation="relu")
+        train_cfg = HgmTrainConfig(epochs=12, d=4, learning_rate=50.0, activation="relu")
         message = r"^hgm: non-finite .* epoch \d+/12 \(step \d+ of 432\)"
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=message):
-            train_hgm(graph, train_cfg)
+            train_hgm(graph, train_cfg, 1)
 
     def test_blow_up_that_collapses_raises(self):
         # relu at lr = 50 on this graph: the epoch losses go 3.5e64, 2.6e124,
@@ -274,7 +274,7 @@ class TestTrainHgm:
         train_cfg = HgmTrainConfig(epochs=8, learning_rate=50.0, d=4, activation="relu")
         message = r"^hgm: non-finite .* beyond 1e\+06, after epoch \d+/8 \(step \d+ of \d+\)"
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=message):
-            train_hgm(graph, train_cfg)
+            train_hgm(graph, train_cfg, 0)
 
     def test_nan_parameter_raises_with_finite_loss(self, monkeypatch):
         # only one entry of the last parameter turns NaN, and the loss stays finite
@@ -291,7 +291,7 @@ class TestTrainHgm:
         graph = binned_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
         message = r"after epoch 1/2 .*: mean loss 1, max \|parameter\| nan$"
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=message):
-            train_hgm(graph, HgmTrainConfig(epochs=2, d=4, seed=1))
+            train_hgm(graph, HgmTrainConfig(epochs=2, d=4), 1)
 
     def test_matches_public_sgd_loop(self):
         # train_hgm is plain SGD over the public sampler and gradient: one
@@ -300,17 +300,18 @@ class TestTrainHgm:
         cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
         records = generate_synthetic(cfg, seed=8) + [make_record("idle", [(0.5, 0, 1.0)], set())]
         graph = binned_graph(records, synthetic_vocabulary(cfg), 3)
-        train_cfg = HgmTrainConfig(epochs=3, d=6, seed=4, learning_rate=0.05,
+        seed = 4
+        train_cfg = HgmTrainConfig(epochs=3, d=6, learning_rate=0.05,
                                    sampler=SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=3,
                                                          negatives_per_positive=2))
-        trained = train_hgm(graph, train_cfg)
+        trained = train_hgm(graph, train_cfg, seed)
 
-        params = init_params(train_cfg.d, graph.n_labs, graph.n_labs, graph.n_diagnoses,
-                             seed=derive_seed(train_cfg.seed, "hgm-init"))
+        params = init_params(train_cfg.d, graph.n_labs, graph.n_diagnoses,
+                             seed=derive_seed(seed, "hgm-init"))
         sampler = Sampler(graph, SamplerConfig(
-            n_diagnoses=3, n_labs=3, n_copatients=3, negatives_per_positive=2,
-            seed=derive_seed(train_cfg.seed, "hgm-sampler")))
-        shuffle = np.random.default_rng(derive_seed(train_cfg.seed, "hgm-shuffle"))
+            n_diagnoses=3, n_labs=3, n_copatients=3, negatives_per_positive=2),
+            derive_seed(seed, "hgm-sampler"))
+        shuffle = np.random.default_rng(derive_seed(seed, "hgm-shuffle"))
         centers = list(np.ndindex(graph.n_patients, graph.window_hours))
         total = train_cfg.epochs * len(centers)
         span = train_cfg.learning_rate - train_cfg.min_learning_rate
@@ -335,10 +336,10 @@ class TestTrainHgm:
         records = [make_record("p0", [(0.5, 0, 1.0)], set()),  # hour 1 empty, no dx
                    make_record("p1", [(0.5, 1, 2.0), (1.5, 1, 1.0)], {0})]
         graph = binned_graph(records, toy_vocab(), 2)
-        cfg = HgmTrainConfig(epochs=2, d=2, seed=1, sampler=SamplerConfig(
+        cfg = HgmTrainConfig(epochs=2, d=2, sampler=SamplerConfig(
             n_diagnoses=1, n_labs=1, n_copatients=1, negatives_per_positive=1))
         with caplog.at_level("INFO", logger="hgm_ehr.hgm"):
-            train_hgm(graph, cfg)
+            train_hgm(graph, cfg, 1)
         assert "skipped 2 untrainable center visits" in caplog.text
 
 
@@ -347,7 +348,7 @@ class TestEmbedPatientHour:
 
     def test_observed_hour_is_projection(self, toy_graph):
         graph, vocab, records = toy_graph
-        params = random_params(4, 3, 3, 3, seed=8)
+        params = random_params(4, 3, 3, seed=8)
         values, observed = bin_events(records, 2, unit_normalizer(3))
         out = embed_hours(params, values, observed)
         assert observed.any(axis=2).all()
@@ -357,7 +358,7 @@ class TestEmbedPatientHour:
                 assert np.array_equal(out[p, t], act(params.w_p @ values[p, t]))
 
     def test_missing_hour_uses_previous_plus_temporal(self):
-        params = random_params(4, 3, 3, 3, seed=9)
+        params = random_params(4, 3, 3, seed=9)
         values = np.array([[[0.1, -0.2, 0.3], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
         observed = np.array([[[True, True, True], [False] * 3, [False] * 3]])
         out = embed_hours(params, values, observed)
@@ -367,7 +368,7 @@ class TestEmbedPatientHour:
     def test_missing_hour_empty_snapshot_counts_as_missing(self):
         # missingness is read from the mask, not the values: an observed
         # all-zero hour is projected, an unobserved one is imputed
-        params = random_params(4, 3, 3, 3, seed=10, activation="sigmoid")
+        params = random_params(4, 3, 3, seed=10, activation="sigmoid")
         values = np.array([[[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
         observed = np.array([[[True] * 3, [False] * 3, [False, True, False]]])
         out = embed_hours(params, values, observed)
@@ -375,7 +376,7 @@ class TestEmbedPatientHour:
         assert np.array_equal(out[0, 2], ACTIVATIONS["sigmoid"][0](params.w_p @ values[0, 2]))
 
     def test_missing_without_previous_is_zero(self):
-        params = random_params(4, 3, 3, 3, seed=11, activation="sigmoid")
+        params = random_params(4, 3, 3, seed=11, activation="sigmoid")
         out = embed_hours(params, np.zeros((2, 2, 3)), np.zeros((2, 2, 3), dtype=bool))
         assert np.array_equal(out[:, 0], np.zeros((2, 4)))
         assert np.array_equal(out[:, 1], np.tile(params.r_tt, (2, 1)))
@@ -383,7 +384,7 @@ class TestEmbedPatientHour:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        params = random_params(5, 4, 4, 6, activation="sigmoid", seed=13)
+        params = random_params(5, 4, 6, activation="sigmoid", seed=13)
         path = tmp_path / "hgm.json"
         save_params(params, path)
         loaded = load_params(path)
@@ -391,9 +392,26 @@ class TestCheckpoint:
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(loaded, name), getattr(params, name))
 
+    def test_stored_p_in_dim_still_loads(self, tmp_path):
+        # older checkpoints also stored w_p's input width, always the lab count, as dims.p_in
+        params = random_params(3, 4, 5, seed=2)
+        path = tmp_path / "hgm.json"
+        save_params(params, path)
+        obj = json.loads(path.read_text())
+        assert "p_in" not in obj["dims"]
+        obj["dims"]["p_in"] = 4
+        path.write_text(json.dumps(obj))
+        loaded = load_params(path)
+        for name in PARAM_FIELDS:
+            assert np.array_equal(getattr(loaded, name), getattr(params, name))
+
+    def test_unknown_activation_refused_when_built(self):
+        with pytest.raises(ValueError, match=r"^unknown activation 'softsign'$"):
+            init_params(2, 2, 2, activation="softsign")
+
     def test_unknown_activation_refused_naming_the_file(self, tmp_path):
         path = tmp_path / "hgm.json"
-        save_params(random_params(2, 2, 2, 2, seed=1), path)
+        save_params(random_params(2, 2, 2, seed=1), path)
         obj = json.loads(path.read_text())
         obj["activation"] = "softsign"
         path.write_text(json.dumps(obj))
@@ -410,7 +428,7 @@ class TestCheckpoint:
     def test_non_finite_entry_refused_naming_the_file_and_array(self, tmp_path, field, edit,
                                                                 index):
         path = tmp_path / "hgm.json"
-        save_params(random_params(2, 2, 2, 2, seed=1), path)
+        save_params(random_params(2, 2, 2, seed=1), path)
         obj = json.loads(path.read_text())
         obj["arrays"][field] = edit(obj["arrays"][field])
         path.write_text(json.dumps(obj))
@@ -420,7 +438,7 @@ class TestCheckpoint:
                                       f"the first at index {index}")
 
     def test_wrong_kind_rejected(self, tmp_path):
-        params = random_params(2, 2, 2, 2, seed=1)
+        params = random_params(2, 2, 2, seed=1)
         save_params(params, tmp_path / "x.json")
         from hgm_ehr.checkpoint import load_container
         with pytest.raises(ValueError, match="kind"):
@@ -442,7 +460,7 @@ def test_exact_and_sampled_losses_agree_in_ordering(toy_graph):
 
     graph, _, _ = toy_graph
     centers = [(p, h) for p in range(2) for h in range(2)]
-    params = random_params(4, 3, 3, 3, seed=2, scale=0.8)
+    params = random_params(4, 3, 3, seed=2, scale=0.8)
     snapshots = []
     for step in range(121):
         if step % 40 == 0:
@@ -451,7 +469,7 @@ def test_exact_and_sampled_losses_agree_in_ordering(toy_graph):
             exact_loss_fd_step(params, graph, lr=0.03)
 
     sampler = Sampler(graph, SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=3,
-                                           negatives_per_positive=3, seed=77))
+                                           negatives_per_positive=3), 77)
     contexts = [sampler.sample_context(*centers[i % len(centers)]) for i in range(400)]
 
     exact_totals = [total_exact_loss(p, graph) for p in snapshots]
@@ -472,7 +490,7 @@ def test_exact_and_sampled_losses_agree_in_ordering(toy_graph):
 def scatter_add_ns_grad(params, graph, context, scores=None):
     """ns_grad with lab/diagnosis gradients scattered by np.add.at into zeros,
     one relation at a time; each relation's (scores, targets) go to `scores`."""
-    act, deriv = params.activation_fns()
+    act, deriv = ACTIVATIONS[params.activation]
     x_u = graph.values[context.center]
     c_u = act(params.w_p @ x_u)
     grads = HgmParams(*(np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS),
@@ -523,9 +541,9 @@ class TestNsGradMatchesScatterAdd:
     def test_sampled_and_repeated_contexts(self, d, activation):
         cfg = GenConfig(n_patients=12, n_labs=5, n_diagnoses=6, window_hours=3)
         graph = binned_graph(generate_synthetic(cfg, seed=d), synthetic_vocabulary(cfg), 3)
-        params = random_params(d, 5, 5, 6, activation=activation, seed=d + 1, scale=2.0 / d)
+        params = random_params(d, 5, 6, activation=activation, seed=d + 1, scale=2.0 / d)
         sampler = Sampler(graph, SamplerConfig(n_diagnoses=4, n_labs=4, n_copatients=2,
-                                               negatives_per_positive=3, seed=d))
+                                               negatives_per_positive=3), d)
         contexts = []
         for p, h in np.ndindex(graph.n_patients, graph.window_hours):
             try:
@@ -553,12 +571,12 @@ class TestNsGradMatchesScatterAdd:
         # A fully tested hour leaves lab positives without negatives, and two
         # patients sharing every diagnosis leave patient-hour positives without.
         config = SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=2,
-                               negatives_per_positive=2, seed=4)
+                               negatives_per_positive=2)
         empty, unpaired, checked = set(), set(), 0
         for graph in edge_case_graphs():
-            params = random_params(4, graph.n_labs, graph.n_labs, graph.n_diagnoses,
+            params = random_params(4, graph.n_labs, graph.n_diagnoses,
                                    activation=activation, seed=5, scale=0.5)
-            sampler = Sampler(graph, config)
+            sampler = Sampler(graph, config, 4)
             for p, h in np.ndindex(graph.n_patients, graph.window_hours):
                 try:
                     ctx = sampler.sample_context(p, h)

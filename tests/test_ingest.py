@@ -355,13 +355,13 @@ class TestGenerateSynthetic:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            GenConfig(n_patients=0, n_labs=5, n_diagnoses=5, window_hours=6).validate()
+            GenConfig(n_patients=0, n_labs=5, n_diagnoses=5, window_hours=6)
         with pytest.raises(ValueError):
             GenConfig(n_patients=5, n_labs=5, n_diagnoses=5, window_hours=6,
-                      signal=1.5).validate()
+                      signal=1.5)
         with pytest.raises(ValueError):
             GenConfig(n_patients=5, n_labs=5, n_diagnoses=5, window_hours=6,
-                      prevalence=0.0).validate()
+                      prevalence=0.0)
 
     def test_events_respect_vocab_and_hours(self):
         cfg = GenConfig(n_patients=10, n_labs=4, n_diagnoses=6, window_hours=6)

@@ -14,7 +14,7 @@ def ph(p, h):
 
 def test_default_context_shape(shared_dx_graph):
     graph, _, _ = shared_dx_graph
-    sampler = Sampler(graph, SamplerConfig(seed=1))
+    sampler = Sampler(graph, SamplerConfig(), 1)
     ctx = sampler.sample_context(0, 1)
     assert len(ctx.pos_diagnoses) == 10
     assert len(ctx.pos_labs) == 10
@@ -27,7 +27,7 @@ def test_default_context_shape(shared_dx_graph):
 
 def test_hour_zero_has_no_temporal_positive(shared_dx_graph):
     graph, _, _ = shared_dx_graph
-    sampler = Sampler(graph, SamplerConfig(seed=1))
+    sampler = Sampler(graph, SamplerConfig(), 1)
     ctx = sampler.sample_context(0, 0)
     assert ctx.pos_temporal is None
     assert ctx.neg_temporal == ()
@@ -35,7 +35,7 @@ def test_hour_zero_has_no_temporal_positive(shared_dx_graph):
 
 def test_single_neighbor_repeats(shared_dx_graph):
     graph, _, _ = shared_dx_graph
-    sampler = Sampler(graph, SamplerConfig(seed=2))
+    sampler = Sampler(graph, SamplerConfig(), 2)
     # p2 has exactly one diagnosis and one tested lab at hour 0
     ctx = sampler.sample_context(2, 0)
     assert set(ctx.pos_diagnoses) == {NodeId(NodeType.DIAGNOSIS, 3)}
@@ -47,14 +47,14 @@ def test_untrainable_center_raises():
     # patient with no diagnoses and an empty hour
     records = [make_record("p0", [(0.5, 0, 1.0)], set())]
     graph = binned_graph(records, toy_vocab(), 2)
-    sampler = Sampler(graph, SamplerConfig(seed=0))
+    sampler = Sampler(graph, SamplerConfig(), 0)
     with pytest.raises(UntrainableCenterError):
         sampler.sample_context(0, 1)
 
 
 def test_copatients_come_from_sampled_diagnoses(shared_dx_graph):
     graph, _, _ = shared_dx_graph
-    sampler = Sampler(graph, SamplerConfig(seed=3))
+    sampler = Sampler(graph, SamplerConfig(), 3)
     ctx = sampler.sample_context(0, 0)
     # p0's only shareable diagnosis is 1 (carried by p1); diagnosis 0 has no
     # other carrier, so every co-patient must belong to p1
@@ -66,7 +66,7 @@ def test_copatient_pool_may_be_empty():
     records = [make_record("p0", [(0.5, 0, 1.0)], {0}),
                make_record("p1", [(0.5, 1, 1.0)], {1})]
     graph = binned_graph(records, toy_vocab(), 2)
-    sampler = Sampler(graph, SamplerConfig(seed=0))
+    sampler = Sampler(graph, SamplerConfig(), 0)
     ctx = sampler.sample_context(0, 0)
     assert ctx.pos_patients == ()
     assert ctx.neg_patients == ()
@@ -77,7 +77,7 @@ class TestSampleNegatives:
         records = [make_record("p0", [(0.5, 0, 1.0)], {1, 3}),
                    make_record("p1", [(0.5, 1, 1.0)], {0})]
         graph = binned_graph(records, toy_vocab(3, 5), 2)
-        sampler = Sampler(graph, SamplerConfig(seed=4))
+        sampler = Sampler(graph, SamplerConfig(), 4)
         for _ in range(30):
             negs = sampler.sample_negatives(0, 0, NodeType.DIAGNOSIS, 3)
             assert negs.shape == (3,) and set(negs.tolist()) <= {0, 2, 4}
@@ -85,13 +85,13 @@ class TestSampleNegatives:
     def test_lab_negatives_avoid_tested(self):
         records = [make_record("p0", [(0.5, 1, 1.0)], {0})]
         graph = binned_graph(records, toy_vocab(4, 2), 2)
-        sampler = Sampler(graph, SamplerConfig(seed=4))
+        sampler = Sampler(graph, SamplerConfig(), 4)
         negs = sampler.sample_negatives(0, 0, NodeType.LAB, 50)
         assert negs.shape == (50,) and set(negs.tolist()) <= {0, 2, 3}
 
     def test_patient_negatives_share_no_diagnosis(self, shared_dx_graph):
         graph, _, _ = shared_dx_graph
-        sampler = Sampler(graph, SamplerConfig(seed=5))
+        sampler = Sampler(graph, SamplerConfig(), 5)
         negs = sampler.sample_negatives(0, 0, NodeType.PATIENT_HOUR, 40)
         # p1 shares diagnosis 1 with p0, so only p2's hours are eligible
         assert negs.shape == (40, 2)
@@ -100,7 +100,7 @@ class TestSampleNegatives:
     def test_fully_connected_center_errors(self):
         records = [make_record("p0", [(0.5, 0, 1.0)], {0, 1, 2})]
         graph = binned_graph(records, toy_vocab(3, 3), 2)
-        sampler = Sampler(graph, SamplerConfig(seed=0))
+        sampler = Sampler(graph, SamplerConfig(), 0)
         with pytest.raises(ValueError, match="empty negative pool"):
             sampler.sample_negatives(0, 0, NodeType.DIAGNOSIS, 2)
 
@@ -108,7 +108,7 @@ class TestSampleNegatives:
         # 100k draws over the 3 eligible diagnoses: each count within 3 sigma
         records = [make_record("p0", [(0.5, 0, 1.0)], {1, 3})]
         graph = binned_graph(records, toy_vocab(3, 5), 2)
-        sampler = Sampler(graph, SamplerConfig(seed=6))
+        sampler = Sampler(graph, SamplerConfig(), 6)
         n = 100_000
         draws = sampler.sample_negatives(0, 0, NodeType.DIAGNOSIS, n)
         counts = {0: 0, 2: 0, 4: 0}
@@ -125,7 +125,7 @@ def test_positives_are_neighbors_negatives_are_not():
     records = generate_synthetic(cfg, seed=8)
     graph = binned_graph(records, synthetic_vocabulary(cfg), 3)
     sampler = Sampler(graph, SamplerConfig(n_diagnoses=4, n_labs=4, n_copatients=4,
-                                           negatives_per_positive=3, seed=9))
+                                           negatives_per_positive=3), 9)
     checked = 0
     for p in range(graph.n_patients):
         for h in range(graph.window_hours):
@@ -160,17 +160,17 @@ def test_positives_are_neighbors_negatives_are_not():
 
 def test_same_seed_same_samples(shared_dx_graph):
     graph, _, _ = shared_dx_graph
-    a = Sampler(graph, SamplerConfig(seed=42))
-    b = Sampler(graph, SamplerConfig(seed=42))
+    a = Sampler(graph, SamplerConfig(), 42)
+    b = Sampler(graph, SamplerConfig(), 42)
     for h in range(2):
         assert a.sample_context(0, h) == b.sample_context(0, h)
-    c = Sampler(graph, SamplerConfig(seed=43))
+    c = Sampler(graph, SamplerConfig(), 43)
     assert c.sample_context(0, 0) != a.sample_context(0, 0)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SamplerConfig(n_diagnoses=0).validate()
+        SamplerConfig(n_diagnoses=0)
 
 
 def test_memory_holds_no_patient_by_patient_array():
@@ -179,7 +179,7 @@ def test_memory_holds_no_patient_by_patient_array():
     n = 2000
     graph = HeteroGraph(np.zeros((n, 2, 3)), rng.random((n, 2, 3)) < 0.5,
                         rng.random((n, 50)) < 0.11)
-    sampler, peak = traced_peak(Sampler, graph, SamplerConfig())
+    sampler, peak = traced_peak(Sampler, graph, SamplerConfig(), 0)
     assert peak < n * n
     context, peak = traced_peak(sampler.sample_context, 0, 1)
     assert peak < n * n and context.n_positives() > 0
@@ -198,10 +198,10 @@ class ReferenceSampler:
     positive and every negative block is its own rng.choice/integers call and
     every pool is rebuilt from the graph's one-hop neighborhoods."""
 
-    def __init__(self, graph, config):
+    def __init__(self, graph, config, seed):
         self.graph = graph
         self.config = config
-        self.rng = np.random.default_rng(config.seed)
+        self.rng = np.random.default_rng(seed)
 
     def _indices(self, node, node_type):
         return [n.index for n in neighbors(self.graph, node, node_type)]
@@ -301,12 +301,11 @@ def edge_case_graphs():
 def test_matches_reference_sampler_on_every_center(seed):
     cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
     synthetic = binned_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
-    config = SamplerConfig(n_diagnoses=4, n_labs=3, n_copatients=5, negatives_per_positive=2,
-                           seed=seed)
+    config = SamplerConfig(n_diagnoses=4, n_labs=3, n_copatients=5, negatives_per_positive=2)
     untrainable = 0
     for graph in [synthetic] + edge_case_graphs():
-        sampler = Sampler(graph, config)
-        reference = ReferenceSampler(graph, config)
+        sampler = Sampler(graph, config, seed)
+        reference = ReferenceSampler(graph, config, seed)
         for _ in range(2):  # a second pass continues both streams
             for p, h in np.ndindex(graph.n_patients, graph.window_hours):
                 try:
