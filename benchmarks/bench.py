@@ -17,10 +17,11 @@ fold noise when any arm has |t| >= 2.
 
 `--label L` runs what `--seeds` runs and writes `BENCH_L.json` at the
 repo root. It holds the host (git sha of `--src`, nproc, load average, CPU
-model, Python, numpy and the BLAS entry of `numpy.show_config`), the wall
-time of 3 serial desk runs at seed 101, `train_hgm` steps/s on desk fold 0
-over 5 runs with quartiles, and each seed's mean AUROC per arm. The timed
-runs come first, one at a time, before `--jobs` workers start.
+model, Python, numpy, the BLAS entry of `numpy.show_config` and the BLAS
+kernel that ran), the wall time of 3 serial desk runs at seed 101,
+`train_hgm` steps/s on desk fold 0 over 5 runs with quartiles, and each
+seed's mean AUROC per arm. The timed runs come first, one at a time,
+before `--jobs` workers start.
 
 The program is imported from `--src`, by default this checkout's `src/`.
 To record another commit, point `--src` at that commit's `src/`.
@@ -212,6 +213,41 @@ def cpu_model():
     return platform.processor() or None
 
 
+def blas_kernel():
+    """The kernel set numpy's OpenBLAS picked when it loaded, such as "SkylakeX", or None.
+
+    An OpenBLAS built for several CPUs picks its kernels at load time, and
+    every HGM bit depends on them (README). The name is read through ctypes
+    from the BLAS library this process loaded, found in /proc/self/maps or
+    else among the libraries numpy's wheel bundles: scipy_openblas_get_corename64_,
+    or openblas_get_corename in older wheels. None when neither function exists.
+    """
+    import ctypes
+    import glob
+
+    import numpy as np
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "blas" in line and ".so" in line})
+    except OSError:
+        paths = []
+    package = Path(np.__file__).parent
+    for bundled in (package.parent / "numpy.libs", package / ".dylibs"):
+        paths += sorted(glob.glob(str(bundled / "*blas*")))
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(library, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def environment(src):
     """The host and builds a BENCH file was measured on; `src` gives the git sha."""
     import numpy as np
@@ -229,7 +265,7 @@ def environment(src):
         blas = None
     return {"git_sha": sha, "nproc": os.cpu_count(), "loadavg": list(os.getloadavg()),
             "cpu": cpu_model(), "python": platform.python_version(), "numpy": np.__version__,
-            "blas": blas}
+            "blas": blas, "blas_kernel": blas_kernel()}
 
 
 def time_desk_runs(seed, runs=DESK_RUNS):

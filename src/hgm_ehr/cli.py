@@ -131,6 +131,9 @@ _GEN_DEFAULTS = dict(n_patients=200, n_labs=30, n_diagnoses=50)
 # Each config class but RunConfig, and the one section whose keys set its fields.
 _SECTION_OF = {target: section for (section, _), (target, _, _) in CONFIG_KEYS.items()
                if target is not RunConfig}
+# The key of each field whose key has another name, such as [cnn] filters for n_filters.
+_KEY_OF = {(target, name): key for (_, key), (target, name, _) in CONFIG_KEYS.items()
+           if key != name}
 
 
 def load_run_config(path) -> RunConfig:
@@ -157,8 +160,10 @@ def load_run_config(path) -> RunConfig:
     def build(target, **kwargs):
         try:
             return target(**kwargs)
-        except ValueError as exc:  # a value out of range, named with its file and section
-            raise ValueError(f"{path}: [{_SECTION_OF[target]}] {exc}") from None
+        except ValueError as exc:  # a value out of range, named with its file, section and key
+            name, _, rest = str(exc).partition(" ")
+            message = f"{_KEY_OF[target, name]} {rest}" if (target, name) in _KEY_OF else exc
+            raise ValueError(f"{path}: [{_SECTION_OF[target]}] {message}") from None
 
     hgm = build(HgmTrainConfig, sampler=build(SamplerConfig, **values[SamplerConfig]),
                 **values[HgmTrainConfig])

@@ -63,10 +63,13 @@ class CnnTrainConfig:
     class_weighting: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_filters < 1 or self.kernel < 1:
-            raise ValueError("n_filters and kernel must be >= 1")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("invalid training hyperparameters")
+        for name in ("n_filters", "kernel", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
 def build_features(binned, mode: FeatureMode, hgm_params: HgmParams | None = None) -> np.ndarray:

@@ -296,7 +296,8 @@ def ns_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample) -> Hg
 
 def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, seed: int, on_epoch=None) -> HgmParams:
     """SGD over epochs x shuffled patient-hour centers, one context per step:
-    each epoch permutes the P*T flat row numbers, row r being center (p, h) = divmod(r, T).
+    each epoch permutes the P*T flat row numbers, row r being center (p, h) = divmod(r, T),
+    and plans that visit order with the sampler, which draws the contexts ahead in chunks.
 
     Learning rate decays linearly from config.learning_rate to
     config.min_learning_rate over the full schedule. Untrainable centers
@@ -319,11 +320,14 @@ def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, seed: int, on_epoch=No
     for epoch in range(config.epochs):
         epoch_loss = 0.0
         n_contexts = 0
-        for row in shuffle_rng.permutation(n_centers).tolist():
+        centers = np.stack(np.divmod(shuffle_rng.permutation(n_centers), graph.window_hours),
+                           axis=1)
+        sampler.plan(centers)
+        for p, h in centers.tolist():
             lr = config.min_learning_rate + lr_span * (1.0 - step / total_steps)
             step += 1
             try:
-                context = sampler.sample_context(*divmod(row, graph.window_hours))
+                context = sampler.sample_context(p, h)
             except UntrainableCenterError:
                 skipped += 1
                 continue

@@ -104,8 +104,10 @@ def test_label_writes_a_bench_file(tmp_path, monkeypatch):
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert record["label"] == "t"
     env = record["environment"]
-    assert set(env) == {"git_sha", "nproc", "loadavg", "cpu", "python", "numpy", "blas"}
+    assert set(env) == {"git_sha", "nproc", "loadavg", "cpu", "python", "numpy", "blas",
+                        "blas_kernel"}
     assert not any("directory" in key for key in env["blas"] or {})
+    assert env["blas_kernel"] is None or isinstance(env["blas_kernel"], str)
     assert env["nproc"] >= 1 and len(env["loadavg"]) == 3
     for key, runs in (("desk_run_s", bench.DESK_RUNS), ("hgm_steps_per_s", bench.HGM_RUNS)):
         timing = record[key]

@@ -154,9 +154,10 @@ def trained_checkpoints(tmp_path_factory):
 @pytest.mark.parametrize("target, valid, bad, message", [
     (GenConfig, dict(n_patients=5, n_labs=5, n_diagnoses=5, window_hours=6), dict(prevalence=1.0),
      "prevalence must lie in"),
-    (SamplerConfig, {}, dict(negatives_per_positive=0), "sampler counts must be >= 1"),
+    (SamplerConfig, {}, dict(negatives_per_positive=0),
+     "negatives_per_positive must be >= 1, got 0"),
     (HgmTrainConfig, {}, dict(d=1), "embedding dimension must be >= 2"),
-    (CnnTrainConfig, {}, dict(kernel=0), "n_filters and kernel must be >= 1"),
+    (CnnTrainConfig, {}, dict(kernel=0), "kernel must be >= 1, got 0"),
 ], ids=["GenConfig", "SamplerConfig", "HgmTrainConfig", "CnnTrainConfig"])
 def test_config_refuses_a_bad_value_when_built_and_replaced(target, valid, bad, message):
     with pytest.raises(ValueError, match=message):
@@ -320,10 +321,13 @@ class TestConfigParsing:
         ("epochs = 2", "epochs = 2\nmin_learning_rate = 0.5",
          "[hgm] min_learning_rate must not exceed learning_rate"),
         ("epochs = 2", "epochs = 2\nactivation = softsign", "[hgm] unknown activation 'softsign'"),
-        ("filters = 4", "filters = 0", "[cnn] n_filters and kernel must be >= 1"),
+        ("filters = 4", "filters = 0", "[cnn] filters must be >= 1, got 0"),
+        ("epochs = 4", "epochs = -1", "[cnn] epochs must be >= 0, got -1"),
+        ("epochs = 4", "epochs = 4\nbatch_size = 0", "[cnn] batch_size must be >= 1, got 0"),
+        ("negatives = 2", "negatives = 0", "[hgm] negatives must be >= 1, got 0"),
         ("prevalence = 0.4", "prevalence = 1.5", "[data] prevalence must lie in (0, 1)"),
     ], ids=["negative_min_learning_rate", "min_above_learning_rate", "unknown_activation",
-            "cnn_filters", "data_prevalence"])
+            "cnn_filters", "cnn_epochs", "cnn_batch_size", "hgm_negatives", "data_prevalence"])
     def test_bad_hgm_value_rejected(self, tmp_path, capsys, line, edited, named):
         path = write_config(tmp_path / "run.ini", tmp_path / "out")
         path.write_text(path.read_text().replace(f"\n{line}\n", f"\n{edited}\n"))

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, neighbors
-from hgm_ehr.ingest import GenConfig, generate_synthetic, synthetic_vocabulary
-from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError
+import hgm_ehr.sampler as sampler_module
+from hgm_ehr.evaluate import plan_folds
+from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, build_graph, neighbors
+from hgm_ehr.ingest import (GenConfig, bin_events, fit_normalizer, generate_synthetic,
+                            synthetic_vocabulary)
+from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError, _lemire, _WordStream
+from hgm_ehr.seeds import derive_seed
 
 from conftest import binned_graph, make_context, make_record, toy_vocab, traced_peak
+from oracles import ContextOracle
 
 
 def ph(p, h):
@@ -183,6 +188,11 @@ def test_memory_holds_no_patient_by_patient_array():
     assert peak < n * n
     context, peak = traced_peak(sampler.sample_context, 0, 1)
     assert peak < n * n and context.n_positives() > 0
+    # a planned chunk draws CHUNK centers of about as many distinct patients
+    centers = np.stack(np.divmod(rng.permutation(2 * n), 2), axis=1)
+    sampler.plan(centers)
+    context, peak = traced_peak(sampler.sample_context, *centers[0].tolist())
+    assert peak < 4_000_000 and context.n_positives() > 0
 
 
 def sharing_patients(graph, center):
@@ -377,3 +387,192 @@ class TestIntegersStream:
             assert (filled.integers(0, bound, size=count).tolist()
                     == broadcast.integers(0, np.full(count, bound)).tolist())
             assert self.next_draw(filled) == self.next_draw(broadcast)
+
+    @pytest.mark.parametrize("held_over", [False, True], ids=["whole_output", "held_over_half"])
+    def test_word_map_equals_integers(self, held_over):
+        # The chunk draw's word stream and word map against integers itself. A
+        # bound just above 2**31 rejects about half its words; a bound of 1 takes none.
+        rng = np.random.default_rng(17)
+        bounds = np.concatenate([
+            rng.integers(2, 1000, 8000), rng.integers(2**31 + 1, 2**31 + 2**24, 6000),
+            rng.integers(2**31 - 2**24, 2**31, 2000), rng.integers(2, 2**32 - 1, 2000),
+            np.ones(2000, dtype=np.int64)])
+        rng.shuffle(bounds)
+        expected, drawn = np.random.default_rng(5), np.random.default_rng(5)
+        if held_over:  # the generator holds the high half of its last output
+            expected.integers(0, 10), drawn.integers(0, 10)
+        stream = _WordStream(drawn.bit_generator)
+        words = stream.upto(3 * len(bounds))
+        draws, taken, rejections = [], 0, 0
+        for bound in bounds.tolist():
+            draw = 0
+            while bound > 1:
+                (draw,), (rejected,) = _lemire(words[taken:taken + 1], np.uint64(bound))
+                taken += 1
+                if not rejected:
+                    break
+                rejections += 1
+            draws.append(int(draw))
+        assert draws == expected.integers(0, bounds).tolist()
+        assert rejections > 2000
+        stream.commit(taken)
+        assert drawn.bit_generator.state == expected.bit_generator.state
+        assert self.next_draw(drawn) == self.next_draw(expected)
+
+
+def visit_orders(graph, seed, epochs):
+    """`epochs` shuffled visit orders of every center, as (n, 2) (p, h) arrays."""
+    shuffle = np.random.default_rng(seed)
+    rows = graph.n_patients * graph.window_hours
+    return [np.stack(np.divmod(shuffle.permutation(rows), graph.window_hours), axis=1)
+            for _ in range(epochs)]
+
+
+def assert_planned_draw_equals_oracle(graph, config, seed, orders):
+    """Plan each order in turn: every context equals the per-context oracle's,
+    and the generators end in the same state. Returns the untrainable visits."""
+    sampler, oracle = Sampler(graph, config, seed), ContextOracle(graph, config, seed)
+    untrainable = assert_same_contexts(sampler, oracle, orders)
+    assert sampler.rng.bit_generator.state == oracle.rng.bit_generator.state
+    return untrainable
+
+
+def assert_same_contexts(sampler, oracle, orders):
+    """Plan each order in turn: every context equals the oracle's.
+    Returns the untrainable visits."""
+    untrainable = 0
+    for centers in orders:
+        sampler.plan(centers)
+        for p, h in centers.tolist():
+            try:
+                expected = oracle.sample_context(p, h)
+            except UntrainableCenterError:
+                untrainable += 1
+                with pytest.raises(UntrainableCenterError):
+                    sampler.sample_context(p, h)
+                continue
+            assert sampler.sample_context(p, h) == expected, (p, h)
+    return untrainable
+
+
+def test_planned_draw_equals_oracle_over_a_desk_run():
+    # train_hgm's two-epoch visit order on fold 0 of criterion 4's corpus
+    from test_acceptance import DESK_EXPERIMENT, DESK_GEN, DESK_GEN_SEED  # it imports this module
+
+    gen = GenConfig(**DESK_GEN)
+    window, vocab = gen.window_hours, synthetic_vocabulary(gen)
+    fold, train, _ = plan_folds(generate_synthetic(gen, seed=DESK_GEN_SEED),
+                                DESK_EXPERIMENT.k_folds, DESK_EXPERIMENT.seed, window)[0]
+    graph = build_graph(train, vocab,
+                        bin_events(train, window, fit_normalizer(train, window, vocab.n_labs)))
+    seed = derive_seed(DESK_EXPERIMENT.seed, "hgm", fold, window)
+    orders = visit_orders(graph, derive_seed(seed, "hgm-shuffle"), DESK_EXPERIMENT.hgm.epochs)
+    assert_planned_draw_equals_oracle(graph, DESK_EXPERIMENT.hgm.sampler,
+                                      derive_seed(seed, "hgm-sampler"), orders)
+
+
+def awkward_graphs():
+    """Graphs where a context's word count departs from the guess the pools give."""
+    # p0 shares diagnosis 0 with p1 alone (a carrier bound of 1) and carries
+    # diagnosis 1 alone (never eligible), so two diagnosis draws give an
+    # eligible list of length 0, 1 or 2; p2 has no diagnosis (a full
+    # diagnosis-negative pool) and p3 is tested for every lab (an empty
+    # lab-negative one). One hour: no hour draw takes a word.
+    diagnosed = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+                         dtype=bool)
+    observed = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 1], [0, 0, 0]], dtype=bool)
+    one_hour = HeteroGraph(np.ones((5, 1, 3)), observed[:, None], diagnosed)
+    # p0 carries every diagnosis, so it shares one with everyone: empty
+    # diagnosis- and patient-negative pools.
+    everyone = HeteroGraph(np.ones((3, 2, 2)), np.ones((3, 2, 2), dtype=bool),
+                           np.array([[1, 1, 1], [1, 0, 0], [0, 1, 0]], dtype=bool))
+    rng = np.random.default_rng(23)
+    random = [HeteroGraph(np.ones((p, t, 4)), rng.random((p, t, 4)) < 0.4,
+                          rng.random((p, 5)) < density)
+              for p, t, density in [(9, 3, 0.25), (14, 1, 0.15), (6, 2, 0.6), (30, 2, 0.1)]]
+    # no diagnosis at all: the patient-hours with a tested lab alone are trainable
+    undiagnosed = HeteroGraph(np.ones((4, 2, 3)), rng.random((4, 2, 3)) < 0.5,
+                              np.zeros((4, 0), dtype=bool))
+    return [one_hour, everyone, undiagnosed] + edge_case_graphs() + random
+
+
+@pytest.mark.parametrize("counts", [(2, 1, 3, 1), (1, 2, 2, 3), (3, 3, 4, 2)],
+                         ids=lambda c: "/".join(map(str, c)))
+@pytest.mark.parametrize("chunk", [256, 5])
+def test_planned_draw_equals_oracle_on_awkward_graphs(monkeypatch, counts, chunk):
+    monkeypatch.setattr(sampler_module, "CHUNK", chunk)
+    untrainable = sum(
+        assert_planned_draw_equals_oracle(graph, SamplerConfig(*counts), seed,
+                                          visit_orders(graph, seed, 3))
+        for seed, graph in enumerate(awkward_graphs()))
+    assert untrainable > 0
+
+
+class ScriptedStream:
+    """Stands in for _WordStream: words from a fixed script, from where the last chunk stopped."""
+
+    def __init__(self, script, position):
+        self.words, self.position, self.skipped = script[position[0]:], position, 0
+
+    def upto(self, n):
+        assert n <= self.words.size
+        return self.words
+
+    def skip(self, i):
+        self.words = np.delete(self.words, i)
+        self.skipped += 1
+
+    def commit(self, n):
+        self.position[0] += n + self.skipped
+
+
+class ScriptedIntegers:
+    """Generator.integers(0, high) over the same script, one word at a time."""
+
+    def __init__(self, script):
+        self.script, self.taken, self.rejected = script.tolist(), 0, 0
+
+    def integers(self, low, high):
+        assert low == 0
+        draws = [self._draw(b) for b in np.ravel(high).tolist()]
+        return np.array(draws, dtype=np.int64) if np.ndim(high) else draws[0]
+
+    def _draw(self, bound):
+        while bound > 1:
+            scaled = self.script[self.taken] * bound
+            self.taken += 1
+            if scaled % 2**32 >= (2**32 - bound) % bound:
+                return scaled >> 32
+            self.rejected += 1
+        return 0
+
+
+def test_rejected_words_are_skipped_as_integers_skips_them(monkeypatch):
+    # A word of 0 is rejected under any bound that is not a power of 2, so a
+    # script with many of them makes the chunk draw skip words mid-chunk.
+    rng = np.random.default_rng(31)
+    script = rng.integers(0, 2**32, 400_000, dtype=np.uint64).astype(np.uint32)
+    script[rng.random(script.size) < 0.05] = 0
+    position = [0]
+    monkeypatch.setattr(sampler_module, "_WordStream",
+                        lambda bit_generator: ScriptedStream(script, position))
+    cfg = GenConfig(n_patients=40, n_labs=6, n_diagnoses=8, window_hours=3)
+    graph = binned_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
+    config = SamplerConfig(3, 3, 3, 2)
+    sampler, oracle = Sampler(graph, config, 0), ContextOracle(graph, config, 0)
+    oracle.rng = ScriptedIntegers(script)
+    assert_same_contexts(sampler, oracle, visit_orders(graph, 1, 2))
+    assert position[0] == oracle.rng.taken and oracle.rng.rejected > 100
+
+
+def test_unplanned_center_refused_while_a_plan_is_pending(shared_dx_graph):
+    graph, _, _ = shared_dx_graph
+    sampler, oracle = Sampler(graph, SamplerConfig(), 1), ContextOracle(graph, SamplerConfig(), 1)
+    sampler.plan([(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match=r"center \(0, 1\) is not the next planned one, \(1, 0\)"):
+        sampler.sample_context(0, 1)
+    # the refusal drew nothing and kept the plan
+    assert sampler.sample_context(1, 0) == oracle.sample_context(1, 0)
+    assert sampler.sample_context(0, 1) == oracle.sample_context(0, 1)
+    # with nothing planned, any center is drawn alone
+    assert sampler.sample_context(2, 0) == oracle.sample_context(2, 0)
