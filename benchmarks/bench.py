@@ -16,9 +16,11 @@ resampled t, plus the largest test-score difference. A change is beyond
 fold noise when any arm has |t| >= 2.
 
 `--label L` runs what `--seeds` runs and writes `BENCH_L.json` at the
-repo root. It holds the host (git sha of `--src`, nproc, load average, CPU
-model, Python, numpy, the BLAS entry of `numpy.show_config` and the BLAS
-kernel that ran), the wall time of 3 serial desk runs at seed 101,
+repo root. It holds the host and the code (git sha of `--src`, a sha256 of
+its `**/*.py` as perfbench's `src_sha256`, whether git reports uncommitted
+changes under it, nproc, load average, CPU model, Python, numpy, the BLAS
+entry of `numpy.show_config` and the BLAS kernel that ran), the wall time
+of 3 serial desk runs at seed 101,
 `train_hgm` steps/s on desk fold 0 over 5 runs with quartiles, and each
 seed's mean AUROC per arm. The timed runs come first, one at a time,
 before `--jobs` workers start.
@@ -28,6 +30,7 @@ To record another commit, point `--src` at that commit's `src/`.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -248,22 +251,42 @@ def blas_kernel():
     return None
 
 
+def source_digest(src):
+    """sha256 of the source tree `src`: each `**/*.py` file's relative path and bytes,
+    in sorted order, as perfbench/run.py's source_digest hashes `src/`."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(src).rglob("*.py")):
+        digest.update(path.relative_to(src).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def git(src, *args):
+    """stdout of `git -C src args`, or None without git or outside a repository."""
+    try:
+        done = subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True)
+    except OSError:
+        return None
+    return done.stdout if done.returncode == 0 else None
+
+
 def environment(src):
-    """The host and builds a BENCH file was measured on; `src` gives the git sha."""
+    """The host, builds and code a BENCH file was measured on. HEAD names the
+    parent commit while a change is uncommitted, so `src_sha256` and `dirty`
+    say which code under `src` ran."""
     import numpy as np
 
-    try:
-        sha = subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"],
-                             capture_output=True, text=True).stdout.strip() or None
-    except OSError:
-        sha = None
+    sha = (git(src, "rev-parse", "HEAD") or "").strip() or None
+    status = git(src, "status", "--porcelain", "--", ".")
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         # the build's name, version and configuration, without its install paths
         blas = {key: value for key, value in blas.items() if "directory" not in key}
     except (TypeError, KeyError):  # numpy < 1.26 only prints its config
         blas = None
-    return {"git_sha": sha, "nproc": os.cpu_count(), "loadavg": list(os.getloadavg()),
+    return {"git_sha": sha, "src_sha256": source_digest(src),
+            "dirty": None if status is None else bool(status.strip()),
+            "nproc": os.cpu_count(), "loadavg": list(os.getloadavg()),
             "cpu": cpu_model(), "python": platform.python_version(), "numpy": np.__version__,
             "blas": blas, "blas_kernel": blas_kernel()}
 

@@ -13,22 +13,35 @@ Relation scoring (neighbor side first where translated):
     co-patient:             score = c_u . c_v
     temporal next node:     score = (c_u + r_tt) . c_next
 
-A training step reads the context's (p, h) center and per-relation term
-arrays directly, with no NodeId: lab and diagnosis terms select columns of
-W_i / W_d, (patient, hour) terms select hours of graph.values, and the gradients
-come back as an HgmParams of the parameters' shapes. Each relation's
-products stay its own gemv/gemm; the elementwise tail (softplus loss,
-sigmoid(s) - y) runs once over the four relations' concatenated scores, so
-gradients are bit for bit those of one pass per relation and only the loss,
-one sum, may differ in its last bits. Lab and diagnosis gradients are
-scattered into their columns by one bincount over flat offsets
-(_column_sums), which sums repeated indices in the same order, and so to
-the same bits, as a generic scatter-add into zeros, at a fraction of its
-per-call cost.
+A training step (_loss_and_grad) reads a ContextSample's arrays as the
+sampler prepared them, with no NodeId and no per-relation loop: the (p, h)
+center; lab and diagnosis terms as columns of the stacked [W_i | W_d],
+gathered in one call and activated once; co-patient and temporal terms as
+rows of graph.values viewed as (patients * hours, labs), gathered in one
+call; and the targets of all four relations in term order. The elementwise
+tail (sigmoid(s) - y, and the softplus loss from the same exponentials)
+runs once over the four relations' concatenated scores, and the lab and
+diagnosis column gradients come from one bincount over flat (column, row)
+offsets, which adds each cell's terms in term order starting from 0.0, as a
+scatter-add into zeros does. The gradients come back as an HgmParams whose
+six arrays view one flat buffer (_pack); train_hgm keeps its parameters in
+the same layout and updates all six with one subtraction.
+
+Every parameter bit equals that of one pass per relation (the oracle in
+tests/oracles.py); only the loss, one sum, may differ in its last bits.
+That holds because each product keeps its operands' layouts, which decide
+the BLAS kernel's bits: a gathered term block is F-ordered, as
+`W[:, index]` is, and a relation's block is a contiguous slice of its
+gather; each relation keeps its own score gemv, gemm and dc_u gemv, summed
+in relation order (dc_u: tested, diagnosed, co-patient, temporal; W_p:
+co-patient, temporal, center). A transposed gemv over a column block of a
+C-ordered matrix, such as one merged co-patient and temporal gemm's output,
+can differ in its last bits from the same product on a contiguous copy.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
@@ -90,7 +103,9 @@ MAX_PARAM_ABS = 1e6
 
 @dataclass
 class HgmParams:
-    """Projection matrices (d x input_dim) and relation translation vectors."""
+    """Projection matrices (d x input_dim) and relation translation vectors; `flat` is
+    the buffer all six view when _pack built them (train_hgm's parameters and every
+    _loss_and_grad gradient), else None."""
 
     w_p: np.ndarray
     w_i: np.ndarray
@@ -99,6 +114,7 @@ class HgmParams:
     r_pd: np.ndarray
     r_tt: np.ndarray
     activation: str = "tanh"
+    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
@@ -139,6 +155,21 @@ class HgmTrainConfig:
             raise ValueError("embedding dimension must be >= 2")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+
+
+def _flat_size(d: int, n_labs: int, n_diagnoses: int) -> int:
+    return (2 * n_labs + n_diagnoses + 3) * d
+
+
+def _pack(flat: np.ndarray, d: int, n_labs: int, n_diagnoses: int, activation: str) -> HgmParams:
+    """HgmParams of six views of one flat buffer of _flat_size: W_i then W_d column by
+    column (a column's d cells adjacent, as _loss_and_grad's bincount lays out its
+    sums), then W_p row by row, r_ip, r_pd and r_tt. One update then serves all six."""
+    columns = (n_labs + n_diagnoses) * d
+    w_id = flat[:columns].reshape(-1, d).T
+    r = flat[columns + d * n_labs:].reshape(3, d)
+    return HgmParams(flat[columns:columns + d * n_labs].reshape(d, n_labs), w_id[:, :n_labs],
+                     w_id[:, n_labs:], r[0], r[1], r[2], activation, flat)
 
 
 def init_params(d, n_labs, n_diagnoses, activation="tanh", seed=0) -> HgmParams:
@@ -201,84 +232,72 @@ def exact_softmax_loss(params: HgmParams, graph: HeteroGraph, center: NodeId) ->
     return softmax_context_loss(neighbor_scores, candidates)
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
-def _column_sums(index: np.ndarray, terms: np.ndarray, n_columns: int) -> np.ndarray:
-    """(d, n_columns) matrix whose column i sums the term columns with index == i.
-
-    One bincount over flat (column, row) offsets, in place of a generic
-    fancy-index scatter-add (ufunc.at) into zeros, which is several times
-    slower per call. The offsets follow the terms' own row-major layout, so
-    bincount adds each cell's terms in term order starting from 0.0, as that
-    scatter-add does, and repeated indices give the same bits.
-    """
-    d = terms.shape[0]
-    flat = (index * d + np.arange(d)[:, None]).ravel()
-    sums = np.bincount(flat, weights=terms.ravel(), minlength=n_columns * d)
-    return sums.reshape(n_columns, d).T
+@functools.lru_cache(maxsize=8)
+def _cells(d: int, n_columns: int) -> np.ndarray:
+    """Read-only (n_columns, d) offsets of each column's d cells in a flat gradient."""
+    cells = np.arange(n_columns * d).reshape(n_columns, d)
+    cells.flags.writeable = False
+    return cells
 
 
 def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample):
     """(loss, gradients, scores, positive mask) of one context, scores in term order."""
     act, deriv = ACTIVATIONS[params.activation]
+    n_lab, n_dx, n_cp, _ = context.sizes
+    n_id = n_lab + n_dx
+    d, n_labs = params.w_p.shape
     x_u = graph.values[context.center]
     c_u = act(params.w_p @ x_u)
 
-    # Scores relation by relation, then the elementwise tail (softplus loss,
-    # sigmoid - target) once over all of them. c_t is the side that carries the
-    # translation: the labs for tested, the center otherwise (co-patient: none).
-    present, scores, targets = [], [], []
-    for relation, (index, y) in zip(Relation, context.terms):
-        if not y.size:
-            continue
-        x_v = None
-        if relation is Relation.TESTED:
-            c_v = act(params.w_i[:, index])
-            c_t = c_v + params.r_ip[:, None]
-            s = c_t.T @ c_u
-        elif relation is Relation.DIAGNOSED:
-            c_v = act(params.w_d[:, index])
-            c_t = c_u + params.r_pd
-            s = c_v.T @ c_t
-        else:
-            x_v = graph.values[index[:, 0], index[:, 1]].T
-            c_v = act(params.w_p @ x_v)
-            c_t = c_u + params.r_tt if relation is Relation.TEMPORAL else c_u
-            s = c_v.T @ c_t
-        present.append((relation, index, c_v, c_t, x_v))
-        scores.append(s)
-        targets.append(y)
-    s = np.concatenate(scores) if scores else np.zeros(0)
-    y = np.concatenate(targets) if targets else np.zeros(0)
-    pos = y == 1.0
-    loss = float(_softplus(np.where(pos, -s, s)).sum())
+    # Forward. Lab and diagnosis terms: columns of [W_i | W_d], one gather (F-ordered,
+    # as W_i[:, index] is) and one activation; patient-hour terms: rows of graph.values.
+    c_id = act(np.concatenate((params.w_i.T, params.w_d.T)).take(context.columns, axis=0).T)
+    c_lab, c_dx = c_id[:, :n_lab], c_id[:, n_lab:]
+    x_ph = graph.values.reshape(-1, n_labs).take(context.rows, axis=0)
+    x_cp, x_tt = x_ph[:n_cp], x_ph[n_cp:]
+    c_cp = act(params.w_p @ x_cp.T)
+    c_tt = act(params.w_p @ x_tt.T)
+    # The translated side: the labs for tested, the center otherwise (co-patient: none).
+    c_lab_t = c_lab + params.r_ip[:, None]
+    c_u_dx = c_u + params.r_pd
+    c_u_tt = c_u + params.r_tt
+    s = np.concatenate((c_lab_t.T @ c_u, c_dx.T @ c_u_dx, c_cp.T @ c_u, c_tt.T @ c_u_tt))
 
-    grads = HgmParams(*(np.zeros(getattr(params, name).shape) for name in PARAM_FIELDS),
-                      params.activation)
-    dc_u = np.zeros(params.d)
-    g_all = _sigmoid_act(s) - y
-    start = 0
-    for relation, index, c_v, c_t, x_v in present:
-        g = g_all[start:start + len(index)]
-        start += len(index)
-        if relation is Relation.TESTED:
-            grads.r_ip += float(g.sum()) * c_u
-            dc_u += c_t @ g
-            grads.w_i = _column_sums(index, c_u[:, None] * g * deriv(c_v), params.n_labs)
-            continue
-        c_vg = c_v @ g
-        dc_u += c_vg
-        d_cv = c_t[:, None] * g
-        if relation is Relation.DIAGNOSED:
-            grads.r_pd += c_vg
-            grads.w_d = _column_sums(index, d_cv * deriv(c_v), params.n_diagnoses)
-        else:
-            if relation is Relation.TEMPORAL:
-                grads.r_tt += c_vg
-            grads.w_p += (d_cv * deriv(c_v)) @ x_v.T
-    grads.w_p += (dc_u * deriv(c_u))[:, None] * x_u
+    # sigmoid(s) as _sigmoid_act computes it, and the loss from the same parts:
+    # softplus(t) = max(t, 0) + log(1 + e^-|t|) with t = -s on positives, s on
+    # negatives, so max(t, 0) is |s| where the sign of s disagrees with the target.
+    y = context.target
+    pos = y == 1.0
+    a = np.abs(s)
+    ex = np.exp(-a)
+    q = 1.0 + ex
+    nonnegative = s >= 0
+    g = np.where(nonnegative, 1.0, ex) / q - y
+    loss = float(np.log(q).sum() + np.where(pos ^ nonnegative, a, 0.0).sum())
+
+    # Backward. The gradients are views of one flat buffer (_pack): the bincount of
+    # the lab and diagnosis terms' (column, row) cells, term by term, fills its head,
+    # which adds each cell's terms in term order starting from 0.0, as a scatter-add
+    # into zeros does, and leaves its tail zero; the other gradients are written there.
+    n_diagnoses = params.n_diagnoses
+    d_id = np.empty((d, n_id), order="F")
+    np.multiply(c_u[:, None], g[:n_lab], out=d_id[:, :n_lab])
+    np.multiply(c_u_dx[:, None], g[n_lab:n_id], out=d_id[:, n_lab:])
+    d_id *= deriv(c_id)
+    cells = _cells(d, n_labs + n_diagnoses).take(context.columns, axis=0).ravel()
+    flat = np.bincount(cells, weights=d_id.T.ravel(), minlength=_flat_size(d, n_labs, n_diagnoses))
+    grads = _pack(flat, d, n_labs, n_diagnoses, params.activation)
+    # dc_u adds tested, diagnosed, co-patient, then temporal; W_p adds co-patient,
+    # then temporal, then center.
+    g_cp, g_tt = g[n_id:n_id + n_cp], g[n_id + n_cp:]
+    np.multiply(g[:n_lab].sum(), c_u, out=grads.r_ip)
+    dc_u = c_lab_t @ g[:n_lab]
+    dc_u += np.matmul(c_dx, g[n_lab:n_id], out=grads.r_pd)
+    dc_u += c_cp @ g_cp
+    dc_u += np.matmul(c_tt, g_tt, out=grads.r_tt)
+    w_p = np.matmul(c_u[:, None] * g_cp * deriv(c_cp), x_cp, out=grads.w_p)
+    w_p += (c_u_tt[:, None] * g_tt * deriv(c_tt)) @ x_tt
+    w_p += (dc_u * deriv(c_u))[:, None] * x_u
     return loss, grads, s, pos
 
 
@@ -305,10 +324,12 @@ def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, seed: int, on_epoch=No
     Raises FloatingPointError when an epoch ends with a non-finite mean loss
     or a parameter entry that is non-finite or above MAX_PARAM_ABS in magnitude.
     """
-    params = init_params(
-        config.d, graph.n_labs, graph.n_diagnoses,
-        activation=config.activation, seed=derive_seed(seed, "hgm-init"),
-    )
+    init = init_params(config.d, graph.n_labs, graph.n_diagnoses,
+                       activation=config.activation, seed=derive_seed(seed, "hgm-init"))
+    params = _pack(np.empty(_flat_size(config.d, graph.n_labs, graph.n_diagnoses)), config.d,
+                   graph.n_labs, graph.n_diagnoses, config.activation)
+    for name in PARAM_FIELDS:
+        getattr(params, name)[...] = getattr(init, name)
     sampler = Sampler(graph, config.sampler, derive_seed(seed, "hgm-sampler"))
     shuffle_rng = np.random.default_rng(derive_seed(seed, "hgm-shuffle"))
     n_centers = graph.n_patients * graph.window_hours
@@ -334,13 +355,11 @@ def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, seed: int, on_epoch=No
             loss, grads, _, _ = _loss_and_grad(params, graph, context)
             epoch_loss += loss
             n_contexts += 1
-            for name in PARAM_FIELDS:
-                param = getattr(params, name)
-                param -= lr * getattr(grads, name)
+            params.flat -= lr * grads.flat
         mean_loss = epoch_loss / max(1, n_contexts)
         # Diverging runs overflow the scores, and so the loss, before the parameters.
         # np.max keeps a NaN entry, which then fails the bound.
-        largest = float(np.max([np.max(np.abs(getattr(params, name))) for name in PARAM_FIELDS]))
+        largest = float(np.max(np.abs(params.flat)))
         if not (np.isfinite(mean_loss) and largest <= MAX_PARAM_ABS):
             raise FloatingPointError(
                 f"hgm: non-finite loss, or a parameter non-finite or beyond {MAX_PARAM_ABS:g}, "

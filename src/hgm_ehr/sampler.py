@@ -27,19 +27,26 @@ found against all P patients a block at a time, never P x P. Beyond the
 graph the sampler keeps each diagnosis's sorted carriers and their count,
 and its CHUNK x S slot arrays.
 
-A context holds its terms as arrays, one (index, target) pair per relation
-in the order tested, diagnosed, co-patient, temporal: each positive's
-target-1 term is followed by the target-0 terms of its negatives. Lab and
-diagnosis terms index their vocabularies; patient-hour terms are (patient,
-hour) rows, which index graph.values. A chunk writes each relation's
-indices into an (n, 1 + k) grid per center, n positives by one positive
-and k negatives (k is 0 when the negative pool is empty); a context's
-terms are its grid's rows flattened. The co-patient and temporal grids are
-the two parts of one patient-hour grid. Targets depend only on (n, k), so
-every context with the same counts shares one cached, read-only target
-vector. A center is a (patient, hour) pair of ints; the NodeId tuples of a
-context's pos_*/neg_* fields are read-only views built from its arrays on
-first access.
+A context's terms come in the order tested, diagnosed, co-patient,
+temporal: each positive's target-1 term is followed by the target-0 terms
+of its negatives. A chunk writes each relation's node indices into an
+(n, 1 + k) grid per center, n positives by one positive and k negatives
+(k is 0 when the negative pool is empty); the co-patient and temporal grids
+are the two parts of one patient-hour grid. A handed-out ContextSample
+carries its terms in the form the training step reads them, with no
+per-relation object: `columns`, its lab then diagnosis terms as columns of
+the stacked [W_i | W_d] (diagnosis j is column n_labs + j); `rows`, its
+co-patient then temporal terms as rows p * window + h of graph.values
+viewed as (patients * window, labs); `target`, every term's target; and
+`sizes`, the four relations' term counts. A chunk derives these for all its
+contexts at once, each array flattened from the grids' valid entries once
+and sliced per context into read-only views, so per-chunk arrays stay
+CHUNK x S and no context owns a copy. `context_from_terms` gives a context
+built from four Terms the same arrays by the same code. A center is a
+(patient, hour) pair of ints; a context's `terms` (one Terms of vocabulary
+ids or (patient, hour) pairs per relation) and the NodeId tuples of its
+pos_*/neg_* fields are read-only views built from its arrays on first
+access.
 """
 from __future__ import annotations
 
@@ -109,17 +116,48 @@ def _nodes_from_terms(terms: Terms, node_type: NodeType):
 
 
 class ContextSample:
-    """One skip-gram context around the patient-hour center (p, h).
+    """One skip-gram context around the patient-hour center (p, h), in the arrays
+    the training step reads:
 
-    `terms` holds the context as (tested, diagnosed, co-patient, temporal)
-    Terms; the NodeId fields are read-only views of them, built on first
-    access.
+    - `columns`: the tested then the diagnosed terms, as columns of the stacked
+      [W_i | W_d]: lab i is column i, diagnosis j column n_labs + j;
+    - `rows`: the co-patient then the temporal terms, as rows p * window + h of
+      graph.values viewed as (patients * window, n_labs);
+    - `target`: every term's 1.0/0.0 target, tested, diagnosed, co-patient, temporal;
+    - `sizes`: the four relations' term counts.
+
+    The arrays are read-only. `terms`, one Terms per relation in vocabulary ids
+    and (patient, hour) pairs, and the NodeId fields are built from them on
+    first access.
     """
 
-    def __init__(self, center: tuple[int, int], terms):
+    __slots__ = ("center", "columns", "rows", "target", "sizes", "n_labs", "window", "_terms",
+                 "_views")
+
+    def __init__(self, center: tuple[int, int], columns: np.ndarray, rows: np.ndarray,
+                 target: np.ndarray, sizes: tuple[int, int, int, int], n_labs: int, window: int):
         self.center = center
-        self.terms = tuple(terms)
-        self._views = None
+        self.columns = columns
+        self.rows = rows
+        self.target = target
+        self.sizes = sizes
+        self.n_labs = n_labs
+        self.window = window
+        self._terms = self._views = None
+
+    @property
+    def terms(self) -> tuple:
+        """(tested, diagnosed, co-patient, temporal) Terms."""
+        if self._terms is None:
+            labs, dx, copatients, _ = self.sizes
+            ids, hours = labs + dx, labs + dx + copatients
+            y = self.target
+            pairs = np.stack(np.divmod(self.rows, self.window), axis=1)
+            self._terms = (Terms(self.columns[:labs], y[:labs]),
+                           Terms(self.columns[labs:] - self.n_labs, y[labs:ids]),
+                           Terms(pairs[:copatients], y[ids:hours]),
+                           Terms(pairs[copatients:], y[hours:]))
+        return self._terms
 
     def _view(self, relation: int):
         if self._views is None:
@@ -137,17 +175,56 @@ class ContextSample:
     neg_temporal = property(lambda self: next(iter(self._view(3)[1]), ()))
 
     def n_positives(self) -> int:
-        return sum(int(np.count_nonzero(t.target == 1.0)) for t in self.terms)
+        return int(np.count_nonzero(self.target == 1.0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContextSample):
             return NotImplemented
-        return self.center == other.center and all(
-            np.array_equal(a.index, b.index) and np.array_equal(a.target, b.target)
-            for a, b in zip(self.terms, other.terms))
+        return ((self.center, self.sizes, self.n_labs, self.window)
+                == (other.center, other.sizes, other.n_labs, other.window)
+                and np.array_equal(self.columns, other.columns)
+                and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.target, other.target))
 
     def __repr__(self) -> str:
         return f"ContextSample(center={self.center}, terms={self.terms})"
+
+
+def _flatten(grids, valid, counts) -> list:
+    """Per row, the valid entries of the grids side by side: the grids' (n, m_i)
+    entries, or one (1, m_i) row shared by all n, under their (n, m_i) masks,
+    flattened once and split into n read-only views of `counts` entries."""
+    mask = np.concatenate(valid, axis=1)
+    flat = np.broadcast_to(np.concatenate(grids, axis=1), mask.shape)[mask]
+    flat.flags.writeable = False
+    ends = np.cumsum(counts).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def _contexts(centers, relations, trainable, n_labs: int, window: int) -> list:
+    """ContextSamples of n centers, None for an untrainable one. Each of the four
+    relations is an (index, target, valid) triple of grids with one row per center,
+    its index in vocabulary ids or (patient, hour) pairs; a context takes its rows'
+    valid entries. Columns and rows are derived for all n contexts at once."""
+    (labs, _, _), (dx, _, _), (copatients, _, _), (temporal, _, _) = relations
+    valid = [v for _, _, v in relations]
+    sizes = np.stack([v.sum(axis=1) for v in valid], axis=1)
+    columns = _flatten([labs, dx + n_labs], valid[:2], sizes[:, :2].sum(axis=1))
+    rows = _flatten([copatients[..., 0] * window + copatients[..., 1],
+                     temporal[..., 0] * window + temporal[..., 1]], valid[2:],
+                    sizes[:, 2:].sum(axis=1))
+    target = _flatten([t for _, t, _ in relations], valid, sizes.sum(axis=1))
+    return [ContextSample(tuple(center), c, r, t, tuple(size), n_labs, window) if ok else None
+            for center, ok, size, c, r, t in zip(np.asarray(centers).tolist(),
+                                                 np.asarray(trainable).tolist(), sizes.tolist(),
+                                                 columns, rows, target)]
+
+
+def context_from_terms(graph: HeteroGraph, center: tuple[int, int], terms) -> ContextSample:
+    """The ContextSample of center (p, h) of the graph with four Terms (tested,
+    diagnosed, co-patient, temporal), derived as a chunk derives its contexts'."""
+    return _contexts([center], [(t.index[None], t.target[None], np.ones((1, len(t.target)), bool))
+                                for t in terms], [True], graph.n_labs, graph.window_hours)[0]
 
 
 class _WordStream:
@@ -223,16 +300,15 @@ def _member_order(mask: np.ndarray) -> np.ndarray:
     return np.argsort(key, axis=1, kind="stable")
 
 
-def _grid_terms(grid: np.ndarray, positives: np.ndarray, negatives: np.ndarray) -> list:
-    """Each center's Terms of one relation from its rows of an (n, N, 1 + K, ...) grid:
-    the first `positives` rows, each a positive and its first `negatives` negatives."""
+def _grid(grid: np.ndarray, positives: np.ndarray, negatives: np.ndarray):
+    """One relation's (index, target, valid) grids of n centers from its (n, N, 1 + K, ...)
+    grid, the target one row that all n share: each center's first `positives` rows,
+    each a positive and its first `negatives` negatives, are valid."""
     n, rows, width = grid.shape[:3]
-    shape = (-1,) + grid.shape[3:]
-    whole = _targets(rows, width - 1)
-    return [Terms(flat, whole) if (a, b) == (rows, width - 1)
-            else Terms(grid[c, :a, :1 + b].reshape(shape), _targets(a, b))
-            for c, (flat, a, b) in enumerate(zip(grid.reshape(n, *shape), positives.tolist(),
-                                                 negatives.tolist()))]
+    valid = ((np.arange(rows) < positives[:, None])[:, :, None]
+             & (np.arange(width) <= negatives[:, None])[:, None, :])
+    return (grid.reshape(n, rows * width, *grid.shape[3:]),
+            _targets(rows, width - 1)[None], valid.reshape(n, -1))
 
 
 def _slot_parts(config: SamplerConfig) -> list:
@@ -462,11 +538,10 @@ class Sampler:
         stream.commit(used)
 
         k_ph = np.where(patient_size > 0, k, 0)
-        terms = zip(
-            _grid_terms(lab_terms, np.where(has_lab, n_lab, 0), np.where(lab_size < n_labs, k, 0)),
-            _grid_terms(dx_terms, np.where(has_dx, n_dx, 0), np.where(dx_size < n_diagnoses, k, 0)),
-            _grid_terms(ph_terms[:, :n_cp], np.where(copatients, n_cp, 0), k_ph),
-            _grid_terms(ph_terms[:, n_cp:], (h > 0).astype(int), k_ph))
-        return [ContextSample(tuple(center), context) if trainable else None
-                for center, trainable, context in zip(centers.tolist(), (has_dx | has_lab).tolist(),
-                                                      terms)]
+        trainable = has_dx | has_lab
+        return _contexts(centers, (
+            _grid(lab_terms, np.where(has_lab, n_lab, 0), np.where(lab_size < n_labs, k, 0)),
+            _grid(dx_terms, np.where(has_dx, n_dx, 0), np.where(dx_size < n_diagnoses, k, 0)),
+            _grid(ph_terms[:, :n_cp], np.where(copatients, n_cp, 0), k_ph),
+            _grid(ph_terms[:, n_cp:], (trainable & (h > 0)).astype(int), k_ph)), trainable,
+            n_labs, window)

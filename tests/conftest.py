@@ -6,7 +6,7 @@ import pytest
 from hgm_ehr.graph import NodeId, NodeType, build_graph
 from hgm_ehr.hgm import exact_softmax_loss
 from hgm_ehr.ingest import LabNormalizer, PatientRecord, Vocabulary, bin_events, event_array
-from hgm_ehr.sampler import ContextSample, Terms
+from hgm_ehr.sampler import Terms, context_from_terms
 
 HGM_PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
 
@@ -56,14 +56,14 @@ def terms_from_nodes(positives, negatives, node_type):
     return Terms(index, np.array(target, dtype=float))
 
 
-def make_context(center, pos_labs=(), neg_labs=(), pos_diagnoses=(), neg_diagnoses=(),
+def make_context(graph, center, pos_labs=(), neg_labs=(), pos_diagnoses=(), neg_diagnoses=(),
                  pos_patients=(), neg_patients=(), pos_temporal=None, neg_temporal=()):
-    """A ContextSample around center (p, h) from NodeId tuples: one tuple of
-    negatives per positive, a flat tuple for the single temporal positive."""
+    """A ContextSample of the graph around center (p, h) from NodeId tuples: one tuple
+    of negatives per positive, a flat tuple for the single temporal positive."""
     if pos_temporal is None and neg_temporal:
         raise ValueError("temporal negatives without a temporal positive")
     temporal = (pos_temporal,) if pos_temporal is not None else ()
-    return ContextSample(center, (
+    return context_from_terms(graph, center, (
         terms_from_nodes(tuple(pos_labs), tuple(neg_labs), NodeType.LAB),
         terms_from_nodes(tuple(pos_diagnoses), tuple(neg_diagnoses), NodeType.DIAGNOSIS),
         terms_from_nodes(tuple(pos_patients), tuple(neg_patients), NodeType.PATIENT_HOUR),

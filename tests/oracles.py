@@ -4,8 +4,16 @@ ContextOracle is the per-context sampler that `hgm_ehr.sampler.Sampler`
 replaced with its chunk draw: every context drawn on its own, with one
 `Generator.integers` call per positive block, co-patient step and negative
 block, its pools read from rows of the graph. Its `sample_context` is the
-body the training path ran before, unedited; the chunk draw must equal it
-context for context and leave the generator in the same state.
+body the training path ran before, unedited but for its last statement,
+which hands the four Terms to `context_from_terms`; the chunk draw must equal
+it context for context and leave the generator in the same state.
+
+`loss_and_grad` is the HGM training step that `hgm_ehr.hgm._loss_and_grad`
+replaced: one gather, activation and score product per relation, full-shape
+zero gradients summed into, and one `_column_sums` bincount per vocabulary.
+Its body is the step the training path ran before, unedited; the new step
+must equal it in every gradient bit, score and positive, and in the loss to
+rounding.
 """
 
 from __future__ import annotations
@@ -13,8 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from hgm_ehr.graph import HeteroGraph
+from hgm_ehr.hgm import ACTIVATIONS, PARAM_FIELDS, HgmParams, Relation, _sigmoid_act
 from hgm_ehr.sampler import (ContextSample, SamplerConfig, Terms, UntrainableCenterError,
-                             _targets)
+                             _targets, context_from_terms)
 
 
 class ContextOracle:
@@ -88,9 +97,90 @@ class ContextOracle:
         hour_rows[:, 1:, 0] = patient_neg[blocks[:, 0]]
         hour_rows[:, 1:, 1] = blocks[:, 1]
 
-        return ContextSample((p, h), (
+        return context_from_terms(self.graph, (p, h), (
             Terms(lab_rows.reshape(-1), _targets(n_lab, k_lab)),
             Terms(dx_rows.reshape(-1), _targets(n_dx, k_dx)),
             Terms(hour_rows[:n_cp].reshape(-1, 2), _targets(n_cp, k_ph)),
             Terms(hour_rows[n_cp:].reshape(-1, 2), _targets(n_ph - n_cp, k_ph)),
         ))
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    return np.logaddexp(0.0, x)
+
+
+def _column_sums(index: np.ndarray, terms: np.ndarray, n_columns: int) -> np.ndarray:
+    """(d, n_columns) matrix whose column i sums the term columns with index == i.
+
+    One bincount over flat (column, row) offsets, in place of a generic
+    fancy-index scatter-add (ufunc.at) into zeros, which is several times
+    slower per call. The offsets follow the terms' own row-major layout, so
+    bincount adds each cell's terms in term order starting from 0.0, as that
+    scatter-add does, and repeated indices give the same bits.
+    """
+    d = terms.shape[0]
+    flat = (index * d + np.arange(d)[:, None]).ravel()
+    sums = np.bincount(flat, weights=terms.ravel(), minlength=n_columns * d)
+    return sums.reshape(n_columns, d).T
+
+
+def loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample):
+    """(loss, gradients, scores, positive mask) of one context, scores in term order."""
+    act, deriv = ACTIVATIONS[params.activation]
+    x_u = graph.values[context.center]
+    c_u = act(params.w_p @ x_u)
+
+    # Scores relation by relation, then the elementwise tail (softplus loss,
+    # sigmoid - target) once over all of them. c_t is the side that carries the
+    # translation: the labs for tested, the center otherwise (co-patient: none).
+    present, scores, targets = [], [], []
+    for relation, (index, y) in zip(Relation, context.terms):
+        if not y.size:
+            continue
+        x_v = None
+        if relation is Relation.TESTED:
+            c_v = act(params.w_i[:, index])
+            c_t = c_v + params.r_ip[:, None]
+            s = c_t.T @ c_u
+        elif relation is Relation.DIAGNOSED:
+            c_v = act(params.w_d[:, index])
+            c_t = c_u + params.r_pd
+            s = c_v.T @ c_t
+        else:
+            x_v = graph.values[index[:, 0], index[:, 1]].T
+            c_v = act(params.w_p @ x_v)
+            c_t = c_u + params.r_tt if relation is Relation.TEMPORAL else c_u
+            s = c_v.T @ c_t
+        present.append((relation, index, c_v, c_t, x_v))
+        scores.append(s)
+        targets.append(y)
+    s = np.concatenate(scores) if scores else np.zeros(0)
+    y = np.concatenate(targets) if targets else np.zeros(0)
+    pos = y == 1.0
+    loss = float(_softplus(np.where(pos, -s, s)).sum())
+
+    grads = HgmParams(*(np.zeros(getattr(params, name).shape) for name in PARAM_FIELDS),
+                      params.activation)
+    dc_u = np.zeros(params.d)
+    g_all = _sigmoid_act(s) - y
+    start = 0
+    for relation, index, c_v, c_t, x_v in present:
+        g = g_all[start:start + len(index)]
+        start += len(index)
+        if relation is Relation.TESTED:
+            grads.r_ip += float(g.sum()) * c_u
+            dc_u += c_t @ g
+            grads.w_i = _column_sums(index, c_u[:, None] * g * deriv(c_v), params.n_labs)
+            continue
+        c_vg = c_v @ g
+        dc_u += c_vg
+        d_cv = c_t[:, None] * g
+        if relation is Relation.DIAGNOSED:
+            grads.r_pd += c_vg
+            grads.w_d = _column_sums(index, d_cv * deriv(c_v), params.n_diagnoses)
+        else:
+            if relation is Relation.TEMPORAL:
+                grads.r_tt += c_vg
+            grads.w_p += (d_cv * deriv(c_v)) @ x_v.T
+    grads.w_p += (dc_u * deriv(c_u))[:, None] * x_u
+    return loss, grads, s, pos

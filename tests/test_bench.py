@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -88,6 +89,16 @@ class TestCompare:
             bench.compare(cut, runs)
 
 
+def test_code_identity_outside_git(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text("A = 1\n")
+    env = bench.environment(tmp_path)
+    assert env["git_sha"] is None and env["dirty"] is None
+    before = env["src_sha256"]
+    (tmp_path / "pkg" / "a.py").write_text("A = 2\n")
+    assert bench.source_digest(tmp_path) != before
+
+
 def test_nothing_to_run_without_seeds():
     with pytest.raises(SystemExit):
         bench.parse_args([])
@@ -104,8 +115,16 @@ def test_label_writes_a_bench_file(tmp_path, monkeypatch):
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert record["label"] == "t"
     env = record["environment"]
-    assert set(env) == {"git_sha", "nproc", "loadavg", "cpu", "python", "numpy", "blas",
-                        "blas_kernel"}
+    assert set(env) == {"git_sha", "src_sha256", "dirty", "nproc", "loadavg", "cpu", "python",
+                        "numpy", "blas", "blas_kernel"}
+    # the code that ran: the digest perfbench/run.py's source_digest takes of the same
+    # tree, and whether git reports changes under it (None outside a git checkout)
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        digest.update(path.relative_to(src).as_posix().encode() + path.read_bytes())
+    assert env["src_sha256"] == digest.hexdigest()
+    status = bench.git(src, "status", "--porcelain", "--", ".")
+    assert env["dirty"] == (None if status is None else bool(status.strip()))
     assert not any("directory" in key for key in env["blas"] or {})
     assert env["blas_kernel"] is None or isinstance(env["blas_kernel"], str)
     assert env["nproc"] >= 1 and len(env["loadavg"]) == 3

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -14,8 +15,9 @@ from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_
 from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError
 from hgm_ehr.seeds import derive_seed
 
+import oracles
 from conftest import binned_graph, make_context, make_record, toy_vocab, unit_normalizer
-from test_sampler import edge_case_graphs
+from test_sampler import awkward_graphs, desk_fold_0, edge_case_graphs
 
 PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
 
@@ -91,7 +93,7 @@ class TestNsLoss:
     def test_zero_params_one_pos_one_neg(self, toy_graph):
         graph, _, _ = toy_graph
         params = zero_params(d=2, p_in=3, n_labs=3, n_diagnoses=3)
-        ctx = make_context((0, 0), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
+        ctx = make_context(graph, (0, 0), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
         assert ns_loss(params, graph, ctx) == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_zero_params_closed_form(self, toy_graph):
@@ -204,8 +206,8 @@ class TestNsGrad:
     def test_duplicated_positive_doubles_contribution(self, toy_graph):
         graph, _, _ = toy_graph
         params = random_params(3, 3, 3, seed=6, scale=1.0)
-        single = make_context((0, 1), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
-        doubled = make_context((0, 1), pos_labs=(lab_node(0), lab_node(0)),
+        single = make_context(graph, (0, 1), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
+        doubled = make_context(graph, (0, 1), pos_labs=(lab_node(0), lab_node(0)),
                                neg_labs=((lab_node(2),), (lab_node(2),)))
         g1 = ns_grad(params, graph, single)
         g2 = ns_grad(params, graph, doubled)
@@ -215,7 +217,7 @@ class TestNsGrad:
     def test_untouched_entries_zero(self, toy_graph):
         graph, _, _ = toy_graph
         params = random_params(3, 3, 3, seed=7, scale=1.0)
-        ctx = make_context((0, 0), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
+        ctx = make_context(graph, (0, 0), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
         grads = ns_grad(params, graph, ctx)
         assert np.array_equal(grads.w_i[:, 1], np.zeros(3))  # lab 1 not in context
         assert np.array_equal(grads.w_d, np.zeros_like(grads.w_d))
@@ -551,7 +553,7 @@ class TestNsGradMatchesScatterAdd:
             except UntrainableCenterError:
                 pass
         contexts.append(make_context(
-            (0, 1), pos_labs=(lab_node(1), lab_node(1), lab_node(4)),
+            graph, (0, 1), pos_labs=(lab_node(1), lab_node(1), lab_node(4)),
             neg_labs=((lab_node(1), lab_node(0)), (lab_node(4),), (lab_node(1), lab_node(1))),
             pos_diagnoses=(dx_node(2), dx_node(2)), neg_diagnoses=((dx_node(5),), (dx_node(2),))))
         repeated = 0
@@ -602,3 +604,93 @@ class TestNsGradMatchesScatterAdd:
         assert empty == set(Relation)
         assert unpaired == {Relation.TESTED, Relation.CO_PATIENT, Relation.TEMPORAL}
         assert checked > 15
+
+
+def assert_step_matches_oracle(params, graph, context):
+    """_loss_and_grad equals the oracle step: every gradient bit, the scores and the
+    positive mask; the loss, summed from the sigmoid's exponentials, to 1e-12."""
+    loss, grads, scores, positive = hgm._loss_and_grad(params, graph, context)
+    want_loss, want, want_scores, want_positive = oracles.loss_and_grad(params, graph, context)
+    for name in PARAM_FIELDS:
+        assert np.array_equal(getattr(grads, name), getattr(want, name)), name
+    assert np.array_equal(scores, want_scores) and np.array_equal(positive, want_positive)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+
+
+def context_cases(graph, context):
+    """The edge cases a context exercises, by name."""
+    tested, diagnosed, copatients, temporal = (t.target for t in context.terms)
+    cases = {"no diagnoses": not diagnosed.size, "no observed labs": not tested.size,
+             "h = 0": context.center[1] == 0, "window_hours = 1": graph.window_hours == 1,
+             "no shareable diagnosis drawn": diagnosed.size and not copatients.size,
+             "all labs observed": tested.size and tested.all(),
+             "every diagnosis held": diagnosed.size and diagnosed.all(),
+             "shares a diagnosis with everyone": (copatients.size and copatients.all()
+                                                  or temporal.size and temporal.all())}
+    return {name for name, seen in cases.items() if seen}
+
+
+class TestStepMatchesOracle:
+    # Also run under OPENBLAS_CORETYPE=Haswell and =Sandybridge in CI: the step's
+    # products keep the oracle's operand layouts on every kernel set.
+    @pytest.mark.parametrize("d", [2, 16, 128])
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "relu"])
+    def test_sampled_contexts_and_edge_cases(self, d, activation):
+        cfg = GenConfig(n_patients=12, n_labs=5, n_diagnoses=6, window_hours=3)
+        synthetic = binned_graph(generate_synthetic(cfg, seed=d), synthetic_vocabulary(cfg), 3)
+        config = SamplerConfig(n_diagnoses=3, n_labs=3, n_copatients=2, negatives_per_positive=2)
+        seen, checked = set(), 0
+        for seed, graph in enumerate([synthetic] + awkward_graphs()):
+            params = random_params(d, graph.n_labs, graph.n_diagnoses, activation=activation,
+                                   seed=seed, scale=2.0 / math.sqrt(d))
+            sampler = Sampler(graph, config, seed)
+            for p, h in np.ndindex(graph.n_patients, graph.window_hours):
+                try:
+                    context = sampler.sample_context(p, h)
+                except UntrainableCenterError:
+                    continue
+                assert_step_matches_oracle(params, graph, context)
+                seen |= context_cases(graph, context)
+                checked += 1
+        # repeated columns and rows, and a patient-hour term without negatives
+        params = random_params(d, 5, 6, activation=activation, seed=99, scale=2.0 / math.sqrt(d))
+        assert_step_matches_oracle(params, synthetic, make_context(
+            synthetic, (0, 1), pos_labs=(lab_node(1), lab_node(1), lab_node(4)),
+            neg_labs=((lab_node(1), lab_node(0)), (lab_node(4),), (lab_node(1), lab_node(1))),
+            pos_diagnoses=(dx_node(2), dx_node(2)), neg_diagnoses=((dx_node(5),), (dx_node(2),)),
+            pos_patients=(ph(3, 2), ph(3, 2)), neg_patients=((ph(3, 2), ph(4, 0)), ()),
+            pos_temporal=ph(0, 0)))
+        assert seen == {"no diagnoses", "no observed labs", "h = 0", "window_hours = 1",
+                        "no shareable diagnosis drawn", "all labs observed",
+                        "every diagnosis held", "shares a diagnosis with everyone"}
+        assert checked > 100
+
+    @pytest.mark.parametrize("d, epochs", [(16, 2), (128, 1)])
+    def test_train_hgm_equals_an_oracle_loop_on_desk_fold_0(self, d, epochs):
+        # sample_context, the oracle step and six updates, visit by visit
+        graph, experiment, seed = desk_fold_0()
+        config = dataclasses.replace(experiment.hgm, d=d, epochs=epochs)
+        trained = train_hgm(graph, config, seed)
+
+        params = init_params(d, graph.n_labs, graph.n_diagnoses, seed=derive_seed(seed, "hgm-init"))
+        sampler = Sampler(graph, config.sampler, derive_seed(seed, "hgm-sampler"))
+        shuffle = np.random.default_rng(derive_seed(seed, "hgm-shuffle"))
+        n_centers = graph.n_patients * graph.window_hours
+        span = config.learning_rate - config.min_learning_rate
+        step = 0
+        for _ in range(epochs):
+            centers = np.stack(np.divmod(shuffle.permutation(n_centers), graph.window_hours),
+                               axis=1)
+            sampler.plan(centers)
+            for p, h in centers.tolist():
+                lr = config.min_learning_rate + span * (1.0 - step / (epochs * n_centers))
+                step += 1
+                try:
+                    context = sampler.sample_context(p, h)
+                except UntrainableCenterError:
+                    continue
+                grads = oracles.loss_and_grad(params, graph, context)[1]
+                for name in PARAM_FIELDS:
+                    getattr(params, name)[...] -= lr * getattr(grads, name)
+        for name in PARAM_FIELDS:
+            assert np.array_equal(getattr(trained, name), getattr(params, name)), name

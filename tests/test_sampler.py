@@ -1,9 +1,13 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
 import hgm_ehr.sampler as sampler_module
 from hgm_ehr.evaluate import plan_folds
 from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, build_graph, neighbors
+from hgm_ehr.hgm import train_hgm
 from hgm_ehr.ingest import (GenConfig, bin_events, fit_normalizer, generate_synthetic,
                             synthetic_vocabulary)
 from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError, _lemire, _WordStream
@@ -195,6 +199,16 @@ def test_memory_holds_no_patient_by_patient_array():
     assert peak < 4_000_000 and context.n_positives() > 0
 
 
+def test_memory_of_a_training_epoch_does_not_grow_with_d():
+    # A desk epoch at d = 128 peaked at 4.8 MiB with per-context Terms and 5.7 MiB
+    # with each chunk's flattened context arrays; a per-chunk array of CHUNK x S x d
+    # floats alone would be 256 x 260 x 128 x 8 B = 65 MiB.
+    graph, experiment, seed = desk_fold_0()
+    config = dataclasses.replace(experiment.hgm, epochs=1, d=128)
+    params, peak = traced_peak(train_hgm, graph, config, seed)
+    assert params.d == 128 and peak < 6 * 2**20
+
+
 def sharing_patients(graph, center):
     """The center's patient and every patient sharing one of its diagnoses."""
     sharing = {center.index[0]}
@@ -287,7 +301,7 @@ class ReferenceSampler:
         neg_temporal = ()
         if pos_temporal is not None:
             neg_temporal = self._draw_negatives(p, h, NodeType.PATIENT_HOUR, 1)[0]
-        return make_context((p, h), pos_labs, neg_labs, pos_diagnoses, neg_diagnoses,
+        return make_context(graph, (p, h), pos_labs, neg_labs, pos_diagnoses, neg_diagnoses,
                             pos_patients, neg_patients, pos_temporal, neg_temporal)
 
 
@@ -334,6 +348,8 @@ def test_matches_reference_sampler_on_every_center(seed):
 
 
 def test_context_views_round_trip():
+    graph = HeteroGraph(np.zeros((4, 3, 3)), np.zeros((4, 3, 3), dtype=bool),
+                        np.zeros((4, 5), dtype=bool))
     center = (0, 1)
     kwargs = dict(
         pos_diagnoses=(NodeId(NodeType.DIAGNOSIS, 2),),
@@ -343,18 +359,18 @@ def test_context_views_round_trip():
         neg_labs=((NodeId(NodeType.LAB, 2),), ()),
         neg_patients=((ph(2, 1), ph(2, 0)),), neg_temporal=(ph(3, 2),),
     )
-    ctx = make_context(center, **kwargs)
+    ctx = make_context(graph, center, **kwargs)
     for name, value in kwargs.items():
         assert getattr(ctx, name) == value
     assert ctx.n_positives() == 5
-    assert ctx == make_context(center, **kwargs)
-    assert ctx != make_context(center, **dict(kwargs, neg_temporal=()))
+    assert ctx == make_context(graph, center, **kwargs)
+    assert ctx != make_context(graph, center, **dict(kwargs, neg_temporal=()))
     tested = ctx.terms[0]
     assert tested.index.tolist() == [1, 2, 0]
     assert tested.target.tolist() == [1.0, 0.0, 1.0]
     assert ctx.terms[3].index.tolist() == [[0, 0], [3, 2]]
     with pytest.raises(ValueError, match="negative groups"):
-        make_context(center, pos_labs=(NodeId(NodeType.LAB, 1),))
+        make_context(graph, center, pos_labs=(NodeId(NodeType.LAB, 1),))
 
 
 class TestIntegersStream:
@@ -455,8 +471,10 @@ def assert_same_contexts(sampler, oracle, orders):
     return untrainable
 
 
-def test_planned_draw_equals_oracle_over_a_desk_run():
-    # train_hgm's two-epoch visit order on fold 0 of criterion 4's corpus
+@functools.lru_cache(maxsize=1)
+def desk_fold_0():
+    """Fold 0 of criterion 4's corpus as train_fold builds it: (graph, experiment
+    config, the seed train_fold passes to train_hgm)."""
     from test_acceptance import DESK_EXPERIMENT, DESK_GEN, DESK_GEN_SEED  # it imports this module
 
     gen = GenConfig(**DESK_GEN)
@@ -465,9 +483,14 @@ def test_planned_draw_equals_oracle_over_a_desk_run():
                                 DESK_EXPERIMENT.k_folds, DESK_EXPERIMENT.seed, window)[0]
     graph = build_graph(train, vocab,
                         bin_events(train, window, fit_normalizer(train, window, vocab.n_labs)))
-    seed = derive_seed(DESK_EXPERIMENT.seed, "hgm", fold, window)
-    orders = visit_orders(graph, derive_seed(seed, "hgm-shuffle"), DESK_EXPERIMENT.hgm.epochs)
-    assert_planned_draw_equals_oracle(graph, DESK_EXPERIMENT.hgm.sampler,
+    return graph, DESK_EXPERIMENT, derive_seed(DESK_EXPERIMENT.seed, "hgm", fold, window)
+
+
+def test_planned_draw_equals_oracle_over_a_desk_run():
+    # train_hgm's two-epoch visit order on fold 0 of criterion 4's corpus
+    graph, experiment, seed = desk_fold_0()
+    orders = visit_orders(graph, derive_seed(seed, "hgm-shuffle"), experiment.hgm.epochs)
+    assert_planned_draw_equals_oracle(graph, experiment.hgm.sampler,
                                       derive_seed(seed, "hgm-sampler"), orders)
 
 
