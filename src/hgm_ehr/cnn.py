@@ -5,7 +5,7 @@ hour, lab) tensor: raw lab means, patient-hour embeddings, or both side by
 side. That (P, T, F) array and a label vector are the classifier's only
 input. Row p is patient p's (T, F) grid: one row per hour bin, oldest hour
 first, features across the row. Training takes mini-batches of rows;
-forward, backward and predict take one grid. Filters span the full feature
+forward and predict take one grid. Filters span the full feature
 width and slide along time (valid padding), followed by ReLU, a global
 max-pool over time, a dense layer and a two-way softmax. Backpropagation
 is explicit; gradients flow only to each filter's argmax pool position
@@ -45,7 +45,7 @@ class FeatureMode(Enum):
 
 @dataclass
 class CnnParams:
-    """Classifier parameters; backward returns its gradients in the same shape."""
+    """Classifier parameters; _batch_backward returns its gradients in the same shape."""
 
     filters: np.ndarray    # (n_filters, kernel, n_features)
     conv_bias: np.ndarray  # (n_filters,)
@@ -168,19 +168,6 @@ def forward(params: CnnParams, x: np.ndarray) -> np.ndarray:
     """Class probabilities [survived, died] of one (T, F) grid; always sums to 1."""
     probs, _ = _batch_forward(params, x[None, :, :])
     return probs[0]
-
-
-def ce_loss(probabilities, label, weight: float = 1.0) -> float:
-    """Cross-entropy -log p[label], probability clamped at 1e-12."""
-    p = max(float(np.asarray(probabilities)[int(label)]), 1e-12)
-    return -weight * float(np.log(p))
-
-
-def backward(params: CnnParams, x: np.ndarray, label, weight: float = 1.0) -> CnnParams:
-    """Exact gradients of ce_loss(forward(params, x), label)."""
-    _, grads = _batch_backward(params, x[None, :, :],
-                               np.array([int(label)]), np.array([float(weight)]))
-    return grads
 
 
 def predict(params: CnnParams, x: np.ndarray) -> float:

@@ -64,34 +64,3 @@ def build_graph(records, vocab, binned) -> HeteroGraph:
         diagnosed[p, list(rec.diagnoses)] = True
 
     return HeteroGraph(values, observed, diagnosed)
-
-
-def neighbors(graph: HeteroGraph, node: NodeId, target_type: NodeType) -> list[NodeId]:
-    """One-hop neighbors of the requested type, sorted and deduplicated.
-
-    Patient-hour to patient-hour neighborhoods are the hour nodes of other
-    patients sharing at least one diagnosis, plus the temporal next node.
-    Each is read as a boolean mask over the target type's nodes: a
-    (patient, hour) mask for patient-hours.
-    """
-    window = graph.window_hours
-    mask = np.zeros(0, dtype=bool)
-    if node.type is NodeType.PATIENT_HOUR:
-        p, h = node.index
-        if target_type is NodeType.LAB:
-            mask = graph.observed[p, h]
-        elif target_type is NodeType.DIAGNOSIS:
-            mask = graph.diagnosed[p]
-        else:
-            sharing = graph.diagnosed[:, graph.diagnosed[p]].any(axis=1)
-            sharing[p] = False
-            mask = np.repeat(sharing[:, None], window, axis=1)
-            if h > 0:
-                mask[p, h - 1] = True
-    elif target_type is NodeType.PATIENT_HOUR:
-        if node.type is NodeType.LAB:
-            mask = graph.observed[:, :, node.index]
-        else:
-            mask = np.repeat(graph.diagnosed[:, node.index, None], window, axis=1)
-    return [NodeId(target_type, tuple(i) if mask.ndim == 2 else i[0])
-            for i in np.argwhere(mask).tolist()]

@@ -4,8 +4,8 @@ Every node is projected into a shared d-dimensional space through a
 per-type matrix and a nonlinearity; relations act as vector translations
 in that space, so a connected pair scores high under a translated dot
 product. Training maximizes the probability of a patient-hour's sampled
-neighborhood with negative sampling; an exact full-softmax loss is kept
-as a small-scale oracle.
+neighborhood with negative sampling (the exact full-softmax loss, a
+small-scale oracle, is in tests/oracles.py).
 
 Relation scoring (neighbor side first where translated):
     tested    lab i:        score = (c_i + r_ip) . c_u
@@ -44,12 +44,11 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .checkpoint import load_arrays, load_container, save_container
-from .graph import HeteroGraph, NodeId, NodeType, neighbors
+from .graph import HeteroGraph
 from .sampler import ContextSample, Sampler, SamplerConfig, UntrainableCenterError
 from .seeds import derive_seed
 
@@ -80,13 +79,6 @@ ACTIVATIONS = {
     "sigmoid": (_sigmoid_act, _sigmoid_deriv),
     "relu": (lambda x: np.maximum(x, 0.0), _relu_deriv),
 }
-
-
-class Relation(Enum):
-    TESTED = "tested"
-    DIAGNOSED = "diagnosed"
-    CO_PATIENT = "co_patient"
-    TEMPORAL = "temporal"
 
 
 PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
@@ -182,54 +174,6 @@ def init_params(d, n_labs, n_diagnoses, activation="tanh", seed=0) -> HgmParams:
         w_p=u(d, n_labs), w_i=u(d, n_labs), w_d=u(d, n_diagnoses),
         r_ip=u(d), r_pd=u(d), r_tt=u(d), activation=activation,
     )
-
-
-def embed_all(params: HgmParams, graph: HeteroGraph):
-    """Embeddings of every node: (patient-hour P x T x d, lab L x d, diagnosis D x d)."""
-    act, _ = ACTIVATIONS[params.activation]
-    c_ph = act(graph.values @ params.w_p.T)
-    c_lab = act(params.w_i.T.copy())
-    c_dx = act(params.w_d.T.copy())
-    return c_ph, c_lab, c_dx
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + float(np.log(np.sum(np.exp(x - m))))
-
-
-def softmax_context_loss(neighbor_scores, candidate_scores) -> float:
-    """-sum over neighbors of (score - log sum of exp over all candidates)."""
-    neighbor_scores = np.asarray(neighbor_scores, dtype=float)
-    if neighbor_scores.size == 0:
-        return 0.0
-    log_z = _logsumexp(np.asarray(candidate_scores, dtype=float))
-    return float(-np.sum(neighbor_scores - log_z))
-
-
-def exact_softmax_loss(params: HgmParams, graph: HeteroGraph, center: NodeId) -> float:
-    """Full-softmax skip-gram loss for one center; tractable oracles only.
-
-    The normalizer sums translated scores over every vertex of every type;
-    patient-hour neighbors (co-patients and the temporal next node alike)
-    score as plain dot products on the candidate side.
-    """
-    c_ph, c_lab, c_dx = embed_all(params, graph)
-    c_u = c_ph[center.index]
-    candidates = np.concatenate([
-        (c_ph @ c_u).ravel(),
-        (c_lab + params.r_ip) @ c_u,
-        c_dx @ (c_u + params.r_pd),
-    ])
-    neighbor_scores = (
-        [float((c_lab[n.index] + params.r_ip) @ c_u)
-         for n in neighbors(graph, center, NodeType.LAB)]
-        + [float(c_dx[n.index] @ (c_u + params.r_pd))
-           for n in neighbors(graph, center, NodeType.DIAGNOSIS)]
-        + [float(c_ph[n.index] @ c_u)
-           for n in neighbors(graph, center, NodeType.PATIENT_HOUR)]
-    )
-    return softmax_context_loss(neighbor_scores, candidates)
 
 
 @functools.lru_cache(maxsize=8)

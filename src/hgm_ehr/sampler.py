@@ -18,14 +18,17 @@ the current chunk is used up, or with nothing planned a chunk of (p, h)
 alone. A chunk reads the generator's 32-bit words in bulk and maps each one
 as integers does (Lemire's multiply-shift and rejection test; a bound of 1
 takes no word), so every context, and the generator's state after them,
-equal the per-context draws (tests/test_sampler.py pins both).
+equal the per-context draws (tests/test_sampler.py pins both). The chunk
+draw is the one path that draws contexts; `sample_negatives` draws one node
+type's negatives of a center on the same generator, outside any plan.
 
 Pools are sorted tables built per chunk from rows of the graph: a center's
 diagnoses then the others, its tested labs then the others, and the
 patients sharing no diagnosis with each of the chunk's distinct patients,
-found against all P patients a block at a time, never P x P. Beyond the
-graph the sampler keeps each diagnosis's sorted carriers and their count,
-and its CHUNK x S slot arrays.
+found against all P patients a block at a time, never P x P (`_non_sharing`,
+which also builds `sample_negatives`' patient pool). Beyond the graph the
+sampler keeps each diagnosis's sorted carriers and their count, and its
+CHUNK x S slot arrays.
 
 A context's terms come in the order tested, diagnosed, co-patient,
 temporal: each positive's target-1 term is followed by the target-0 terms
@@ -41,11 +44,11 @@ viewed as (patients * window, labs); `target`, every term's target; and
 `sizes`, the four relations' term counts. A chunk derives these for all its
 contexts at once, each array flattened from the grids' valid entries once
 and sliced per context into read-only views, so per-chunk arrays stay
-CHUNK x S and no context owns a copy. `context_from_terms` gives a context
-built from four Terms the same arrays by the same code. A center is a
-(patient, hour) pair of ints; a context's `terms` (one Terms of vocabulary
-ids or (patient, hour) pairs per relation) and the NodeId tuples of its
-pos_*/neg_* fields are read-only views built from its arrays on first
+CHUNK x S and no context owns a copy (tests/oracles.py's
+`context_from_terms` builds a context from four Terms by the same code). A
+center is a (patient, hour) pair of ints; a context's `terms` (one Terms of
+vocabulary ids or (patient, hour) pairs per relation) and the NodeId tuples
+of its pos_*/neg_* fields are read-only views built from its arrays on first
 access.
 """
 from __future__ import annotations
@@ -220,13 +223,6 @@ def _contexts(centers, relations, trainable, n_labs: int, window: int) -> list:
                                                  columns, rows, target)]
 
 
-def context_from_terms(graph: HeteroGraph, center: tuple[int, int], terms) -> ContextSample:
-    """The ContextSample of center (p, h) of the graph with four Terms (tested,
-    diagnosed, co-patient, temporal), derived as a chunk derives its contexts'."""
-    return _contexts([center], [(t.index[None], t.target[None], np.ones((1, len(t.target)), bool))
-                                for t in terms], [True], graph.n_labs, graph.window_hours)[0]
-
-
 class _WordStream:
     """A bit generator's 32-bit words from its current state on, read ahead in bulk.
 
@@ -348,20 +344,14 @@ class Sampler:
         centers = np.asarray(centers, dtype=np.int64).reshape(-1, 2)
         self._planned = np.concatenate((self._planned, centers))
 
-    def _pools(self, p: int, h: int):
-        """Center (p, h)'s pools: (diagnoses, labs), then negatives (diagnoses, labs, patients)."""
-        dx, labs = self.graph.diagnosed[p], self.graph.observed[p, h]
-        sharing = self.graph.diagnosed[:, dx].any(axis=1)
-        sharing[p] = True
-        return ((dx.nonzero()[0], labs.nonzero()[0]),
-                ((~dx).nonzero()[0], (~labs).nonzero()[0], (~sharing).nonzero()[0]))
-
     def sample_negatives(self, p: int, h: int, node_type: NodeType, count: int) -> np.ndarray:
         """Uniform with-replacement draws from center (p, h)'s non-neighbors:
         indices, or (count, 2) (patient, hour) rows for patient-hour negatives."""
-        _, (dx_pool, lab_pool, patient_pool) = self._pools(p, h)
-        pool = {NodeType.DIAGNOSIS: dx_pool, NodeType.LAB: lab_pool,
-                NodeType.PATIENT_HOUR: patient_pool}[node_type]
+        if node_type is NodeType.PATIENT_HOUR:
+            pool = self._non_sharing(np.array([p]))[1][:-1]
+        else:
+            pool = np.flatnonzero(~{NodeType.DIAGNOSIS: self.graph.diagnosed[p],
+                                    NodeType.LAB: self.graph.observed[p, h]}[node_type])
         if pool.size == 0:
             raise ValueError(f"empty negative pool for type {node_type.value}")
         if node_type is NodeType.PATIENT_HOUR:

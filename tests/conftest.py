@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from hgm_ehr.graph import NodeId, NodeType, build_graph
-from hgm_ehr.hgm import exact_softmax_loss
+from hgm_ehr.hgm import PARAM_FIELDS
 from hgm_ehr.ingest import LabNormalizer, PatientRecord, Vocabulary, bin_events, event_array
-from hgm_ehr.sampler import Terms, context_from_terms
+from hgm_ehr.sampler import Terms
 
-HGM_PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
+from oracles import context_from_terms, exact_softmax_loss
 
 
 def traced_peak(fn, *args):
@@ -130,7 +130,7 @@ def exact_loss_fd_step(params, graph, lr=0.1, h=1e-5):
     """One full-gradient descent step on the summed exact softmax loss,
     with the gradient taken by central finite differences."""
     grads = []
-    for name in HGM_PARAM_FIELDS:
+    for name in PARAM_FIELDS:
         arr = getattr(params, name)
         grad = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
@@ -144,5 +144,5 @@ def exact_loss_fd_step(params, graph, lr=0.1, h=1e-5):
             arr[idx] = orig
             grad[idx] = (up - down) / (2 * h)
         grads.append(grad)
-    for name, grad in zip(HGM_PARAM_FIELDS, grads):
+    for name, grad in zip(PARAM_FIELDS, grads):
         getattr(params, name)[...] -= lr * grad

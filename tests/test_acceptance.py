@@ -12,17 +12,18 @@ import numpy as np
 import pytest
 
 from hgm_ehr import cli
-from hgm_ehr.cnn import CnnParams, CnnTrainConfig, FeatureMode, backward, build_features, \
-    ce_loss, forward
+from hgm_ehr.cnn import CnnParams, CnnTrainConfig, FeatureMode, build_features, forward
 from hgm_ehr.evaluate import ExperimentConfig, auprc, auroc, run_experiments
-from hgm_ehr.hgm import HgmTrainConfig, _loss_and_grad, init_params, ns_grad, ns_loss, train_hgm
+from hgm_ehr.hgm import (PARAM_FIELDS, HgmTrainConfig, _loss_and_grad, init_params, ns_grad,
+                         ns_loss, train_hgm)
 from hgm_ehr.ingest import (GenConfig, bin_events, generate_synthetic, parse_records,
                             synthetic_vocabulary)
 from hgm_ehr.sampler import Sampler, SamplerConfig
 
 from conftest import binned_graph, exact_loss_fd_step, toy_records, toy_vocab, total_exact_loss
+from oracles import backward, ce_loss
 from test_eval import rank_enumeration_auprc
-from test_hgm import PARAM_FIELDS, random_instance, random_params
+from test_hgm import random_instance, random_params
 
 # Pinned desk-scale experiment configuration (criteria 4 and 5).
 DESK_GEN = dict(n_patients=500, n_labs=30, n_diagnoses=50, window_hours=12)

@@ -158,7 +158,11 @@ def trained_checkpoints(tmp_path_factory):
      "negatives_per_positive must be >= 1, got 0"),
     (HgmTrainConfig, {}, dict(d=1), "embedding dimension must be >= 2"),
     (CnnTrainConfig, {}, dict(kernel=0), "kernel must be >= 1, got 0"),
-], ids=["GenConfig", "SamplerConfig", "HgmTrainConfig", "CnnTrainConfig"])
+    (HgmTrainConfig, {}, dict(learning_rate=0.0), r"^learning_rate must be positive$"),
+    (HgmTrainConfig, {}, dict(epochs=-1), r"^epochs must be >= 0$"),
+    (CnnTrainConfig, {}, dict(learning_rate=0.0), r"^learning_rate must be positive, got 0\.0$"),
+], ids=["GenConfig", "SamplerConfig", "HgmTrainConfig", "CnnTrainConfig",
+        "HgmTrainConfig_learning_rate", "HgmTrainConfig_epochs", "CnnTrainConfig_learning_rate"])
 def test_config_refuses_a_bad_value_when_built_and_replaced(target, valid, bad, message):
     with pytest.raises(ValueError, match=message):
         target(**valid, **bad)
@@ -288,6 +292,27 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"hgm-ehr: error: {path}: {named}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_source_rejected(self, tmp_path):
+        path = write_config(tmp_path / "run.ini", tmp_path / "out")
+        path.write_text(path.read_text().replace("source = synthetic", "source = database"))
+        with pytest.raises(ValueError, match=r"^data source must be 'synthetic' or 'files', "
+                                             r"got 'database'$"):
+            load_run_config(path)
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = write_config(tmp_path / "run.ini", tmp_path / "out", extra="\n[model]\nd = 4\n")
+        with pytest.raises(ValueError) as refused:
+            load_run_config(path)
+        assert str(refused.value) == f"{path}: unknown config section [model]"
+
+    @pytest.mark.parametrize("field, message", [
+        ("windows", "at least one window is required"), ("arms", "at least one arm is required"),
+    ])
+    def test_no_window_or_arm_rejected(self, field, message):
+        # an INI cannot list none: an empty list parses as one empty item
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            RunConfig(**{field: ()}).validate()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "run.ini", tmp_path / "out")
         path.write_text(path.read_text().replace("filters = 4", "filterz = 4"))
@@ -369,6 +394,13 @@ class TestSynthCommand:
         vocab = json.loads((tmp_path / "out" / "vocabulary.json").read_text())
         assert len(vocab["labs"]) == 6
         assert len(vocab["diagnoses"]) == 8
+
+    def test_refused_under_files_source(self, tmp_path, capsys):
+        path = files_source(write_config(tmp_path / "run.ini", tmp_path / "out"),
+                            tmp_path / "corpus")
+        assert main(["synth", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "hgm-ehr: error: synth requires [data] source = synthetic\n"
+        assert not (tmp_path / "out").exists()
 
     def test_same_seed_identical_files(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.ini", tmp_path / "out_a")

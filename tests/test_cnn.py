@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hgm_ehr import cnn
-from hgm_ehr.cnn import (CnnParams, CnnTrainConfig, FeatureMode, backward, build_features,
-                         ce_loss, forward, init_cnn, load_cnn, predict, save_cnn, train_cnn)
+from hgm_ehr.cnn import (CnnParams, CnnTrainConfig, FeatureMode, build_features, forward,
+                         init_cnn, load_cnn, predict, save_cnn, train_cnn)
 from hgm_ehr.graph import build_graph
 from hgm_ehr.hgm import ACTIVATIONS, init_params, load_params, save_params
 from hgm_ehr.ingest import (GenConfig, bin_events, fit_normalizer, generate_synthetic,
@@ -15,6 +15,7 @@ from hgm_ehr.ingest import (GenConfig, bin_events, fit_normalizer, generate_synt
 from hgm_ehr.seeds import derive_seed
 
 from conftest import make_record, toy_vocab, unit_normalizer
+from oracles import backward, ce_loss
 
 GRAD_FIELDS = ("filters", "conv_bias", "dense_w", "dense_b")
 
@@ -71,6 +72,11 @@ class TestForward:
         params = zero_cnn(kernel=3)
         with pytest.raises(ValueError, match="kernel"):
             forward(params, np.zeros((2, 3)))
+
+    def test_feature_width_must_match_filters(self):
+        with pytest.raises(ValueError) as refused:
+            forward(zero_cnn(n_features=3), np.zeros((4, 5)))
+        assert str(refused.value) == "feature dimension 5 does not match filters (3)"
 
     def test_logit_shift_invariance(self):
         rng = np.random.default_rng(2)

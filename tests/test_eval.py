@@ -67,6 +67,11 @@ class TestKfoldSplit:
         with pytest.raises(ValueError):
             kfold_split(["a", "b"], 3, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_fold_rejected(self, k):
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            kfold_split(["a", "b"], k, seed=0)
+
     def test_deterministic(self):
         ids = [f"p{i}" for i in range(20)]
         assert kfold_split(ids, 4, seed=9) == kfold_split(ids, 4, seed=9)
@@ -87,6 +92,11 @@ class TestAuroc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             auroc([0.1, 0.2], [1, 1])
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, 0.5]])
+    def test_non_binary_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match=r"^labels must be binary$"):
+            auroc([0.1, 0.2, 0.3], labels)
 
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(5)
@@ -321,6 +331,11 @@ class TestRunExperiment:
         message = r"^unknown arm 'MLP'; expected one of \['CNN', 'HGM', 'HGM_CNN'\]$"
         with pytest.raises(ValueError, match=message):
             run_experiments(records, vocab, ("MLP",), 6, fast_config())
+
+    def test_duplicate_patient_ids_refused(self):
+        records, vocab = small_corpus()
+        with pytest.raises(ValueError, match=r"^duplicate patient ids in records$"):
+            run_experiments(records + records[:1], vocab, ("CNN",), 6, fast_config())
 
     def test_one_fold_refused(self):
         # one fold tests every patient and leaves none to train on

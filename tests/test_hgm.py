@@ -7,19 +7,17 @@ import numpy as np
 import pytest
 
 from hgm_ehr import hgm
-from hgm_ehr.graph import NodeId, NodeType, neighbors
-from hgm_ehr.hgm import (ACTIVATIONS, HgmParams, HgmTrainConfig, Relation, embed_hours,
-                         exact_softmax_loss, init_params, load_params, ns_grad, ns_loss,
-                         save_params, softmax_context_loss, train_hgm)
+from hgm_ehr.graph import NodeId, NodeType
+from hgm_ehr.hgm import (ACTIVATIONS, PARAM_FIELDS, HgmParams, HgmTrainConfig, embed_hours,
+                         init_params, load_params, ns_grad, ns_loss, save_params, train_hgm)
 from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
 from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError
 from hgm_ehr.seeds import derive_seed
 
 import oracles
 from conftest import binned_graph, make_context, make_record, toy_vocab, unit_normalizer
+from oracles import Relation, exact_softmax_loss, neighbors, softmax_context_loss
 from test_sampler import awkward_graphs, desk_fold_0, edge_case_graphs
-
-PARAM_FIELDS = ("w_p", "w_i", "w_d", "r_ip", "r_pd", "r_tt")
 
 
 def zero_params(d=2, p_in=2, n_labs=2, n_diagnoses=2, activation="tanh"):
@@ -449,6 +447,16 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_params(tmp_path / "absent.json")
+
+    def test_unsupported_version_refused_naming_the_file(self, tmp_path):
+        path = tmp_path / "hgm.json"
+        save_params(random_params(2, 2, 2, seed=1), path)
+        obj = json.loads(path.read_text())
+        obj["version"] = 2
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError) as refused:
+            load_params(path)
+        assert str(refused.value) == f"{path}: unsupported checkpoint version 2"
 
 
 def test_exact_and_sampled_losses_agree_in_ordering(toy_graph):

@@ -83,6 +83,29 @@ class TestParseRecords:
         with pytest.raises(DataFormatError, match=r"outcomes\.csv:2"):
             parse_records(*files)
 
+    @pytest.mark.parametrize("outcome, line, problem", [
+        ("p1,0,ten", 2, "end_hour must be an integer, got 'ten'"),
+        ("p1,0,1.5", 2, "end_hour must be an integer, got '1.5'"),
+        ("p1,0,-1", 2, "end_hour must be non-negative"),
+        ("p0,1,4\np1,0,10\np0,0,3", 4, "duplicate patient 'p0'"),
+    ], ids=["word", "fraction", "negative", "duplicate"])
+    def test_bad_outcome_row_names_file_and_line(self, tmp_path, outcome, line, problem):
+        files = write_corpus_files(tmp_path, [], [], [outcome])
+        with pytest.raises(DataFormatError) as refused:
+            parse_records(*files)
+        assert str(refused.value) == f"{files[2]}:{line}: {problem}"
+
+    @pytest.mark.parametrize("table, row, width, got", [
+        (0, "p1,1.0,sodium", 4, 3), (1, "p1,sepsis,extra", 2, 3), (2, "p1,0", 3, 2),
+    ], ids=["events", "diagnoses", "outcomes"])
+    def test_wrong_column_count_names_file_and_line(self, tmp_path, table, row, width, got):
+        rows = [["p1,1.0,sodium,1.0"], ["p1,sepsis"], ["p1,0,10"]]
+        rows[table] = [row]
+        files = write_corpus_files(tmp_path, *rows)
+        with pytest.raises(DataFormatError) as refused:
+            parse_records(*files)
+        assert str(refused.value) == f"{files[table]}:2: expected {width} columns, got {got}"
+
     def test_wrong_header_rejected(self, tmp_path):
         files = write_corpus_files(tmp_path, [], [], ["p1,0,10"])
         files[0].write_text("patient,hours,lab,value\np1,1.0,na,1.0\n")
@@ -133,6 +156,10 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(labs=["a", "a"], diagnoses=[])
 
+    def test_duplicate_diagnosis_names_rejected(self):
+        with pytest.raises(ValueError, match=r"^duplicate diagnosis names in vocabulary$"):
+            Vocabulary(labs=["a"], diagnoses=["x", "y", "x"])
+
     @pytest.mark.parametrize("text, named", [
         ('{"diagnoses": []}', "vocabulary needs 'labs' as a list of names"),
         ('{"labs": "abc", "diagnoses": []}', "vocabulary needs 'labs' as a list of names"),
@@ -173,6 +200,11 @@ class TestBinEvents:
         values, observed = bin_events([rec], 6, unit_normalizer(10))
         assert values[0, 3, 5] == pytest.approx(3.0)
         assert observed[0, 3, 5]
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_rejected(self, window):
+        with pytest.raises(ValueError, match=r"^window_hours must be >= 1$"):
+            bin_events([make_record("p", [(0.5, 0, 1.0)], set())], window, unit_normalizer(2))
 
     def test_no_events_yields_all_unobserved(self):
         values, observed = bin_events([make_record("p", [], set())], 6, unit_normalizer(4))
@@ -362,6 +394,8 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             GenConfig(n_patients=5, n_labs=5, n_diagnoses=5, window_hours=6,
                       prevalence=0.0)
+        with pytest.raises(ValueError, match=r"^window_hours must be >= 1$"):
+            GenConfig(n_patients=5, n_labs=5, n_diagnoses=5, window_hours=0)
 
     def test_events_respect_vocab_and_hours(self):
         cfg = GenConfig(n_patients=10, n_labs=4, n_diagnoses=6, window_hours=6)

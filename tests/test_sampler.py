@@ -6,7 +6,7 @@ import pytest
 
 import hgm_ehr.sampler as sampler_module
 from hgm_ehr.evaluate import plan_folds
-from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, build_graph, neighbors
+from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, build_graph
 from hgm_ehr.hgm import train_hgm
 from hgm_ehr.ingest import (GenConfig, bin_events, fit_normalizer, generate_synthetic,
                             synthetic_vocabulary)
@@ -14,7 +14,7 @@ from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError, _lem
 from hgm_ehr.seeds import derive_seed
 
 from conftest import binned_graph, make_context, make_record, toy_vocab, traced_peak
-from oracles import ContextOracle
+from oracles import ContextOracle, neighbors
 
 
 def ph(p, h):
@@ -127,6 +127,34 @@ class TestSampleNegatives:
         sigma = np.sqrt(n * (1 / 3) * (2 / 3))
         for c in counts.values():
             assert abs(c - expected) < 3 * sigma
+
+    def test_draws_from_the_oracle_pools(self):
+        # Every center and node type: the draws a generator of the same seed
+        # makes over ContextOracle's negative pool, or the empty-pool refusal.
+        for seed, graph in enumerate(awkward_graphs()):
+            sampler = Sampler(graph, SamplerConfig(), seed)
+            oracle, rng = ContextOracle(graph, SamplerConfig(), seed), np.random.default_rng(seed)
+            for p, h in np.ndindex(graph.n_patients, graph.window_hours):
+                _, pools = oracle._pools(p, h)
+                for node_type, pool in zip((NodeType.DIAGNOSIS, NodeType.LAB,
+                                            NodeType.PATIENT_HOUR), pools):
+                    if not pool.size:
+                        with pytest.raises(ValueError, match=rf"^empty negative pool for type "
+                                                             rf"{node_type.value}$"):
+                            sampler.sample_negatives(p, h, node_type, 3)
+                    elif node_type is NodeType.PATIENT_HOUR:
+                        draws = rng.integers(0, np.repeat((pool.size, graph.window_hours), 3))
+                        assert sampler.sample_negatives(p, h, node_type, 3).tolist() == \
+                            np.column_stack((pool[draws[:3]], draws[3:])).tolist()
+                    else:
+                        assert sampler.sample_negatives(p, h, node_type, 3).tolist() == \
+                            pool[rng.integers(0, pool.size, size=3)].tolist()
+            assert sampler.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_unknown_node_type_refused(self, shared_dx_graph):
+        graph, _, _ = shared_dx_graph
+        with pytest.raises(KeyError):
+            Sampler(graph, SamplerConfig(), 0).sample_negatives(0, 0, "lab", 2)
 
 
 def test_positives_are_neighbors_negatives_are_not():
@@ -435,6 +463,32 @@ class TestIntegersStream:
         assert drawn.bit_generator.state == expected.bit_generator.state
         assert self.next_draw(drawn) == self.next_draw(expected)
 
+    @pytest.mark.parametrize("held_over", [False, True], ids=["whole_output", "held_over_half"])
+    def test_skipped_words_leave_the_stream_integers_leaves(self, held_over):
+        # integers rejects a word w under b = 3 * 2**30 when (w * b) mod 2**32 is
+        # below (2**32 - b) mod b = 2**30: a quarter of the words. The chunk draw
+        # skips each one in place, as here, and commits the words it kept.
+        bound, rejections = 3 * 2**30, 0
+        for seed in range(20):
+            for n in (1, 2, 3, 8, 55, 344):
+                expected, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+                if held_over:
+                    expected.integers(0, 10), drawn.integers(0, 10)
+                stream = _WordStream(drawn.bit_generator)
+                draws = []
+                while len(draws) < n:
+                    i = len(draws)
+                    (draw,), (rejected,) = _lemire(stream.upto(i + 1)[i:i + 1], np.uint64(bound))
+                    if rejected:
+                        stream.skip(i)
+                        rejections += 1
+                    else:
+                        draws.append(int(draw))
+                stream.commit(n)
+                assert draws == expected.integers(0, bound, size=n).tolist(), (seed, n)
+                assert drawn.bit_generator.state == expected.bit_generator.state, (seed, n)
+        assert rejections > 1000
+
 
 def visit_orders(graph, seed, epochs):
     """`epochs` shuffled visit orders of every center, as (n, 2) (p, h) arrays."""
@@ -586,6 +640,32 @@ def test_rejected_words_are_skipped_as_integers_skips_them(monkeypatch):
     oracle.rng = ScriptedIntegers(script)
     assert_same_contexts(sampler, oracle, visit_orders(graph, 1, 2))
     assert position[0] == oracle.rng.taken and oracle.rng.rejected > 100
+
+
+def test_chunk_draw_skips_the_words_integers_rejects(monkeypatch):
+    # A word is rejected under bound b with chance (2**32 mod b) / 2**32, below
+    # b / 2**32. Each patient carries one of two diagnoses, so its carrier and
+    # patient-negative bounds are ~20 000, with 2**32 mod b within 0.03% of b for
+    # the negatives: 512 centers of 50 co-patients with 20 negatives each draw
+    # ~550 000 such words and, at this seed, reject 8 of them.
+    carriers = (19_825, 20_261)
+    diagnosed = np.repeat(np.eye(2, dtype=bool), carriers, axis=0)
+    n = len(diagnosed)
+    graph = HeteroGraph(np.zeros((n, 1, 1)), np.ones((n, 1, 1), dtype=bool), diagnosed)
+    skipped = []
+    skip = sampler_module._WordStream.skip
+
+    def spy(stream, i):
+        # a draw that skips another word than the rejected one meets it again, and again
+        skipped.append(i)
+        assert len(skipped) <= 8, "a rejected word was not skipped"
+        skip(stream, i)
+
+    monkeypatch.setattr(sampler_module._WordStream, "skip", spy)
+    centers = np.stack((np.random.default_rng(3).choice(n, 512, replace=False),
+                        np.zeros(512, dtype=np.int64)), axis=1)
+    assert_planned_draw_equals_oracle(graph, SamplerConfig(2, 1, 50, 20), 3, [centers])
+    assert len(skipped) == 8
 
 
 def test_unplanned_center_refused_while_a_plan_is_pending(shared_dx_graph):
