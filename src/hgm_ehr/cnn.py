@@ -12,11 +12,14 @@ is explicit; gradients flow only to each filter's argmax pool position
 (first index on ties) and come back as a CnnParams. The convolution is
 im2col + gemm (Chellapilla et al., 2006): each batch's windows are laid out
 once as a contiguous (B*J, kernel*F) matrix, one row per window, so the
-forward is one BLAS gemm with the flattened filters. The backward scatters
-each filter's gradient into a zero (B*J, n_filters) grid at its argmax
-window and takes the filter gradient as one gemm of that grid with the same
-matrix. BLAS sums in its own order, so scores differ from a plain
-per-window contraction in the last bits only.
+forward is one BLAS gemm with the flattened filters. The backward takes
+the filter gradient from the same matrix in one of two forms, chosen by
+shape alone. With J < 2 * n_filters windows it scatters each filter's
+gradient into a zero (B*J, n_filters) grid at its argmax window and takes
+one gemm of that grid with the matrix. With J >= 2 * n_filters, where an
+example pools at most half its windows, it gathers each filter's B pooled
+rows and takes one gemv per filter. BLAS sums in its own order, so scores
+differ from a plain per-window contraction in the last bits only.
 """
 
 from __future__ import annotations
@@ -156,10 +159,18 @@ def _batch_backward(params: CnnParams, batch, labels, weights):
 
     # pooled = max(z, 0) at the argmax, so pooled > 0 exactly where z > 0 there
     d_z = d_pooled * (pooled > 0)
-    # d_z lands on each filter's argmax window, every other window gets zero
-    d_z_grid = np.zeros((len(cols), params.filters.shape[0]))
-    d_z_grid.put(pool_at, d_z)
-    d_filters = (d_z_grid.T @ cols).reshape(params.filters.shape)
+    n_filters = params.filters.shape[0]
+    if len(cols) >= 2 * n_filters * n:
+        # J >= 2 * n_filters: an example pools at most half its windows, so
+        # gather each filter's pooled rows, (n_filters, B, kernel*F), one gemv each
+        windows = cols.take(pool_at.T // n_filters, axis=0)
+        d_filters = np.matmul(d_z.T[:, None, :], windows)[:, 0]
+    else:
+        # d_z lands on each filter's argmax window, every other window gets zero
+        d_z_grid = np.zeros((len(cols), n_filters))
+        d_z_grid.put(pool_at, d_z)
+        d_filters = d_z_grid.T @ cols
+    d_filters = d_filters.reshape(params.filters.shape)
     d_bias = d_z.sum(axis=0)
     return probs, CnnParams(d_filters, d_bias, d_dense_w, d_dense_b)
 

@@ -400,10 +400,11 @@ class Sampler:
         the negatives, k per positive, patient-hour rows as k patients then k
         hours for each co-patient and the temporal node. A slot takes no word
         when its relation is absent or its bound is 1. Which slots take one is
-        guessed from the pool sizes, with co-patient bounds above 1. A pass
-        maps every slot's word under the guess and finds the first slot that
-        its draws contradict: one that takes a word or not against the guess,
-        or whose word is rejected. The contexts before it are drawn. The
+        guessed from the pool sizes, with co-patient bounds above 1, except
+        the eligible-diagnosis pick's when one positive diagnosis is drawn. A
+        pass maps every slot's word under the guess and finds the first slot
+        that its draws contradict: one that takes a word or not against the
+        guess, or whose word is rejected. The contexts before it are drawn. The
         guess is corrected from that slot on (a rejected word is skipped) and
         the rest of the chunk is drawn again from its context. Each pass
         settles at least that slot, so the chunk consumes exactly the words
@@ -434,7 +435,8 @@ class Sampler:
         bound = self._slots[2, :n]
         bound[:, A] = dx_size[:, None]
         bound[:, B] = lab_size[:, None]
-        bound[:, C].reshape(n, n_cp, 3)[:] = (2, 2, window)  # co-patient bounds guessed above 1
+        # co-patient bounds guessed above 1; a pick among n_dx positives is at most n_dx
+        bound[:, C].reshape(n, n_cp, 3)[:] = (min(n_dx, 2), 2, window)
         bound[:, D] = (n_diagnoses - dx_size)[:, None]
         bound[:, E] = (n_labs - lab_size)[:, None]
         ph_bound = bound[:, F].reshape(n, n_cp + 1, 2, k)

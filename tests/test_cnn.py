@@ -108,9 +108,11 @@ class TestCeLoss:
 class TestBackward:
     def test_finite_differences(self):
         rng = np.random.default_rng(3)
-        for trial in range(4):
+        # 6 hours give J = 5 windows for 3 filters, the zero-grid backward; 8
+        # give J = 7 >= 2 * 3, the gather of each filter's pooled windows
+        for trial, t in enumerate((6, 6, 6, 6, 8, 8)):
             params = random_cnn(rng)
-            x, label = rng.normal(size=(6, 4)), bool(trial % 2)
+            x, label = rng.normal(size=(t, 4)), bool(trial % 2)
             grads = backward(params, x, label)
             h = 1e-5
             for name in GRAD_FIELDS:
@@ -525,6 +527,9 @@ class TestFlatGatherMatchesGenericKernels:
         (7, 5, 4, 3, 1),       # kernel 1
         (7, 5, 4, 3, 5),       # kernel = T: one window
         (1, 6, 4, 3, 2),       # one example
+        (5, 10, 4, 4, 3),      # J = 2 * n_filters: the gather
+        (5, 9, 4, 4, 3),       # J = 2 * n_filters - 1: the zero grid
+        (1, 9, 4, 2, 2),       # one example, gathered
     ])
     def test_random_batches(self, n, t, c, n_filters, kernel):
         rng = np.random.default_rng(n * 1000 + t * 10 + kernel)
@@ -550,16 +555,23 @@ class TestFlatGatherMatchesGenericKernels:
         assert np.allclose(grads.filters[0, 0], d_z @ batch[:, 0, :], rtol=0, atol=1e-15)
 
     def test_tied_maxima_in_random_integer_grids(self):
+        # Filters come in identical pairs whose dense rows are each other's
+        # swapped, so both logits are the same integer and every probability is
+        # 0.5: each gradient is then a sum of small dyadic numbers, exact in any
+        # order. 6 hours keep J < 2 * 4 filters, the zero grid; 12 and 20 gather.
         rng = np.random.default_rng(11)
-        for kernel in (1, 2, 3):
+        for kernel, t in ((1, 6), (2, 6), (3, 6), (1, 12), (3, 12), (2, 20)):
+            dense_w = np.array([rng.choice(5, 2, replace=False) - 2 for _ in range(2)], float)
             params = CnnParams(
-                filters=rng.integers(-1, 2, (4, kernel, 5)).astype(float),
+                filters=np.repeat(rng.integers(-1, 2, (2, kernel, 5)).astype(float), 2, axis=0),
                 conv_bias=np.zeros(4),
-                dense_w=rng.normal(size=(4, 2)),
+                dense_w=np.stack([dense_w[0], dense_w[0, ::-1], dense_w[1], dense_w[1, ::-1]]),
                 dense_b=np.zeros(2),
             )
-            batch = rng.integers(0, 3, (9, 6, 5)).astype(float)
-            self.assert_same_bits(params, batch, rng.integers(0, 2, 9), np.ones(9))
+            batch = rng.integers(0, 3, (9, t, 5)).astype(float)
+            labels, weights = rng.integers(0, 2, 9), rng.integers(1, 4, 9).astype(float)
+            assert np.all(cnn._batch_forward(params, batch)[0] == 0.5)
+            self.assert_same_bits(params, batch, labels, weights)
 
     def test_non_contiguous_feature_matrix_view(self):
         rng = np.random.default_rng(12)

@@ -585,17 +585,44 @@ def test_planned_draw_equals_oracle_on_awkward_graphs(monkeypatch, counts, chunk
     assert untrainable > 0
 
 
-class ScriptedStream:
-    """Stands in for _WordStream: words from a fixed script, from where the last chunk stopped."""
+def test_one_diagnosis_draw_settles_a_chunk_in_few_passes(monkeypatch):
+    # Drawing one positive diagnosis, the eligible-diagnosis pick is bounded
+    # by 1 and takes no word. A guess that it takes one is contradicted by
+    # every context with co-patients, and each redraws the rest of its chunk.
+    cfg = GenConfig(n_patients=60, n_labs=6, n_diagnoses=8, window_hours=4)
+    graph = binned_graph(generate_synthetic(cfg, seed=9), synthetic_vocabulary(cfg), 4)
+    lemire, calls = sampler_module._lemire, []
 
-    def __init__(self, script, position):
+    def spy(*args):
+        calls.append(1)
+        return lemire(*args)
+
+    monkeypatch.setattr(sampler_module, "_lemire", spy)
+    orders = visit_orders(graph, 2, 2)
+    assert_planned_draw_equals_oracle(graph, SamplerConfig(1, 3, 3, 2), 5, orders)
+    chunks = sum(-(-len(order) // sampler_module.CHUNK) for order in orders)
+    assert len(calls) <= 4 * 2 * chunks  # _lemire runs 4 times a pass
+
+
+class ScriptedStream:
+    """Stands in for _WordStream: words from a fixed script, from where the last chunk stopped.
+
+    Every chunk's stream shares `position` and `skips`. More than `max_skips`
+    skips fail: a draw that skips another word than the rejected one meets
+    that word again on every pass, without end.
+    """
+
+    def __init__(self, script, position, skips, max_skips):
         self.words, self.position, self.skipped = script[position[0]:], position, 0
+        self.skips, self.max_skips = skips, max_skips
 
     def upto(self, n):
         assert n <= self.words.size
         return self.words
 
     def skip(self, i):
+        self.skips.append(i)
+        assert len(self.skips) <= self.max_skips, "a rejected word was not skipped"
         self.words = np.delete(self.words, i)
         self.skipped += 1
 
@@ -630,16 +657,17 @@ def test_rejected_words_are_skipped_as_integers_skips_them(monkeypatch):
     rng = np.random.default_rng(31)
     script = rng.integers(0, 2**32, 400_000, dtype=np.uint64).astype(np.uint32)
     script[rng.random(script.size) < 0.05] = 0
-    position = [0]
+    # integers rejects 355 words of the script on this draw
+    position, skips = [0], []
     monkeypatch.setattr(sampler_module, "_WordStream",
-                        lambda bit_generator: ScriptedStream(script, position))
+                        lambda bit_generator: ScriptedStream(script, position, skips, 355))
     cfg = GenConfig(n_patients=40, n_labs=6, n_diagnoses=8, window_hours=3)
     graph = binned_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
     config = SamplerConfig(3, 3, 3, 2)
     sampler, oracle = Sampler(graph, config, 0), ContextOracle(graph, config, 0)
     oracle.rng = ScriptedIntegers(script)
     assert_same_contexts(sampler, oracle, visit_orders(graph, 1, 2))
-    assert position[0] == oracle.rng.taken and oracle.rng.rejected > 100
+    assert position[0] == oracle.rng.taken and len(skips) == oracle.rng.rejected == 355
 
 
 def test_chunk_draw_skips_the_words_integers_rejects(monkeypatch):
