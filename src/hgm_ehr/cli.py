@@ -141,7 +141,8 @@ def load_run_config(path) -> RunConfig:
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.read(path)
+    with path.open() as file:  # parser.read would skip a directory or an unreadable file
+        parser.read_file(file)
 
     values = defaultdict(dict)
     for section in parser.sections():

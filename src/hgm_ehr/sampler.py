@@ -15,20 +15,22 @@ oracle. The Sampler draws the same numbers a chunk of centers at a time.
 `plan(centers)` queues a visit order; `sample_context(p, h)` hands out the
 next planned center's context and draws the next CHUNK planned centers when
 the current chunk is used up, or with nothing planned a chunk of (p, h)
-alone. A chunk reads the generator's 32-bit words in bulk and maps each one
-as integers does (Lemire's multiply-shift and rejection test; a bound of 1
-takes no word), so every context, and the generator's state after them,
-equal the per-context draws (tests/test_sampler.py pins both). The chunk
-draw is the one path that draws contexts; `sample_negatives` draws one node
-type's negatives of a center on the same generator, outside any plan.
+alone. A chunk's draws are one integers call over every slot's bound, in the
+per-context calls' order, with bound 1 (no word taken) where a context
+draws nothing. integers draws an array of bounds as it draws each bound
+alone, so every context, and the generator's state after them, equal the
+per-context draws (tests/test_sampler.py pins both). The co-patient bounds
+depend on earlier draws of the same call: the chunk is drawn again from the
+same generator state until they agree (`_draw`). The chunk draw is the one
+path that draws contexts; `sample_negatives` draws one node type's
+negatives of a center on the same generator, outside any plan.
 
 Pools are sorted tables built per chunk from rows of the graph: a center's
 diagnoses then the others, its tested labs then the others, and the
 patients sharing no diagnosis with each of the chunk's distinct patients,
 found against all P patients a block at a time, never P x P (`_non_sharing`,
 which also builds `sample_negatives`' patient pool). Beyond the graph the
-sampler keeps each diagnosis's sorted carriers and their count, and its
-CHUNK x S slot arrays.
+sampler keeps each diagnosis's sorted carriers and their count.
 
 A context's terms come in the order tested, diagnosed, co-patient,
 temporal: each positive's target-1 term is followed by the target-0 terms
@@ -61,13 +63,9 @@ import numpy as np
 
 from .graph import HeteroGraph, NodeId, NodeType
 
-# Centers drawn at a time. A chunk's draw works in fixed CHUNK x S slot
-# arrays, S draws a context (260 at the default counts), that the sampler
-# keeps from chunk to chunk.
+# Centers drawn at a time: a chunk's draws are one integers call over a
+# CHUNK x S grid of bounds, S draws a context (260 at the default counts).
 CHUNK = 256
-_LOW = np.uint64(0xFFFFFFFF)
-_HIGH = np.uint64(32)
-_2_32 = np.uint64(2**32)
 
 
 class UntrainableCenterError(ValueError):
@@ -223,71 +221,6 @@ def _contexts(centers, relations, trainable, n_labs: int, window: int) -> list:
                                                  columns, rows, target)]
 
 
-class _WordStream:
-    """A bit generator's 32-bit words from its current state on, read ahead in bulk.
-
-    The words come in the order Generator.integers takes them: each 64-bit
-    output's low half, then its high half. A high half that the generator
-    holds over from an earlier draw comes first: the stream steps back one
-    output and reads it again, without its low half. A word integers rejects
-    is skipped: it leaves `words` but counts as taken. `commit(n)` leaves the
-    generator as if integers had taken the first n words and every skipped one.
-    """
-
-    def __init__(self, bit_generator):
-        self.bit_generator = bit_generator
-        self.state = bit_generator.state
-        self.lead = self.state["has_uint32"]
-        bit_generator.advance(-self.lead)
-        self.start = bit_generator.state
-        self.outputs = np.zeros(0, dtype=np.uint64)
-        self.words = np.zeros(0, dtype=np.uint32)
-        self.skipped = 0
-
-    def upto(self, n: int) -> np.ndarray:
-        """The words read so far, at least n of them."""
-        short = (n + self.skipped + self.lead + 1) // 2 - self.outputs.size
-        if short > 0:
-            raw = self.bit_generator.random_raw(short)
-            more = raw.astype("<u8", copy=False).view("<u4")  # low half first
-            self.words = (np.concatenate((self.words, more)) if self.outputs.size
-                          else more[self.lead:])
-            self.outputs = np.concatenate((self.outputs, raw)) if self.outputs.size else raw
-        return self.words
-
-    def skip(self, i: int) -> None:
-        self.words = np.delete(self.words, i)
-        self.skipped += 1
-
-    def commit(self, n: int) -> None:
-        position = n + self.skipped + self.lead  # words taken from the start
-        outputs = (position + 1) // 2
-        if not outputs:
-            self.bit_generator.state = self.state
-            return
-        self.bit_generator.state = self.start
-        self.bit_generator.advance(outputs)
-        state = self.bit_generator.state
-        state["has_uint32"] = position % 2
-        state["uinteger"] = int(self.outputs[outputs - 1] >> _HIGH)
-        self.bit_generator.state = state
-
-
-def _lemire(words, bounds, scaled=None, low=None, rejected=None):
-    """(draws, rejected): each 32-bit word mapped into [0, bound) as Generator.integers
-    maps it, (w * b) >> 32, and whether integers rejects it and takes the next word,
-    (w * b) mod 2**32 < (2**32 - b) mod b. Bounds are uint64 below 2**32. The optional
-    arrays receive the products, their low halves and the rejections."""
-    scaled = np.multiply(words, bounds, out=scaled, dtype=np.uint64)
-    low = np.bitwise_and(scaled, _LOW, out=low)
-    rejected = np.less(low, bounds, out=rejected)  # the threshold is below the bound
-    if rejected.any():
-        at = rejected.nonzero()
-        b = np.broadcast_to(bounds, rejected.shape)[at]
-        rejected[at] = low[at] < (_2_32 - b) % b
-    return np.right_shift(scaled, _HIGH, out=scaled).view(np.int64), rejected
-
-
 def _member_order(mask: np.ndarray) -> np.ndarray:
     """Each row's column indices: its set columns, then its clear ones, then one
     padding column past the last, each in order."""
@@ -330,11 +263,7 @@ class Sampler:
         self._carriers = np.r_[np.nonzero(graph.diagnosed.T)[1], 0]
         self._first_carrier = np.cumsum(self._n_carriers) - self._n_carriers
         self._diagnosed = graph.diagnosed.astype(np.float32)
-        # Per slot: its word, then draw; its bound; whether it takes a word, is
-        # active, is rejected, is counted.
         self._parts = _slot_parts(config)
-        self._slots = np.empty((3, CHUNK, self._parts[-1].stop), dtype=np.uint64)
-        self._flags = np.empty((4, CHUNK, self._parts[-1].stop), dtype=bool)
         self._planned = np.zeros((0, 2), dtype=np.int64)
         self._centers, self._contexts = [], []
 
@@ -366,7 +295,9 @@ class Sampler:
             if not len(self._planned):
                 self._planned = np.array([[p, h]])
             chunk, self._planned = self._planned[:CHUNK], self._planned[CHUNK:]
-            self._contexts = self._draw(chunk)[::-1]
+            # the chunk's draw arrays are freed before its contexts are built
+            self._contexts = _contexts(chunk, *self._draw(chunk), self.graph.n_labs,
+                                       self.graph.window_hours)[::-1]
             self._centers = chunk[::-1].tolist()
         if self._centers[-1] != [p, h]:
             raise ValueError(f"center ({p}, {h}) is not the next planned one, "
@@ -392,30 +323,33 @@ class Sampler:
             parts.append((np.flatnonzero(non_sharing) - offsets).astype(np.int32))
         return np.concatenate(sizes), np.concatenate(parts + [np.zeros(1, np.int32)])
 
-    def _draw(self, centers: np.ndarray) -> list:
-        """The contexts of an (n, 2) array of centers, in order; None for an untrainable one.
+    def _draw(self, centers: np.ndarray) -> tuple:
+        """(relations, trainable) of an (n, 2) array of centers, as `_contexts` takes them.
 
         Each context is a row of S draw slots in stream order: n_diagnoses and
         n_labs positives, n_copatients (diagnosis, carrier, hour) steps, then
         the negatives, k per positive, patient-hour rows as k patients then k
-        hours for each co-patient and the temporal node. A slot takes no word
-        when its relation is absent or its bound is 1. Which slots take one is
-        guessed from the pool sizes, with co-patient bounds above 1, except
-        the eligible-diagnosis pick's when one positive diagnosis is drawn. A
-        pass maps every slot's word under the guess and finds the first slot
-        that its draws contradict: one that takes a word or not against the
-        guess, or whose word is rejected. The contexts before it are drawn. The
-        guess is corrected from that slot on (a rejected word is skipped) and
-        the rest of the chunk is drawn again from its context. Each pass
-        settles at least that slot, so the chunk consumes exactly the words
-        of drawing the contexts one by one.
+        hours for each co-patient and the temporal node. The chunk's draws are
+        one integers call over its (n, S) grid of bounds, in which an absent
+        slot or an empty pool has bound 1: it draws 0 and takes no word.
+
+        Whether a context has co-patients, and its pick and carrier bounds,
+        follow from its earlier draws. So the call starts from a guess:
+        co-patients wherever a shareable diagnosis is carried, every positive
+        diagnosis eligible, two carriers. Each pass derives the bounds its
+        draws imply; until they equal the bounds drawn with, the generator's
+        state is restored and the chunk drawn again under them. A slot's bound
+        follows from the draws before it, so a pass settles at least the first
+        slot that differed. A wrong bound above 1 still takes one word, so the
+        draws after it mostly stay in place and a chunk mostly settles on its
+        second pass.
         """
         cfg, graph = self.config, self.graph
         n_dx, n_lab, n_cp, k = (cfg.n_diagnoses, cfg.n_labs, cfg.n_copatients,
                                 cfg.negatives_per_positive)
         n_diagnoses, n_labs, window = graph.n_diagnoses, graph.n_labs, graph.window_hours
         p, h = centers[:, 0], centers[:, 1]
-        n, S = len(p), self._slots.shape[2]
+        n = len(p)
 
         # Pools as sorted tables: a row's members, then its negatives, then the
         # padding diagnosis or lab.
@@ -432,108 +366,69 @@ class Sampler:
 
         A, B, C, D, E, F = self._parts
         has_dx, has_lab = dx_size > 0, lab_size > 0
-        bound = self._slots[2, :n]
-        bound[:, A] = dx_size[:, None]
-        bound[:, B] = lab_size[:, None]
-        # co-patient bounds guessed above 1; a pick among n_dx positives is at most n_dx
-        bound[:, C].reshape(n, n_cp, 3)[:] = (min(n_dx, 2), 2, window)
-        bound[:, D] = (n_diagnoses - dx_size)[:, None]
-        bound[:, E] = (n_labs - lab_size)[:, None]
+        trainable = has_dx | has_lab
+        bound = np.ones((n, F.stop), dtype=np.int64)
+        bound[:, A] = np.maximum(dx_size, 1)[:, None]
+        bound[:, B] = np.maximum(lab_size, 1)[:, None]
+        bound[:, D] = np.where(has_dx & (dx_size < n_diagnoses), n_diagnoses - dx_size, 1)[:, None]
+        bound[:, E] = np.where(has_lab & (lab_size < n_labs), n_labs - lab_size, 1)[:, None]
+        # a patient-hour negative's (patient, hour) bounds
+        pair = np.where((patient_size > 0)[:, None],
+                        np.stack((patient_size, np.full(n, window)), axis=1), 1)
         ph_bound = bound[:, F].reshape(n, n_cp + 1, 2, k)
-        ph_bound[:, :, 0] = patient_size[:, None, None]
-        ph_bound[:, :, 1] = window
-        takes, active, rejected, counted = self._flags[:, :n]
-        active[:, A] = has_dx[:, None]
-        active[:, B] = has_lab[:, None]
-        active[:, C] = (has_dx & shareable)[:, None]
-        active[:, D] = (has_dx & (dx_size < n_diagnoses))[:, None]
-        active[:, E] = (has_lab & (lab_size < n_labs))[:, None]
-        ph_active = active[:, F].reshape(n, n_cp + 1, 2 * k)
-        ph_active[:] = (patient_size > 0)[:, None, None]
-        ph_active[:, :n_cp] &= (has_dx & shareable)[:, None, None]
-        ph_active[:, n_cp] &= ((has_dx | has_lab) & (h > 0))[:, None]
-        np.greater(bound, 1, out=takes)
-        takes &= active
+        ph_bound[:, n_cp] = np.where((trainable & (h > 0))[:, None], pair, 1)[..., None]
+        step_bound = bound[:, C].reshape(n, n_cp, 3)
 
-        lab_terms = np.empty((n, n_lab, 1 + k), dtype=np.int64)
-        dx_terms = np.empty((n, n_dx, 1 + k), dtype=np.int64)
-        ph_terms = np.empty((n, n_cp + 1, 1 + k, 2), dtype=np.int64)
-        copatients = np.zeros(n, dtype=bool)
-        stream = _WordStream(self.rng.bit_generator)
-        first, used = 0, 0  # the first context not yet drawn; the words before it
-        while first < n:
-            m = n - first
-            # A slot that takes no word maps 2**32 - 1: its bound less 1, never rejected.
-            words = self._slots[0, :m]
-            words.fill(_LOW)
-            taken = used + int(np.count_nonzero(takes[first:]))
-            words[takes[first:]] = stream.upto(taken)[used:taken]
-            steps = words[:, C].reshape(m, n_cp, 3).copy()
-            draws, _ = _lemire(words, bound[first:], self._slots[1, :m], words, rejected[first:])
+        def copatient_bounds(copatients, pick, carrier):
+            """The bounds of the co-patient steps, (pick, carrier, hour), and of
+            their negatives, where `copatients`; 1 elsewhere."""
+            on = copatients[:, None, None]
+            steps = np.stack(np.broadcast_arrays(pick[:, None], carrier, window), axis=2)
+            return np.where(on, steps, 1), np.where(on[..., None], pair[:, None, :, None], 1)
 
+        state = self.rng.bit_generator.state
+        implied = copatient_bounds(has_dx & shareable, np.full(n, n_dx), np.full((n, n_cp), 2))
+        while True:
+            drawn_with = implied
+            step_bound[:], ph_bound[:, :n_cp] = drawn_with
+            draws = self.rng.integers(0, bound)
             # Co-patient steps: an eligible positive diagnosis, a carrier other than p, an hour.
-            pos_dx = np.take_along_axis(dx_table[first:], draws[:, A], axis=1)
-            eligible = has_dx[first:, None] & (self._n_carriers[pos_dx] > 1)
+            pos_dx = np.take_along_axis(dx_table, draws[:, A], axis=1)
+            eligible = has_dx[:, None] & (self._n_carriers[pos_dx] > 1)
             n_eligible = eligible.sum(axis=1)
-            on = n_eligible > 0
-            pick, _ = _lemire(steps[..., 0], np.maximum(n_eligible, 1).astype(np.uint64)[:, None])
+            steps = draws[:, C].reshape(n, n_cp, 3)
             dx = np.take_along_axis(
-                pos_dx, np.take_along_axis(np.argsort(~eligible, axis=1, kind="stable"), pick,
-                                           axis=1), axis=1)
-            carrier_bound = np.maximum(self._n_carriers[dx] - 1, 1).astype(np.uint64)
-            carrier, _ = _lemire(steps[..., 1], carrier_bound)
-            at = self._first_carrier[dx] + carrier
-            carrier = self._carriers.take(at, mode="clip")
-            carrier = np.where(carrier < p[first:, None], carrier,
-                               self._carriers.take(at + 1, mode="clip"))
-            step_bound = bound[first:, C].reshape(m, n_cp, 3)
-            step_bound[..., 0] = n_eligible[:, None]
-            step_bound[..., 1] = carrier_bound
-            rejected[first:, C].reshape(m, n_cp, 3)[:] = _lemire(steps, step_bound)[1]
-            active[first:, C] = on[:, None]
-            ph_active[first:, :n_cp] = (on & (patient_size[first:] > 0))[:, None, None]
+                pos_dx, np.take_along_axis(np.argsort(~eligible, axis=1, kind="stable"),
+                                           steps[..., 0], axis=1), axis=1)
+            copatients = n_eligible > 0
+            implied = copatient_bounds(copatients, n_eligible,
+                                       np.maximum(self._n_carriers[dx] - 1, 1))
+            if all(map(np.array_equal, implied, drawn_with)):
+                break
+            self.rng.bit_generator.state = state
 
-            # The first slot the draws contradict.
-            counts = np.greater(bound[first:], 1, out=counted[first:])
-            counts &= active[first:]
-            rejected[first:] &= counts
-            differ = np.not_equal(counts, takes[first:], out=counts)
-            differ |= rejected[first:]
-            stop = int(differ.argmax()) if differ.any() else m * S
-            done, slot = divmod(stop, S)
-
-            # The contexts before it are drawn; write their terms.
-            rows = slice(first, first + done)
-            lab_terms[rows, :, 0] = np.take_along_axis(lab_table[rows], draws[:done, B], axis=1)
-            lab_terms[rows, :, 1:] = np.take_along_axis(
-                lab_table[rows], lab_size[rows, None] + draws[:done, E], axis=1
-            ).reshape(done, n_lab, k)
-            dx_terms[rows, :, 0] = pos_dx[:done]
-            dx_terms[rows, :, 1:] = np.take_along_axis(
-                dx_table[rows], dx_size[rows, None] + draws[:done, D], axis=1
-            ).reshape(done, n_dx, k)
-            ph_terms[rows, :n_cp, 0, 0] = carrier[:done]
-            ph_terms[rows, :n_cp, 0, 1] = draws[:done, C].reshape(done, n_cp, 3)[..., 2]
-            ph_terms[rows, n_cp, 0] = np.stack((p[rows], h[rows] - 1), axis=1)
-            negatives = draws[:done, F].reshape(done, n_cp + 1, 2, k)
-            ph_terms[rows, :, 1:, 0] = patient_table[patient_first[rows, None, None]
-                                                     + negatives[:, :, 0]]
-            ph_terms[rows, :, 1:, 1] = negatives[:, :, 1]
-            copatients[rows] = on[:done]
-            used += int(np.count_nonzero(takes[rows]))
-            first += done
-            if first < n:  # redraw from this context: skip a rejected word, or fix the guess
-                if takes[first, slot] and rejected[first, slot]:
-                    stream.skip(used + int(np.count_nonzero(takes[first, :slot])))
-                else:
-                    takes[first, slot:] = active[first, slot:] & (bound[first, slot:] > 1)
-        stream.commit(used)
+        at = self._first_carrier[dx] + steps[..., 1]
+        carrier = self._carriers.take(at, mode="clip")
+        carrier = np.where(carrier < p[:, None], carrier, self._carriers.take(at + 1, mode="clip"))
+        lab_terms = np.empty((n, n_lab, 1 + k), dtype=np.int64)
+        lab_terms[:, :, 0] = np.take_along_axis(lab_table, draws[:, B], axis=1)
+        lab_terms[:, :, 1:] = np.take_along_axis(
+            lab_table, lab_size[:, None] + draws[:, E], axis=1).reshape(n, n_lab, k)
+        dx_terms = np.empty((n, n_dx, 1 + k), dtype=np.int64)
+        dx_terms[:, :, 0] = pos_dx
+        dx_terms[:, :, 1:] = np.take_along_axis(
+            dx_table, dx_size[:, None] + draws[:, D], axis=1).reshape(n, n_dx, k)
+        ph_terms = np.empty((n, n_cp + 1, 1 + k, 2), dtype=np.int64)
+        ph_terms[:, :n_cp, 0, 0] = carrier
+        ph_terms[:, :n_cp, 0, 1] = steps[..., 2]
+        ph_terms[:, n_cp, 0] = np.stack((p, h - 1), axis=1)
+        negatives = draws[:, F].reshape(n, n_cp + 1, 2, k)
+        ph_terms[:, :, 1:, 0] = patient_table[patient_first[:, None, None] + negatives[:, :, 0]]
+        ph_terms[:, :, 1:, 1] = negatives[:, :, 1]
 
         k_ph = np.where(patient_size > 0, k, 0)
-        trainable = has_dx | has_lab
-        return _contexts(centers, (
+        return (
             _grid(lab_terms, np.where(has_lab, n_lab, 0), np.where(lab_size < n_labs, k, 0)),
             _grid(dx_terms, np.where(has_dx, n_dx, 0), np.where(dx_size < n_diagnoses, k, 0)),
             _grid(ph_terms[:, :n_cp], np.where(copatients, n_cp, 0), k_ph),
-            _grid(ph_terms[:, n_cp:], (trainable & (h > 0)).astype(int), k_ph)), trainable,
-            n_labs, window)
+            _grid(ph_terms[:, n_cp:], (trainable & (h > 0)).astype(int), k_ph)), trainable

@@ -378,6 +378,11 @@ class TestConfigParsing:
         with pytest.raises(FileNotFoundError):
             load_run_config(tmp_path / "absent.ini")
 
+    def test_directory_rejected(self, tmp_path):
+        # not loaded as a run of all defaults
+        with pytest.raises(IsADirectoryError, match=str(tmp_path)):
+            load_run_config(tmp_path)
+
     def test_files_source_requires_paths(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[data]\nsource = files\n")

@@ -10,7 +10,7 @@ from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, build_graph
 from hgm_ehr.hgm import train_hgm
 from hgm_ehr.ingest import (GenConfig, bin_events, fit_normalizer, generate_synthetic,
                             synthetic_vocabulary)
-from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError, _lemire, _WordStream
+from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError
 from hgm_ehr.seeds import derive_seed
 
 from conftest import binned_graph, make_context, make_record, toy_vocab, traced_peak
@@ -413,10 +413,29 @@ class TestIntegersStream:
         return rng.integers(0, 1000, size=3).tolist(), int(rng.integers(0, 2**62))
 
     def test_array_of_bounds_draws_like_one_call_per_bound(self):
-        whole, single = np.random.default_rng(3), np.random.default_rng(3)
-        drawn = whole.integers(0, np.array(self.BOUNDS))
-        assert drawn.tolist() == [int(single.integers(0, b)) for b in self.BOUNDS]
-        assert self.next_draw(whole) == self.next_draw(single)
+        # integers rejects about half the words under a bound just above 2**31
+        # and a quarter under 3 * 2**30 (those w with w mod 4 == 0). A grid of
+        # bounds draws in C order; a generator that holds the high half of its
+        # last output draws from that half first; restoring the generator's
+        # state replays the draws.
+        rng = np.random.default_rng(17)
+        bounds = np.concatenate([self.BOUNDS, rng.integers(2**31 + 1, 2**31 + 2**24, 200),
+                                 np.full(100, 3 * 2**30), rng.integers(2, 1000, 289)])
+        rng.shuffle(bounds)
+        grid = bounds.reshape(20, 30)
+        for held_over in (False, True):
+            whole, single = np.random.default_rng(3), np.random.default_rng(3)
+            if held_over:
+                whole.integers(0, 10), single.integers(0, 10)
+            state = whole.bit_generator.state
+            drawn = whole.integers(0, grid)
+            assert drawn.shape == grid.shape
+            assert drawn.ravel().tolist() == [int(single.integers(0, b)) for b in bounds.tolist()]
+            after = self.next_draw(single)
+            assert self.next_draw(whole) == after
+            whole.bit_generator.state = state
+            assert whole.integers(0, grid).tolist() == drawn.tolist()
+            assert self.next_draw(whole) == after
 
     def test_bound_of_one_consumes_nothing(self):
         rng, untouched = np.random.default_rng(5), np.random.default_rng(5)
@@ -432,63 +451,6 @@ class TestIntegersStream:
                     == broadcast.integers(0, np.full(count, bound)).tolist())
             assert self.next_draw(filled) == self.next_draw(broadcast)
 
-    @pytest.mark.parametrize("held_over", [False, True], ids=["whole_output", "held_over_half"])
-    def test_word_map_equals_integers(self, held_over):
-        # The chunk draw's word stream and word map against integers itself. A
-        # bound just above 2**31 rejects about half its words; a bound of 1 takes none.
-        rng = np.random.default_rng(17)
-        bounds = np.concatenate([
-            rng.integers(2, 1000, 8000), rng.integers(2**31 + 1, 2**31 + 2**24, 6000),
-            rng.integers(2**31 - 2**24, 2**31, 2000), rng.integers(2, 2**32 - 1, 2000),
-            np.ones(2000, dtype=np.int64)])
-        rng.shuffle(bounds)
-        expected, drawn = np.random.default_rng(5), np.random.default_rng(5)
-        if held_over:  # the generator holds the high half of its last output
-            expected.integers(0, 10), drawn.integers(0, 10)
-        stream = _WordStream(drawn.bit_generator)
-        words = stream.upto(3 * len(bounds))
-        draws, taken, rejections = [], 0, 0
-        for bound in bounds.tolist():
-            draw = 0
-            while bound > 1:
-                (draw,), (rejected,) = _lemire(words[taken:taken + 1], np.uint64(bound))
-                taken += 1
-                if not rejected:
-                    break
-                rejections += 1
-            draws.append(int(draw))
-        assert draws == expected.integers(0, bounds).tolist()
-        assert rejections > 2000
-        stream.commit(taken)
-        assert drawn.bit_generator.state == expected.bit_generator.state
-        assert self.next_draw(drawn) == self.next_draw(expected)
-
-    @pytest.mark.parametrize("held_over", [False, True], ids=["whole_output", "held_over_half"])
-    def test_skipped_words_leave_the_stream_integers_leaves(self, held_over):
-        # integers rejects a word w under b = 3 * 2**30 when (w * b) mod 2**32 is
-        # below (2**32 - b) mod b = 2**30: a quarter of the words. The chunk draw
-        # skips each one in place, as here, and commits the words it kept.
-        bound, rejections = 3 * 2**30, 0
-        for seed in range(20):
-            for n in (1, 2, 3, 8, 55, 344):
-                expected, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
-                if held_over:
-                    expected.integers(0, 10), drawn.integers(0, 10)
-                stream = _WordStream(drawn.bit_generator)
-                draws = []
-                while len(draws) < n:
-                    i = len(draws)
-                    (draw,), (rejected,) = _lemire(stream.upto(i + 1)[i:i + 1], np.uint64(bound))
-                    if rejected:
-                        stream.skip(i)
-                        rejections += 1
-                    else:
-                        draws.append(int(draw))
-                stream.commit(n)
-                assert draws == expected.integers(0, bound, size=n).tolist(), (seed, n)
-                assert drawn.bit_generator.state == expected.bit_generator.state, (seed, n)
-        assert rejections > 1000
-
 
 def visit_orders(graph, seed, epochs):
     """`epochs` shuffled visit orders of every center, as (n, 2) (p, h) arrays."""
@@ -500,17 +462,40 @@ def visit_orders(graph, seed, epochs):
 
 def assert_planned_draw_equals_oracle(graph, config, seed, orders):
     """Plan each order in turn: every context equals the per-context oracle's,
-    and the generators end in the same state. Returns the untrainable visits."""
+    and the generators end in the same state. Returns the untrainable visits
+    and each chunk's passes."""
     sampler, oracle = Sampler(graph, config, seed), ContextOracle(graph, config, seed)
-    untrainable = assert_same_contexts(sampler, oracle, orders)
+    untrainable, passes = assert_same_contexts(sampler, oracle, orders)
     assert sampler.rng.bit_generator.state == oracle.rng.bit_generator.state
-    return untrainable
+    return untrainable, passes
+
+
+class PassSpy:
+    """Stands in for a sampler's generator and counts each chunk's integers
+    calls, its passes. A chunk of n centers fails past 2 * n_copatients * n + 1
+    passes, so a draw that never settles fails rather than running without end."""
+
+    def __init__(self, sampler):
+        self.rng, self.bit_generator, self.passes = sampler.rng, sampler.rng.bit_generator, []
+        draw, n_copatients = sampler._draw, sampler.config.n_copatients
+
+        def counted(centers):
+            self.passes.append(0)
+            self.limit = 2 * n_copatients * len(centers) + 1
+            return draw(centers)
+
+        sampler.rng, sampler._draw = self, counted
+
+    def integers(self, low, high):
+        self.passes[-1] += 1
+        assert self.passes[-1] <= self.limit, f"a chunk is not settled after {self.limit} passes"
+        return self.rng.integers(low, high)
 
 
 def assert_same_contexts(sampler, oracle, orders):
-    """Plan each order in turn: every context equals the oracle's.
-    Returns the untrainable visits."""
-    untrainable = 0
+    """Plan each order in turn, drawing through a PassSpy: every context equals
+    the oracle's. Returns the untrainable visits and each chunk's passes."""
+    spy, untrainable = PassSpy(sampler), 0
     for centers in orders:
         sampler.plan(centers)
         for p, h in centers.tolist():
@@ -522,7 +507,7 @@ def assert_same_contexts(sampler, oracle, orders):
                     sampler.sample_context(p, h)
                 continue
             assert sampler.sample_context(p, h) == expected, (p, h)
-    return untrainable
+    return untrainable, spy.passes
 
 
 @functools.lru_cache(maxsize=1)
@@ -544,8 +529,9 @@ def test_planned_draw_equals_oracle_over_a_desk_run():
     # train_hgm's two-epoch visit order on fold 0 of criterion 4's corpus
     graph, experiment, seed = desk_fold_0()
     orders = visit_orders(graph, derive_seed(seed, "hgm-shuffle"), experiment.hgm.epochs)
-    assert_planned_draw_equals_oracle(graph, experiment.hgm.sampler,
-                                      derive_seed(seed, "hgm-sampler"), orders)
+    _, passes = assert_planned_draw_equals_oracle(graph, experiment.hgm.sampler,
+                                                  derive_seed(seed, "hgm-sampler"), orders)
+    assert max(passes) <= 2
 
 
 def awkward_graphs():
@@ -580,66 +566,45 @@ def test_planned_draw_equals_oracle_on_awkward_graphs(monkeypatch, counts, chunk
     monkeypatch.setattr(sampler_module, "CHUNK", chunk)
     untrainable = sum(
         assert_planned_draw_equals_oracle(graph, SamplerConfig(*counts), seed,
-                                          visit_orders(graph, seed, 3))
+                                          visit_orders(graph, seed, 3))[0]
         for seed, graph in enumerate(awkward_graphs()))
     assert untrainable > 0
 
 
-def test_one_diagnosis_draw_settles_a_chunk_in_few_passes(monkeypatch):
+def test_one_diagnosis_draw_settles_a_chunk_in_few_passes():
     # Drawing one positive diagnosis, the eligible-diagnosis pick is bounded
     # by 1 and takes no word. A guess that it takes one is contradicted by
-    # every context with co-patients, and each redraws the rest of its chunk.
+    # every context with co-patients.
     cfg = GenConfig(n_patients=60, n_labs=6, n_diagnoses=8, window_hours=4)
     graph = binned_graph(generate_synthetic(cfg, seed=9), synthetic_vocabulary(cfg), 4)
-    lemire, calls = sampler_module._lemire, []
-
-    def spy(*args):
-        calls.append(1)
-        return lemire(*args)
-
-    monkeypatch.setattr(sampler_module, "_lemire", spy)
-    orders = visit_orders(graph, 2, 2)
-    assert_planned_draw_equals_oracle(graph, SamplerConfig(1, 3, 3, 2), 5, orders)
-    chunks = sum(-(-len(order) // sampler_module.CHUNK) for order in orders)
-    assert len(calls) <= 4 * 2 * chunks  # _lemire runs 4 times a pass
-
-
-class ScriptedStream:
-    """Stands in for _WordStream: words from a fixed script, from where the last chunk stopped.
-
-    Every chunk's stream shares `position` and `skips`. More than `max_skips`
-    skips fail: a draw that skips another word than the rejected one meets
-    that word again on every pass, without end.
-    """
-
-    def __init__(self, script, position, skips, max_skips):
-        self.words, self.position, self.skipped = script[position[0]:], position, 0
-        self.skips, self.max_skips = skips, max_skips
-
-    def upto(self, n):
-        assert n <= self.words.size
-        return self.words
-
-    def skip(self, i):
-        self.skips.append(i)
-        assert len(self.skips) <= self.max_skips, "a rejected word was not skipped"
-        self.words = np.delete(self.words, i)
-        self.skipped += 1
-
-    def commit(self, n):
-        self.position[0] += n + self.skipped
+    _, passes = assert_planned_draw_equals_oracle(graph, SamplerConfig(1, 3, 3, 2), 5,
+                                                  visit_orders(graph, 2, 2))
+    assert max(passes) <= 2
 
 
 class ScriptedIntegers:
-    """Generator.integers(0, high) over the same script, one word at a time."""
+    """Generator.integers(0, high) over a fixed script of 32-bit words, one word
+    at a time; its bit_generator is itself, and its state the script position."""
 
     def __init__(self, script):
         self.script, self.taken, self.rejected = script.tolist(), 0, 0
 
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self.taken
+
+    @state.setter
+    def state(self, taken):
+        self.taken = taken
+
     def integers(self, low, high):
         assert low == 0
         draws = [self._draw(b) for b in np.ravel(high).tolist()]
-        return np.array(draws, dtype=np.int64) if np.ndim(high) else draws[0]
+        return np.array(draws, dtype=np.int64).reshape(np.shape(high)) if np.ndim(high) else draws[0]
 
     def _draw(self, bound):
         while bound > 1:
@@ -651,49 +616,35 @@ class ScriptedIntegers:
         return 0
 
 
-def test_rejected_words_are_skipped_as_integers_skips_them(monkeypatch):
+def test_rejected_words_are_skipped_as_integers_skips_them():
     # A word of 0 is rejected under any bound that is not a power of 2, so a
-    # script with many of them makes the chunk draw skip words mid-chunk.
+    # script with many of them makes integers reject words mid-chunk.
     rng = np.random.default_rng(31)
     script = rng.integers(0, 2**32, 400_000, dtype=np.uint64).astype(np.uint32)
     script[rng.random(script.size) < 0.05] = 0
-    # integers rejects 355 words of the script on this draw
-    position, skips = [0], []
-    monkeypatch.setattr(sampler_module, "_WordStream",
-                        lambda bit_generator: ScriptedStream(script, position, skips, 355))
     cfg = GenConfig(n_patients=40, n_labs=6, n_diagnoses=8, window_hours=3)
     graph = binned_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
     config = SamplerConfig(3, 3, 3, 2)
     sampler, oracle = Sampler(graph, config, 0), ContextOracle(graph, config, 0)
-    oracle.rng = ScriptedIntegers(script)
+    sampler.rng, oracle.rng = ScriptedIntegers(script), ScriptedIntegers(script)
     assert_same_contexts(sampler, oracle, visit_orders(graph, 1, 2))
-    assert position[0] == oracle.rng.taken and len(skips) == oracle.rng.rejected == 355
+    assert sampler.rng.bit_generator.state == oracle.rng.taken
+    assert oracle.rng.rejected == 355
 
 
-def test_chunk_draw_skips_the_words_integers_rejects(monkeypatch):
+def test_chunk_draw_skips_the_words_integers_rejects():
     # A word is rejected under bound b with chance (2**32 mod b) / 2**32, below
     # b / 2**32. Each patient carries one of two diagnoses, so its carrier and
     # patient-negative bounds are ~20 000, with 2**32 mod b within 0.03% of b for
     # the negatives: 512 centers of 50 co-patients with 20 negatives each draw
-    # ~550 000 such words and, at this seed, reject 8 of them.
+    # ~550 000 such words and, at this seed, integers rejects 8 of them.
     carriers = (19_825, 20_261)
     diagnosed = np.repeat(np.eye(2, dtype=bool), carriers, axis=0)
     n = len(diagnosed)
     graph = HeteroGraph(np.zeros((n, 1, 1)), np.ones((n, 1, 1), dtype=bool), diagnosed)
-    skipped = []
-    skip = sampler_module._WordStream.skip
-
-    def spy(stream, i):
-        # a draw that skips another word than the rejected one meets it again, and again
-        skipped.append(i)
-        assert len(skipped) <= 8, "a rejected word was not skipped"
-        skip(stream, i)
-
-    monkeypatch.setattr(sampler_module._WordStream, "skip", spy)
     centers = np.stack((np.random.default_rng(3).choice(n, 512, replace=False),
                         np.zeros(512, dtype=np.int64)), axis=1)
     assert_planned_draw_equals_oracle(graph, SamplerConfig(2, 1, 50, 20), 3, [centers])
-    assert len(skipped) == 8
 
 
 def test_unplanned_center_refused_while_a_plan_is_pending(shared_dx_graph):
