@@ -329,12 +329,15 @@ def cmd_eval(config: RunConfig) -> int:
     return _report(config, "eval", fit=partial(_load_fold, config, fingerprints))
 
 
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def _setup_logging() -> None:
-    level_name = os.environ.get("HGM_EHR_LOG", "warning").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    level_name = os.environ.get("HGM_EHR_LOG", "warning")
+    if level_name.lower() not in _LOG_LEVELS:
+        raise ValueError(f"HGM_EHR_LOG must be one of {', '.join(_LOG_LEVELS)}, got {level_name!r}")
+    logging.basicConfig(level=getattr(logging, level_name.upper()),
+                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def positive_int(text: str) -> int:
@@ -368,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
         config = load_run_config(args.config)
         if args.seed is not None:
             config = replace(config, experiment=replace(config.experiment, seed=args.seed))

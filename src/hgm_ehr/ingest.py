@@ -129,8 +129,13 @@ def _open_rows(path):
                 yield line_no, [cell.strip() for cell in row]
 
 
+# Columns that name a patient, lab or diagnosis: an empty cell there is refused.
+_NAME_COLUMNS = ("patient_id", "lab_name", "diagnosis_name")
+
+
 def _table_rows(path, header):
-    """A CSV table's data rows as (line_no, cells), its header and column count checked.
+    """A CSV table's data rows as (line_no, cells), its header, column count and
+    names checked.
 
     The header is the first non-blank row; a table with none is an error, a
     header-only table has no data rows.
@@ -143,10 +148,14 @@ def _table_rows(path, header):
     if row != list(header):
         raise DataFormatError(
             f"{path}:{line_no}: expected header {','.join(header)}, got {','.join(row)}")
+    names = [(i, column) for i, column in enumerate(header) if column in _NAME_COLUMNS]
     for line_no, row in rows:
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}")
+        for i, column in names:
+            if not row[i]:
+                raise DataFormatError(f"{path}:{line_no}: {column} is empty")
         yield line_no, row
 
 

@@ -7,23 +7,16 @@ uniform draws from same-type nodes with no one-hop connection to the
 center (for patient-hour negatives: hour nodes of patients sharing no
 diagnosis with the center's patient).
 
-A context's draws are those of one `Generator.integers` call for all its
-diagnosis and lab positives, one per co-patient step (diagnosis, carrier,
-hour; the carrier bound depends on the diagnosis drawn) and one for all its
-negatives: the per-context sampler that tests/oracles.py keeps as the
-oracle. The Sampler draws the same numbers a chunk of centers at a time.
-`plan(centers)` queues a visit order; `sample_context(p, h)` hands out the
-next planned center's context and draws the next CHUNK planned centers when
-the current chunk is used up, or with nothing planned a chunk of (p, h)
-alone. A chunk's draws are one integers call over every slot's bound, in the
-per-context calls' order, with bound 1 (no word taken) where a context
-draws nothing. integers draws an array of bounds as it draws each bound
-alone, so every context, and the generator's state after them, equal the
-per-context draws (tests/test_sampler.py pins both). The co-patient bounds
-depend on earlier draws of the same call: the chunk is drawn again from the
-same generator state until they agree (`_draw`). The chunk draw is the one
-path that draws contexts; `sample_negatives` draws one node type's
-negatives of a center on the same generator, outside any plan.
+The Sampler draws contexts a chunk of centers at a time. `plan(centers)`
+queues a visit order; `sample_context(p, h)` hands out the next planned
+center's context and draws the next CHUNK planned centers when the current
+chunk is used up, or with nothing planned a chunk of (p, h) alone. A chunk is
+drawn in five Generator.integers calls over all its contexts, each over an
+array of bounds known before the call (`_draw`), so a context's draws depend
+on the other centers of its chunk: on CHUNK and on how the plan falls into
+chunks. The chunk draw is the one path that draws contexts;
+`sample_negatives` draws one node type's negatives of a center on the same
+generator, outside any plan.
 
 Pools are sorted tables built per chunk from rows of the graph: a center's
 diagnoses then the others, its tested labs then the others, and the
@@ -46,7 +39,7 @@ viewed as (patients * window, labs); `target`, every term's target; and
 `sizes`, the four relations' term counts. A chunk derives these for all its
 contexts at once, each array flattened from the grids' valid entries once
 and sliced per context into read-only views, so per-chunk arrays stay
-CHUNK x S and no context owns a copy (tests/oracles.py's
+CHUNK contexts' terms and no context owns a copy (tests/oracles.py's
 `context_from_terms` builds a context from four Terms by the same code). A
 center is a (patient, hour) pair of ints; a context's `terms` (one Terms of
 vocabulary ids or (patient, hour) pairs per relation) and the NodeId tuples
@@ -63,8 +56,8 @@ import numpy as np
 
 from .graph import HeteroGraph, NodeId, NodeType
 
-# Centers drawn at a time: a chunk's draws are one integers call over a
-# CHUNK x S grid of bounds, S draws a context (260 at the default counts).
+# Centers drawn at a time: a chunk's draws are five integers calls over grids
+# of CHUNK rows, 260 draws a context in all at the default counts.
 CHUNK = 256
 
 
@@ -240,15 +233,6 @@ def _grid(grid: np.ndarray, positives: np.ndarray, negatives: np.ndarray):
             _targets(rows, width - 1)[None], valid.reshape(n, -1))
 
 
-def _slot_parts(config: SamplerConfig) -> list:
-    """A context's draw slots in stream order, as six slices: diagnosis and lab
-    positives, co-patient steps, diagnosis and lab negatives, patient-hour negatives."""
-    n_dx, n_lab, n_cp, k = (config.n_diagnoses, config.n_labs, config.n_copatients,
-                            config.negatives_per_positive)
-    ends = np.cumsum([n_dx, n_lab, 3 * n_cp, k * n_dx, k * n_lab, 2 * k * (n_cp + 1)]).tolist()
-    return [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
-
-
 class Sampler:
     """Seeded context sampler; one instance per worker, graph is read-only."""
 
@@ -263,7 +247,6 @@ class Sampler:
         self._carriers = np.r_[np.nonzero(graph.diagnosed.T)[1], 0]
         self._first_carrier = np.cumsum(self._n_carriers) - self._n_carriers
         self._diagnosed = graph.diagnosed.astype(np.float32)
-        self._parts = _slot_parts(config)
         self._planned = np.zeros((0, 2), dtype=np.int64)
         self._centers, self._contexts = [], []
 
@@ -326,28 +309,25 @@ class Sampler:
     def _draw(self, centers: np.ndarray) -> tuple:
         """(relations, trainable) of an (n, 2) array of centers, as `_contexts` takes them.
 
-        Each context is a row of S draw slots in stream order: n_diagnoses and
-        n_labs positives, n_copatients (diagnosis, carrier, hour) steps, then
-        the negatives, k per positive, patient-hour rows as k patients then k
-        hours for each co-patient and the temporal node. The chunk's draws are
-        one integers call over its (n, S) grid of bounds, in which an absent
-        slot or an empty pool has bound 1: it draws 0 and takes no word.
-
-        Whether a context has co-patients, and its pick and carrier bounds,
-        follow from its earlier draws. So the call starts from a guess:
-        co-patients wherever a shareable diagnosis is carried, every positive
-        diagnosis eligible, two carriers. Each pass derives the bounds its
-        draws imply; until they equal the bounds drawn with, the generator's
-        state is restored and the chunk drawn again under them. A slot's bound
-        follows from the draws before it, so a pass settles at least the first
-        slot that differed. A wrong bound above 1 still takes one word, so the
-        draws after it mostly stay in place and a chunk mostly settles on its
-        second pass.
+        The chunk is drawn in five integers calls over all n contexts, each over
+        an (n, m) grid of bounds known before the call:
+        1. each context's n_diagnoses then n_labs positives;
+        2. its n_copatients picks among its eligible positive diagnoses, those
+           carried by a patient other than p (bound: their number);
+        3. a carrier of each picked diagnosis other than p (bound: its carriers - 1);
+        4. each co-patient's hour (bound: window);
+        5. the negatives, k per positive: diagnoses, labs, then patient-hour
+           rows as k patients then k hours for each co-patient and the temporal
+           node.
+        An absent slot or an empty pool has bound 1: it draws 0 and takes no word.
+        A context's draws thus depend on the other centers of its chunk: on CHUNK
+        and on how the plan falls into chunks.
         """
         cfg, graph = self.config, self.graph
         n_dx, n_lab, n_cp, k = (cfg.n_diagnoses, cfg.n_labs, cfg.n_copatients,
                                 cfg.negatives_per_positive)
         n_diagnoses, n_labs, window = graph.n_diagnoses, graph.n_labs, graph.window_hours
+        integers = self.rng.integers
         p, h = centers[:, 0], centers[:, 1]
         n = len(p)
 
@@ -359,72 +339,62 @@ class Sampler:
         dx_table, lab_table = _member_order(diagnosed)[row], _member_order(tested)
         dx_size = diagnosed.sum(axis=1)[row]
         lab_size = tested.sum(axis=1)
-        shareable = (diagnosed & (self._n_carriers[:-1] > 1)).any(axis=1)[row]
         patient_size, patient_table = self._non_sharing(patients)
         patient_first = (np.cumsum(patient_size) - patient_size)[row]
         patient_size = patient_size[row]
-
-        A, B, C, D, E, F = self._parts
         has_dx, has_lab = dx_size > 0, lab_size > 0
         trainable = has_dx | has_lab
-        bound = np.ones((n, F.stop), dtype=np.int64)
-        bound[:, A] = np.maximum(dx_size, 1)[:, None]
-        bound[:, B] = np.maximum(lab_size, 1)[:, None]
-        bound[:, D] = np.where(has_dx & (dx_size < n_diagnoses), n_diagnoses - dx_size, 1)[:, None]
-        bound[:, E] = np.where(has_lab & (lab_size < n_labs), n_labs - lab_size, 1)[:, None]
-        # a patient-hour negative's (patient, hour) bounds
-        pair = np.where((patient_size > 0)[:, None],
-                        np.stack((patient_size, np.full(n, window)), axis=1), 1)
-        ph_bound = bound[:, F].reshape(n, n_cp + 1, 2, k)
-        ph_bound[:, n_cp] = np.where((trainable & (h > 0))[:, None], pair, 1)[..., None]
-        step_bound = bound[:, C].reshape(n, n_cp, 3)
 
-        def copatient_bounds(copatients, pick, carrier):
-            """The bounds of the co-patient steps, (pick, carrier, hour), and of
-            their negatives, where `copatients`; 1 elsewhere."""
-            on = copatients[:, None, None]
-            steps = np.stack(np.broadcast_arrays(pick[:, None], carrier, window), axis=2)
-            return np.where(on, steps, 1), np.where(on[..., None], pair[:, None, :, None], 1)
+        # Positives (phase 1).
+        positives = integers(0, np.repeat(np.stack((np.maximum(dx_size, 1),
+                                                    np.maximum(lab_size, 1)), axis=1),
+                                          (n_dx, n_lab), axis=1))
+        pos_dx = np.take_along_axis(dx_table, positives[:, :n_dx], axis=1)
 
-        state = self.rng.bit_generator.state
-        implied = copatient_bounds(has_dx & shareable, np.full(n, n_dx), np.full((n, n_cp), 2))
-        while True:
-            drawn_with = implied
-            step_bound[:], ph_bound[:, :n_cp] = drawn_with
-            draws = self.rng.integers(0, bound)
-            # Co-patient steps: an eligible positive diagnosis, a carrier other than p, an hour.
-            pos_dx = np.take_along_axis(dx_table, draws[:, A], axis=1)
-            eligible = has_dx[:, None] & (self._n_carriers[pos_dx] > 1)
-            n_eligible = eligible.sum(axis=1)
-            steps = draws[:, C].reshape(n, n_cp, 3)
-            dx = np.take_along_axis(
-                pos_dx, np.take_along_axis(np.argsort(~eligible, axis=1, kind="stable"),
-                                           steps[..., 0], axis=1), axis=1)
-            copatients = n_eligible > 0
-            implied = copatient_bounds(copatients, n_eligible,
-                                       np.maximum(self._n_carriers[dx] - 1, 1))
-            if all(map(np.array_equal, implied, drawn_with)):
-                break
-            self.rng.bit_generator.state = state
-
-        at = self._first_carrier[dx] + steps[..., 1]
+        # Co-patient steps (phases 2-4): an eligible positive diagnosis, a carrier
+        # other than p, an hour.
+        eligible = has_dx[:, None] & (self._n_carriers[pos_dx] > 1)
+        n_eligible = eligible.sum(axis=1)
+        copatients = n_eligible > 0
+        on = copatients[:, None]
+        pick = integers(0, np.repeat(np.maximum(n_eligible, 1)[:, None], n_cp, axis=1))
+        dx = np.take_along_axis(
+            pos_dx, np.take_along_axis(np.argsort(~eligible, axis=1, kind="stable"), pick, axis=1),
+            axis=1)
+        at = self._first_carrier[dx] + integers(0, np.where(on, self._n_carriers[dx] - 1, 1))
+        hours = integers(0, np.repeat(np.where(on, window, 1), n_cp, axis=1))
         carrier = self._carriers.take(at, mode="clip")
         carrier = np.where(carrier < p[:, None], carrier, self._carriers.take(at + 1, mode="clip"))
+
+        # Negatives (phase 5). A patient-hour negative's (patient, hour) bounds, in
+        # the co-patient and temporal rows that are drawn.
+        pair = np.where((patient_size > 0)[:, None],
+                        np.stack((patient_size, np.full(n, window)), axis=1), 1)
+        drawn = np.concatenate((np.repeat(on, n_cp, axis=1), (trainable & (h > 0))[:, None]),
+                               axis=1)
+        negatives = integers(0, np.repeat(np.concatenate((
+            np.where(has_dx & (dx_size < n_diagnoses), n_diagnoses - dx_size, 1)[:, None],
+            np.where(has_lab & (lab_size < n_labs), n_labs - lab_size, 1)[:, None],
+            np.where(drawn[..., None], pair[:, None], 1).reshape(n, -1)), axis=1),
+            [k * n_dx, k * n_lab] + [k] * 2 * (n_cp + 1), axis=1))
+        dx_negatives, lab_negatives, ph_negatives = np.split(
+            negatives, [k * n_dx, k * (n_dx + n_lab)], axis=1)
+
         lab_terms = np.empty((n, n_lab, 1 + k), dtype=np.int64)
-        lab_terms[:, :, 0] = np.take_along_axis(lab_table, draws[:, B], axis=1)
+        lab_terms[:, :, 0] = np.take_along_axis(lab_table, positives[:, n_dx:], axis=1)
         lab_terms[:, :, 1:] = np.take_along_axis(
-            lab_table, lab_size[:, None] + draws[:, E], axis=1).reshape(n, n_lab, k)
+            lab_table, lab_size[:, None] + lab_negatives, axis=1).reshape(n, n_lab, k)
         dx_terms = np.empty((n, n_dx, 1 + k), dtype=np.int64)
         dx_terms[:, :, 0] = pos_dx
         dx_terms[:, :, 1:] = np.take_along_axis(
-            dx_table, dx_size[:, None] + draws[:, D], axis=1).reshape(n, n_dx, k)
+            dx_table, dx_size[:, None] + dx_negatives, axis=1).reshape(n, n_dx, k)
         ph_terms = np.empty((n, n_cp + 1, 1 + k, 2), dtype=np.int64)
         ph_terms[:, :n_cp, 0, 0] = carrier
-        ph_terms[:, :n_cp, 0, 1] = steps[..., 2]
+        ph_terms[:, :n_cp, 0, 1] = hours
         ph_terms[:, n_cp, 0] = np.stack((p, h - 1), axis=1)
-        negatives = draws[:, F].reshape(n, n_cp + 1, 2, k)
-        ph_terms[:, :, 1:, 0] = patient_table[patient_first[:, None, None] + negatives[:, :, 0]]
-        ph_terms[:, :, 1:, 1] = negatives[:, :, 1]
+        ph_negatives = ph_negatives.reshape(n, n_cp + 1, 2, k)
+        ph_terms[:, :, 1:, 0] = patient_table[patient_first[:, None, None] + ph_negatives[:, :, 0]]
+        ph_terms[:, :, 1:, 1] = ph_negatives[:, :, 1]
 
         k_ph = np.where(patient_size > 0, k, 0)
         return (

@@ -677,6 +677,14 @@ dir = out
         errors = [line for line in proc.stderr.splitlines() if line.startswith("hgm-ehr: error:")]
         assert errors == ["hgm-ehr: error: config file not found: " + str(tmp_path / "absent.ini")]
 
+    def test_unknown_log_level_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HGM_EHR_LOG", "loud")
+        assert main(["run", "--config", str(write_config(tmp_path / "run.ini",
+                                                         tmp_path / "out"))]) == 1
+        assert capsys.readouterr().err == ("hgm-ehr: error: HGM_EHR_LOG must be one of debug, "
+                                           "info, warning, error, critical, got 'loud'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_outputs(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

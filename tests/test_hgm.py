@@ -294,9 +294,10 @@ class TestTrainHgm:
             train_hgm(graph, HgmTrainConfig(epochs=2, d=4), 1)
 
     def test_matches_public_sgd_loop(self):
-        # train_hgm is plain SGD over the public sampler and gradient: one
-        # sample_context + ns_grad step per visit, untrainable visits skipped
-        # but counted in the linear learning-rate schedule
+        # train_hgm is plain SGD over the public sampler and gradient: each
+        # epoch's shuffled visit order planned, then one sample_context +
+        # ns_grad step per visit, untrainable visits skipped but counted in the
+        # linear learning-rate schedule
         cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
         records = generate_synthetic(cfg, seed=8) + [make_record("idle", [(0.5, 0, 1.0)], set())]
         graph = binned_graph(records, synthetic_vocabulary(cfg), 3)
@@ -317,7 +318,9 @@ class TestTrainHgm:
         span = train_cfg.learning_rate - train_cfg.min_learning_rate
         step = skipped = 0
         for _ in range(train_cfg.epochs):
-            for i in shuffle.permutation(len(centers)):
+            order = shuffle.permutation(len(centers))
+            sampler.plan([centers[i] for i in order])
+            for i in order:
                 lr = train_cfg.min_learning_rate + span * (1.0 - step / total)
                 step += 1
                 try:

@@ -106,6 +106,18 @@ class TestParseRecords:
             parse_records(*files)
         assert str(refused.value) == f"{files[table]}:2: expected {width} columns, got {got}"
 
+    @pytest.mark.parametrize("table, row, column", [
+        (0, ",1.0,sodium,1.0", "patient_id"), (0, "p1,1.0,,1.0", "lab_name"),
+        (1, "p1,", "diagnosis_name"), (2, ",0,10", "patient_id"),
+    ], ids=["events_patient", "events_lab", "diagnoses", "outcomes"])
+    def test_empty_name_names_file_line_and_column(self, tmp_path, table, row, column):
+        rows = [["p1,1.0,sodium,1.0"], ["p1,sepsis"], ["p1,0,10"]]
+        rows[table] = rows[table] + [row]
+        files = write_corpus_files(tmp_path, *rows)
+        with pytest.raises(DataFormatError) as refused:
+            parse_records(*files)
+        assert str(refused.value) == f"{files[table]}:3: {column} is empty"
+
     def test_wrong_header_rejected(self, tmp_path):
         files = write_corpus_files(tmp_path, [], [], ["p1,0,10"])
         files[0].write_text("patient,hours,lab,value\np1,1.0,na,1.0\n")

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError
 from hgm_ehr.seeds import derive_seed
 
 from conftest import binned_graph, make_context, make_record, toy_vocab, traced_peak
-from oracles import ContextOracle, neighbors
+from oracles import neighbors
 
 
 def ph(p, h):
@@ -130,14 +132,13 @@ class TestSampleNegatives:
 
     def test_draws_from_the_oracle_pools(self):
         # Every center and node type: the draws a generator of the same seed
-        # makes over ContextOracle's negative pool, or the empty-pool refusal.
+        # makes over ReferenceSampler's negative pool, or the empty-pool refusal.
         for seed, graph in enumerate(awkward_graphs()):
             sampler = Sampler(graph, SamplerConfig(), seed)
-            oracle, rng = ContextOracle(graph, SamplerConfig(), seed), np.random.default_rng(seed)
+            reference, rng = ReferenceSampler(graph), np.random.default_rng(seed)
             for p, h in np.ndindex(graph.n_patients, graph.window_hours):
-                _, pools = oracle._pools(p, h)
-                for node_type, pool in zip((NodeType.DIAGNOSIS, NodeType.LAB,
-                                            NodeType.PATIENT_HOUR), pools):
+                for node_type in (NodeType.DIAGNOSIS, NodeType.LAB, NodeType.PATIENT_HOUR):
+                    pool = reference._negative_pool(p, h, node_type)
                     if not pool.size:
                         with pytest.raises(ValueError, match=rf"^empty negative pool for type "
                                                              rf"{node_type.value}$"):
@@ -246,14 +247,11 @@ def sharing_patients(graph, center):
 
 
 class ReferenceSampler:
-    """The sampler as it was written before its pools became arrays: every
-    positive and every negative block is its own rng.choice/integers call and
-    every pool is rebuilt from the graph's one-hop neighborhoods."""
+    """The sampler's pools as they were written before they became arrays, each
+    rebuilt from the graph's one-hop neighborhoods."""
 
-    def __init__(self, graph, config, seed):
+    def __init__(self, graph):
         self.graph = graph
-        self.config = config
-        self.rng = np.random.default_rng(seed)
 
     def _indices(self, node, node_type):
         return [n.index for n in neighbors(self.graph, node, node_type)]
@@ -276,62 +274,6 @@ class ReferenceSampler:
         sharing = sharing_patients(graph, ph(p, h))
         return np.array([q for q in range(graph.n_patients) if q not in sharing], dtype=np.int64)
 
-    def _draw_negatives(self, p, h, node_type, n_positives):
-        pool = self._negative_pool(p, h, node_type)
-        if pool.size == 0 or n_positives == 0:
-            return tuple(() for _ in range(n_positives))
-        out = []
-        for _ in range(n_positives):
-            k = self.config.negatives_per_positive
-            if node_type is NodeType.PATIENT_HOUR:
-                patients = self.rng.choice(pool, size=k, replace=True)
-                hours = self.rng.integers(0, self.graph.window_hours, size=k)
-                out.append(tuple(NodeId(node_type, (int(q), int(hh)))
-                                 for q, hh in zip(patients, hours)))
-            else:
-                picks = self.rng.choice(pool, size=k, replace=True)
-                out.append(tuple(NodeId(node_type, int(i)) for i in picks))
-        return tuple(out)
-
-    def sample_context(self, p, h):
-        graph = self.graph
-        center = ph(p, h)
-        dx_pool = np.array(self._indices(center, NodeType.DIAGNOSIS), dtype=np.int64)
-        lab_pool = np.array(self._indices(center, NodeType.LAB), dtype=np.int64)
-        if dx_pool.size == 0 and lab_pool.size == 0:
-            raise UntrainableCenterError(f"({p}, {h})")
-        pos_diagnoses = ()
-        if dx_pool.size:
-            picks = self.rng.choice(dx_pool, size=self.config.n_diagnoses, replace=True)
-            pos_diagnoses = tuple(NodeId(NodeType.DIAGNOSIS, int(d)) for d in picks)
-        pos_labs = ()
-        if lab_pool.size:
-            picks = self.rng.choice(lab_pool, size=self.config.n_labs, replace=True)
-            pos_labs = tuple(NodeId(NodeType.LAB, int(l)) for l in picks)
-        pos_patients = ()
-        eligible = [d.index for d in pos_diagnoses if self._carriers(d.index, p).size]
-        if eligible:
-            out = []
-            for _ in range(self.config.n_copatients):
-                dx = eligible[int(self.rng.integers(0, len(eligible)))]
-                carriers = self._carriers(dx, p)
-                q = int(carriers[int(self.rng.integers(0, carriers.size))])
-                hour = int(self.rng.integers(0, graph.window_hours))
-                out.append(NodeId(NodeType.PATIENT_HOUR, (q, hour)))
-            pos_patients = tuple(out)
-        # the temporal next node is the one hour neighbor of the center's own patient
-        own = [n for n in neighbors(graph, center, NodeType.PATIENT_HOUR) if n.index[0] == p]
-        assert len(own) <= 1
-        pos_temporal = own[0] if own else None
-        neg_diagnoses = self._draw_negatives(p, h, NodeType.DIAGNOSIS, len(pos_diagnoses))
-        neg_labs = self._draw_negatives(p, h, NodeType.LAB, len(pos_labs))
-        neg_patients = self._draw_negatives(p, h, NodeType.PATIENT_HOUR, len(pos_patients))
-        neg_temporal = ()
-        if pos_temporal is not None:
-            neg_temporal = self._draw_negatives(p, h, NodeType.PATIENT_HOUR, 1)[0]
-        return make_context(graph, (p, h), pos_labs, neg_labs, pos_diagnoses, neg_diagnoses,
-                            pos_patients, neg_patients, pos_temporal, neg_temporal)
-
 
 def edge_case_graphs():
     """Empty hours, a diagnosis-free patient, diagnoses only their patient
@@ -347,32 +289,6 @@ def edge_case_graphs():
     sharing = [make_record("p0", [(0.5, 0, 1.0)], {0, 1}), make_record("p1", [], {0})]
     return [binned_graph(records, toy_vocab(n_labs=4, n_diagnoses=6), 3),
             binned_graph(sharing, toy_vocab(n_labs=4, n_diagnoses=6), 3)]
-
-
-@pytest.mark.parametrize("seed", [11, 12])
-def test_matches_reference_sampler_on_every_center(seed):
-    cfg = GenConfig(n_patients=12, n_labs=6, n_diagnoses=8, window_hours=3)
-    synthetic = binned_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
-    config = SamplerConfig(n_diagnoses=4, n_labs=3, n_copatients=5, negatives_per_positive=2)
-    untrainable = 0
-    for graph in [synthetic] + edge_case_graphs():
-        sampler = Sampler(graph, config, seed)
-        reference = ReferenceSampler(graph, config, seed)
-        for _ in range(2):  # a second pass continues both streams
-            for p, h in np.ndindex(graph.n_patients, graph.window_hours):
-                try:
-                    expected = reference.sample_context(p, h)
-                except UntrainableCenterError:
-                    untrainable += 1
-                    with pytest.raises(UntrainableCenterError):
-                        sampler.sample_context(p, h)
-                    continue
-                ctx = sampler.sample_context(p, h)
-                assert ctx == expected
-                assert ctx.pos_patients == expected.pos_patients
-                assert ctx.neg_temporal == expected.neg_temporal
-        assert sampler.rng.integers(0, 2**62) == reference.rng.integers(0, 2**62)
-    assert untrainable > 0
 
 
 def test_context_views_round_trip():
@@ -416,8 +332,7 @@ class TestIntegersStream:
         # integers rejects about half the words under a bound just above 2**31
         # and a quarter under 3 * 2**30 (those w with w mod 4 == 0). A grid of
         # bounds draws in C order; a generator that holds the high half of its
-        # last output draws from that half first; restoring the generator's
-        # state replays the draws.
+        # last output draws from that half first.
         rng = np.random.default_rng(17)
         bounds = np.concatenate([self.BOUNDS, rng.integers(2**31 + 1, 2**31 + 2**24, 200),
                                  np.full(100, 3 * 2**30), rng.integers(2, 1000, 289)])
@@ -427,15 +342,10 @@ class TestIntegersStream:
             whole, single = np.random.default_rng(3), np.random.default_rng(3)
             if held_over:
                 whole.integers(0, 10), single.integers(0, 10)
-            state = whole.bit_generator.state
             drawn = whole.integers(0, grid)
             assert drawn.shape == grid.shape
             assert drawn.ravel().tolist() == [int(single.integers(0, b)) for b in bounds.tolist()]
-            after = self.next_draw(single)
-            assert self.next_draw(whole) == after
-            whole.bit_generator.state = state
-            assert whole.integers(0, grid).tolist() == drawn.tolist()
-            assert self.next_draw(whole) == after
+            assert self.next_draw(whole) == self.next_draw(single)
 
     def test_bound_of_one_consumes_nothing(self):
         rng, untouched = np.random.default_rng(5), np.random.default_rng(5)
@@ -444,12 +354,6 @@ class TestIntegersStream:
         assert rng.integers(0, 1, size=3).tolist() == [0, 0, 0]
         assert self.next_draw(rng) == self.next_draw(untouched)
 
-    def test_size_fill_equals_array_form(self):
-        for bound, count in [(9, 20), (450, 5), (12, 1)]:
-            filled, broadcast = np.random.default_rng(bound), np.random.default_rng(bound)
-            assert (filled.integers(0, bound, size=count).tolist()
-                    == broadcast.integers(0, np.full(count, bound)).tolist())
-            assert self.next_draw(filled) == self.next_draw(broadcast)
 
 
 def visit_orders(graph, seed, epochs):
@@ -458,56 +362,6 @@ def visit_orders(graph, seed, epochs):
     rows = graph.n_patients * graph.window_hours
     return [np.stack(np.divmod(shuffle.permutation(rows), graph.window_hours), axis=1)
             for _ in range(epochs)]
-
-
-def assert_planned_draw_equals_oracle(graph, config, seed, orders):
-    """Plan each order in turn: every context equals the per-context oracle's,
-    and the generators end in the same state. Returns the untrainable visits
-    and each chunk's passes."""
-    sampler, oracle = Sampler(graph, config, seed), ContextOracle(graph, config, seed)
-    untrainable, passes = assert_same_contexts(sampler, oracle, orders)
-    assert sampler.rng.bit_generator.state == oracle.rng.bit_generator.state
-    return untrainable, passes
-
-
-class PassSpy:
-    """Stands in for a sampler's generator and counts each chunk's integers
-    calls, its passes. A chunk of n centers fails past 2 * n_copatients * n + 1
-    passes, so a draw that never settles fails rather than running without end."""
-
-    def __init__(self, sampler):
-        self.rng, self.bit_generator, self.passes = sampler.rng, sampler.rng.bit_generator, []
-        draw, n_copatients = sampler._draw, sampler.config.n_copatients
-
-        def counted(centers):
-            self.passes.append(0)
-            self.limit = 2 * n_copatients * len(centers) + 1
-            return draw(centers)
-
-        sampler.rng, sampler._draw = self, counted
-
-    def integers(self, low, high):
-        self.passes[-1] += 1
-        assert self.passes[-1] <= self.limit, f"a chunk is not settled after {self.limit} passes"
-        return self.rng.integers(low, high)
-
-
-def assert_same_contexts(sampler, oracle, orders):
-    """Plan each order in turn, drawing through a PassSpy: every context equals
-    the oracle's. Returns the untrainable visits and each chunk's passes."""
-    spy, untrainable = PassSpy(sampler), 0
-    for centers in orders:
-        sampler.plan(centers)
-        for p, h in centers.tolist():
-            try:
-                expected = oracle.sample_context(p, h)
-            except UntrainableCenterError:
-                untrainable += 1
-                with pytest.raises(UntrainableCenterError):
-                    sampler.sample_context(p, h)
-                continue
-            assert sampler.sample_context(p, h) == expected, (p, h)
-    return untrainable, spy.passes
 
 
 @functools.lru_cache(maxsize=1)
@@ -525,17 +379,8 @@ def desk_fold_0():
     return graph, DESK_EXPERIMENT, derive_seed(DESK_EXPERIMENT.seed, "hgm", fold, window)
 
 
-def test_planned_draw_equals_oracle_over_a_desk_run():
-    # train_hgm's two-epoch visit order on fold 0 of criterion 4's corpus
-    graph, experiment, seed = desk_fold_0()
-    orders = visit_orders(graph, derive_seed(seed, "hgm-shuffle"), experiment.hgm.epochs)
-    _, passes = assert_planned_draw_equals_oracle(graph, experiment.hgm.sampler,
-                                                  derive_seed(seed, "hgm-sampler"), orders)
-    assert max(passes) <= 2
-
-
 def awkward_graphs():
-    """Graphs where a context's word count departs from the guess the pools give."""
+    """Graphs whose pools are small, empty or full, and edge_case_graphs()."""
     # p0 shares diagnosis 0 with p1 alone (a carrier bound of 1) and carries
     # diagnosis 1 alone (never eligible), so two diagnosis draws give an
     # eligible list of length 0, 1 or 2; p2 has no diagnosis (a full
@@ -559,102 +404,221 @@ def awkward_graphs():
     return [one_hour, everyone, undiagnosed] + edge_case_graphs() + random
 
 
-@pytest.mark.parametrize("counts", [(2, 1, 3, 1), (1, 2, 2, 3), (3, 3, 4, 2)],
-                         ids=lambda c: "/".join(map(str, c)))
+def planned_contexts(graph, config, seed, orders):
+    """Plan each order in turn and yield every visit's context, or None for an
+    untrainable center."""
+    sampler = Sampler(graph, config, seed)
+    for centers in orders:
+        sampler.plan(centers)
+        for p, h in centers.tolist():
+            try:
+                yield (p, h), sampler.sample_context(p, h)
+            except UntrainableCenterError:
+                yield (p, h), None
+
+
+def blocks(terms, n, k):
+    """A relation's terms as an (n, 1 + k) grid of node indices, after checking that
+    they come as n positives, each followed by k negatives."""
+    assert terms.target.tolist() == ([1.0] + [0.0] * k) * n
+    return terms.index.reshape(n, 1 + k, *terms.index.shape[1:]).tolist()
+
+
+class ReferencePools:
+    """ReferenceSampler's pools as sets, each built once per center. A patient's
+    non-sharing patients are those outside its diagnoses' carriers, as in
+    ReferenceSampler._negative_pool, read from the carriers built once per diagnosis."""
+
+    def __init__(self, graph):
+        self.reference, self.window = ReferenceSampler(graph), graph.window_hours
+        self.carriers = [set(self.reference._carriers(dx, -1).tolist())
+                         for dx in range(graph.n_diagnoses)]
+        self.patients = set(range(graph.n_patients))
+        self.positives = functools.cache(self._positives)
+        self.negatives = functools.cache(self._negatives)
+
+    def _positives(self, p, h, node_type):
+        return set(self.reference._indices(ph(p, h), node_type))
+
+    def _negatives(self, p, h, node_type):
+        if node_type is NodeType.PATIENT_HOUR:
+            diagnoses = self.positives(p, 0, NodeType.DIAGNOSIS)
+            return self.patients - {p} - set().union(*(self.carriers[dx] for dx in diagnoses))
+        return set(self.reference._negative_pool(p, h, node_type).tolist())
+
+    def eligible(self, p, diagnoses):
+        """The diagnoses with a carrier other than p."""
+        return {dx for dx in diagnoses if self.carriers[dx] - {p}}
+
+
+def assert_terms_from_pools(pools, config, center, context):
+    """The context's four relations, each in its exact blocks and every term in
+    ReferenceSampler's pool for its slot; untrainable exactly when the center has
+    neither diagnoses nor tested labs."""
+    p, h = center
+    dx_pool = pools.positives(p, h, NodeType.DIAGNOSIS)
+    lab_pool = pools.positives(p, h, NodeType.LAB)
+    assert (context is None) == (not dx_pool and not lab_pool), center
+    if context is None:
+        return
+    k = config.negatives_per_positive
+    dx_neg = pools.negatives(p, h, NodeType.DIAGNOSIS)
+    lab_neg = pools.negatives(p, h, NodeType.LAB)
+    patient_neg = pools.negatives(p, h, NodeType.PATIENT_HOUR)
+    tested, diagnosed, copatient, temporal = context.terms
+    k_ph = k if patient_neg else 0
+    for terms, n, pool, negatives in [
+            (tested, config.n_labs if lab_pool else 0, lab_pool, lab_neg),
+            (diagnosed, config.n_diagnoses if dx_pool else 0, dx_pool, dx_neg)]:
+        grid = blocks(terms, n, k if negatives else 0)
+        assert {row[0] for row in grid} <= pool, center
+        assert {i for row in grid for i in row[1:]} <= negatives, center
+    eligible = pools.eligible(p, diagnosed.index[diagnosed.target == 1.0].tolist())
+    sharing = set().union(*(pools.carriers[dx] for dx in dx_pool)) - {p}
+    grids = [blocks(copatient, config.n_copatients if eligible else 0, k_ph),
+             blocks(temporal, int(h > 0), k_ph)]
+    assert all(q in sharing and 0 <= hour < pools.window for (q, hour), *_ in grids[0]), center
+    assert [row[0] for row in grids[1]] == ([[p, h - 1]] if h else []), center
+    assert all(q in patient_neg and 0 <= hour < pools.window
+               for grid in grids for _, *negatives in grid for q, hour in negatives), center
+
+
+def assert_copatients_carry_drawn_diagnoses(pools, center, context):
+    """Each co-patient carries one of the context's drawn positive diagnoses that
+    has a carrier other than the center's patient, and is not that patient."""
+    if context is None:
+        return
+    p = center[0]
+    diagnosed, copatient = context.terms[1:3]
+    eligible = pools.eligible(p, diagnosed.index[diagnosed.target == 1.0].tolist())
+    carriers = set().union(*(pools.carriers[dx] for dx in eligible)) - {p}
+    assert set(copatient.index[copatient.target == 1.0, 0].tolist()) <= carriers, center
+
+
+GATE_COUNTS = [(2, 1, 3, 1), (1, 2, 2, 3), (3, 3, 4, 2), (1, 3, 3, 2)]
+
+
+@pytest.mark.parametrize("counts", GATE_COUNTS, ids=lambda c: "/".join(map(str, c)))
 @pytest.mark.parametrize("chunk", [256, 5])
-def test_planned_draw_equals_oracle_on_awkward_graphs(monkeypatch, counts, chunk):
+def test_terms_come_from_the_reference_pools(monkeypatch, counts, chunk):
     monkeypatch.setattr(sampler_module, "CHUNK", chunk)
-    untrainable = sum(
-        assert_planned_draw_equals_oracle(graph, SamplerConfig(*counts), seed,
-                                          visit_orders(graph, seed, 3))[0]
-        for seed, graph in enumerate(awkward_graphs()))
+    config, untrainable = SamplerConfig(*counts), 0
+    for seed, graph in enumerate(awkward_graphs()):
+        pools = ReferencePools(graph)
+        for center, context in planned_contexts(graph, config, seed, visit_orders(graph, seed, 3)):
+            assert_terms_from_pools(pools, config, center, context)
+            untrainable += context is None
     assert untrainable > 0
 
 
-def test_one_diagnosis_draw_settles_a_chunk_in_few_passes():
-    # Drawing one positive diagnosis, the eligible-diagnosis pick is bounded
-    # by 1 and takes no word. A guess that it takes one is contradicted by
-    # every context with co-patients.
-    cfg = GenConfig(n_patients=60, n_labs=6, n_diagnoses=8, window_hours=4)
-    graph = binned_graph(generate_synthetic(cfg, seed=9), synthetic_vocabulary(cfg), 4)
-    _, passes = assert_planned_draw_equals_oracle(graph, SamplerConfig(1, 3, 3, 2), 5,
-                                                  visit_orders(graph, 2, 2))
-    assert max(passes) <= 2
+@pytest.mark.parametrize("counts", GATE_COUNTS, ids=lambda c: "/".join(map(str, c)))
+@pytest.mark.parametrize("chunk", [256, 5])
+def test_copatients_carry_an_eligible_drawn_diagnosis(monkeypatch, counts, chunk):
+    monkeypatch.setattr(sampler_module, "CHUNK", chunk)
+    config, copatients = SamplerConfig(*counts), 0
+    for seed, graph in enumerate(awkward_graphs()):
+        pools = ReferencePools(graph)
+        for center, context in planned_contexts(graph, config, seed, visit_orders(graph, seed, 3)):
+            assert_copatients_carry_drawn_diagnoses(pools, center, context)
+            copatients += context is not None and context.sizes[2] > 0
+    assert copatients > 0
 
 
-class ScriptedIntegers:
-    """Generator.integers(0, high) over a fixed script of 32-bit words, one word
-    at a time; its bit_generator is itself, and its state the script position."""
-
-    def __init__(self, script):
-        self.script, self.taken, self.rejected = script.tolist(), 0, 0
-
-    @property
-    def bit_generator(self):
-        return self
-
-    @property
-    def state(self):
-        return self.taken
-
-    @state.setter
-    def state(self, taken):
-        self.taken = taken
-
-    def integers(self, low, high):
-        assert low == 0
-        draws = [self._draw(b) for b in np.ravel(high).tolist()]
-        return np.array(draws, dtype=np.int64).reshape(np.shape(high)) if np.ndim(high) else draws[0]
-
-    def _draw(self, bound):
-        while bound > 1:
-            scaled = self.script[self.taken] * bound
-            self.taken += 1
-            if scaled % 2**32 >= (2**32 - bound) % bound:
-                return scaled >> 32
-            self.rejected += 1
-        return 0
+def test_desk_fold_0_terms_come_from_the_reference_pools():
+    # train_hgm's first visit order on fold 0 of criterion 4's corpus
+    graph, experiment, seed = desk_fold_0()
+    config, pools = experiment.hgm.sampler, ReferencePools(graph)
+    orders = visit_orders(graph, derive_seed(seed, "hgm-shuffle"), 1)
+    for center, context in planned_contexts(graph, config, derive_seed(seed, "hgm-sampler"),
+                                            orders):
+        assert_terms_from_pools(pools, config, center, context)
+        assert_copatients_carry_drawn_diagnoses(pools, center, context)
 
 
-def test_rejected_words_are_skipped_as_integers_skips_them():
-    # A word of 0 is rejected under any bound that is not a power of 2, so a
-    # script with many of them makes integers reject words mid-chunk.
-    rng = np.random.default_rng(31)
-    script = rng.integers(0, 2**32, 400_000, dtype=np.uint64).astype(np.uint32)
-    script[rng.random(script.size) < 0.05] = 0
-    cfg = GenConfig(n_patients=40, n_labs=6, n_diagnoses=8, window_hours=3)
-    graph = binned_graph(generate_synthetic(cfg, seed=8), synthetic_vocabulary(cfg), 3)
-    config = SamplerConfig(3, 3, 3, 2)
-    sampler, oracle = Sampler(graph, config, 0), ContextOracle(graph, config, 0)
-    sampler.rng, oracle.rng = ScriptedIntegers(script), ScriptedIntegers(script)
-    assert_same_contexts(sampler, oracle, visit_orders(graph, 1, 2))
-    assert sampler.rng.bit_generator.state == oracle.rng.taken
-    assert oracle.rng.rejected == 355
+def chi_square_sf(x, df):
+    """P(X >= x) for X chi-square with df degrees of freedom: Q(df / 2, x / 2), from
+    Q(1/2, y) = erfc(sqrt(y)), Q(1, y) = exp(-y) and
+    Q(a + 1, y) = Q(a, y) + y**a exp(-y) / Gamma(a + 1)."""
+    y, a = x / 2, 0.5 if df % 2 else 1.0
+    if y == 0:
+        return 1.0
+    q = math.erfc(math.sqrt(y)) if df % 2 else math.exp(-y)
+    while a < df / 2:
+        q += math.exp(a * math.log(y) - y - math.lgamma(a + 1))
+        a += 1
+    return q
 
 
-def test_chunk_draw_skips_the_words_integers_rejects():
-    # A word is rejected under bound b with chance (2**32 mod b) / 2**32, below
-    # b / 2**32. Each patient carries one of two diagnoses, so its carrier and
-    # patient-negative bounds are ~20 000, with 2**32 mod b within 0.03% of b for
-    # the negatives: 512 centers of 50 co-patients with 20 negatives each draw
-    # ~550 000 such words and, at this seed, integers rejects 8 of them.
-    carriers = (19_825, 20_261)
-    diagnosed = np.repeat(np.eye(2, dtype=bool), carriers, axis=0)
-    n = len(diagnosed)
-    graph = HeteroGraph(np.zeros((n, 1, 1)), np.ones((n, 1, 1), dtype=bool), diagnosed)
-    centers = np.stack((np.random.default_rng(3).choice(n, 512, replace=False),
-                        np.zeros(512, dtype=np.int64)), axis=1)
-    assert_planned_draw_equals_oracle(graph, SamplerConfig(2, 1, 50, 20), 3, [centers])
+def assert_uniform(draws, probabilities, alpha=1e-3):
+    """The draws (hashable cells) fall only on the cells of `probabilities` and pass
+    Pearson's chi-square test against them at level alpha."""
+    counts = collections.Counter(draws)
+    assert set(counts) <= set(probabilities), set(counts) - set(probabilities)
+    n = sum(counts.values())
+    x = sum((counts[cell] - n * q) ** 2 / (n * q) for cell, q in probabilities.items())
+    assert chi_square_sf(x, len(probabilities) - 1) > alpha, (x, counts)
+
+
+@pytest.fixture(scope="module")
+def uniform_contexts():
+    """3 000 contexts of center (2, 1) of an 8-patient, 3-hour graph, one co-patient
+    each. Patient 2 is tested for labs 0 and 2 at hour 1 and carries diagnoses 0
+    (also carried by 0, 1 and 3), 1 (also carried by 4) and 2 (by 2 alone);
+    patients 5, 6 and 7 share none of them."""
+    diagnosed = np.zeros((8, 5), dtype=bool)
+    for dx, carriers in enumerate([(0, 1, 2, 3), (2, 4), (2,), (5, 6), (5,)]):
+        diagnosed[list(carriers), dx] = True
+    observed = np.random.default_rng(1).random((8, 3, 5)) < 0.5
+    observed[2, 1] = [True, False, True, False, False]
+    graph = HeteroGraph(np.zeros((8, 3, 5)), observed, diagnosed)
+    sampler = Sampler(graph, SamplerConfig(n_diagnoses=2, n_labs=3, n_copatients=1,
+                                           negatives_per_positive=2), 7)
+    sampler.plan([(2, 1)] * 3000)
+    return [sampler.sample_context(2, 1) for _ in range(3000)]
+
+
+def cells(terms, target):
+    """The indices of the terms with this target: ids, or (patient, hour) tuples."""
+    return [tuple(i) if isinstance(i, list) else i
+            for i in terms.index[terms.target == target].tolist()]
+
+
+@pytest.mark.parametrize("relation", ["tested", "diagnosed", "co-patient", "temporal"])
+def test_each_relation_draws_uniformly(uniform_contexts, relation):
+    # Pearson's chi-square at level 0.001 per test: at a random seed, a correct
+    # sampler fails one of these seven tests with probability at most 0.007.
+    # Positives are drawn uniformly from the center's pool, and each co-patient
+    # from the carriers other than 2 of a uniformly drawn eligible positive
+    # diagnosis (0 or 1, each with probability 1/2) at a uniform hour; negatives
+    # uniformly from the non-neighbors, patient-hours over patients 5-7 and any hour.
+    index = ["tested", "diagnosed", "co-patient", "temporal"].index(relation)
+    terms = [context.terms[index] for context in uniform_contexts]
+    hours = range(3)
+    non_sharing = {(q, hour): 1 / 9 for q in (5, 6, 7) for hour in hours}
+    positives, negatives = {
+        "tested": ({0: 1 / 2, 2: 1 / 2}, {1: 1 / 3, 3: 1 / 3, 4: 1 / 3}),
+        "diagnosed": ({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, {3: 1 / 2, 4: 1 / 2}),
+        "co-patient": ({(q, hour): share / 3 for q, share in [(0, 1 / 6), (1, 1 / 6),
+                                                               (3, 1 / 6), (4, 1 / 2)]
+                        for hour in hours}, non_sharing),
+        "temporal": (None, non_sharing)}[relation]
+    if positives is None:
+        assert all(cells(t, 1.0) == [(2, 0)] for t in terms)
+    else:
+        assert_uniform([cell for t in terms for cell in cells(t, 1.0)], positives)
+    assert_uniform([cell for t in terms for cell in cells(t, 0.0)], negatives)
 
 
 def test_unplanned_center_refused_while_a_plan_is_pending(shared_dx_graph):
     graph, _, _ = shared_dx_graph
-    sampler, oracle = Sampler(graph, SamplerConfig(), 1), ContextOracle(graph, SamplerConfig(), 1)
+    sampler, same = Sampler(graph, SamplerConfig(), 1), Sampler(graph, SamplerConfig(), 1)
     sampler.plan([(1, 0), (0, 1)])
     with pytest.raises(ValueError, match=r"center \(0, 1\) is not the next planned one, \(1, 0\)"):
         sampler.sample_context(0, 1)
     # the refusal drew nothing and kept the plan
-    assert sampler.sample_context(1, 0) == oracle.sample_context(1, 0)
-    assert sampler.sample_context(0, 1) == oracle.sample_context(0, 1)
-    # with nothing planned, any center is drawn alone
-    assert sampler.sample_context(2, 0) == oracle.sample_context(2, 0)
+    same.plan([(1, 0), (0, 1)])
+    assert sampler.sample_context(1, 0) == same.sample_context(1, 0)
+    assert sampler.sample_context(0, 1) == same.sample_context(0, 1)
+    # with nothing planned, any center is drawn alone: as a plan of one
+    same.plan([(2, 0)])
+    assert sampler.sample_context(2, 0) == same.sample_context(2, 0)
