@@ -323,9 +323,13 @@ def _report(config: RunConfig, command: str, jobs: int = 1, fit=None) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
-    fingerprint_path = _fingerprint_path(config)
-    fingerprints = (load_container(fingerprint_path, kind="fingerprints")["folds"]
-                    if fingerprint_path.exists() else {})
+    path = _fingerprint_path(config)
+    fingerprints = load_container(path, kind="fingerprints").get("folds") if path.exists() else {}
+    if not isinstance(fingerprints, dict):
+        raise ValueError(f"{path}: 'folds' is missing or not an object")
+    for key, fingerprint in fingerprints.items():
+        if not isinstance(fingerprint, str):
+            raise ValueError(f"{path}: fingerprint {key!r} is not a string")
     return _report(config, "eval", fit=partial(_load_fold, config, fingerprints))
 
 
@@ -333,11 +337,13 @@ _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
 def _setup_logging() -> None:
+    """Set the root logger to HGM_EHR_LOG's level, on every call; a stderr handler is
+    added only when the root logger has none, so handlers installed elsewhere stay."""
     level_name = os.environ.get("HGM_EHR_LOG", "warning")
     if level_name.lower() not in _LOG_LEVELS:
         raise ValueError(f"HGM_EHR_LOG must be one of {', '.join(_LOG_LEVELS)}, got {level_name!r}")
-    logging.basicConfig(level=getattr(logging, level_name.upper()),
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(getattr(logging, level_name.upper()))
 
 
 def positive_int(text: str) -> int:

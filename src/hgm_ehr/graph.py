@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +23,6 @@ class NodeType(Enum):
     PATIENT_HOUR = "patient_hour"
     LAB = "lab"
     DIAGNOSIS = "diagnosis"
-
-
-class NodeId(NamedTuple):
-    type: NodeType
-    index: "int | tuple[int, int]"
 
 
 @dataclass

@@ -14,7 +14,7 @@ Relation scoring (neighbor side first where translated):
     temporal next node:     score = (c_u + r_tt) . c_next
 
 A training step (_loss_and_grad) reads a ContextSample's arrays as the
-sampler prepared them, with no NodeId and no per-relation loop: the (p, h)
+sampler prepared them, with no node object and no per-relation loop: the (p, h)
 center; lab and diagnosis terms as columns of the stacked [W_i | W_d],
 gathered in one call and activated once; co-patient and temporal terms as
 rows of graph.values viewed as (patients * hours, labs), gathered in one

@@ -42,9 +42,8 @@ and sliced per context into read-only views, so per-chunk arrays stay
 CHUNK contexts' terms and no context owns a copy (tests/oracles.py's
 `context_from_terms` builds a context from four Terms by the same code). A
 center is a (patient, hour) pair of ints; a context's `terms` (one Terms of
-vocabulary ids or (patient, hour) pairs per relation) and the NodeId tuples
-of its pos_*/neg_* fields are read-only views built from its arrays on first
-access.
+vocabulary ids or (patient, hour) pairs per relation) are read-only views
+built from its arrays on first access, and its neg_* fields slice them.
 """
 from __future__ import annotations
 
@@ -54,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import HeteroGraph, NodeId, NodeType
+from .graph import HeteroGraph, NodeType
 
 # Centers drawn at a time: a chunk's draws are five integers calls over grids
 # of CHUNK rows, 260 draws a context in all at the default counts.
@@ -85,10 +84,6 @@ class Terms(NamedTuple):
     target: np.ndarray  # (n,) float
 
 
-# Node type of each relation's terms, in term order.
-_TERM_TYPES = (NodeType.LAB, NodeType.DIAGNOSIS, NodeType.PATIENT_HOUR, NodeType.PATIENT_HOUR)
-
-
 @functools.lru_cache(maxsize=64)
 def _targets(n: int, k: int) -> np.ndarray:
     """Read-only targets of n positives with k negatives each: 1.0 then k 0.0s per positive."""
@@ -97,16 +92,10 @@ def _targets(n: int, k: int) -> np.ndarray:
     return target
 
 
-def _nodes_from_terms(terms: Terms, node_type: NodeType):
-    """(positives, negative groups) as NodeId tuples."""
-    if node_type is NodeType.PATIENT_HOUR:
-        nodes = [NodeId(node_type, tuple(pair)) for pair in terms.index.tolist()]
-    else:
-        nodes = [NodeId(node_type, i) for i in terms.index.tolist()]
+def _negative_groups(terms: Terms) -> tuple:
+    """Per positive, in term order, the indices of its negatives: slices of terms.index."""
     starts = np.flatnonzero(terms.target == 1.0).tolist()
-    ends = starts[1:] + [len(nodes)]
-    return (tuple(nodes[s] for s in starts),
-            tuple(tuple(nodes[s + 1:e]) for s, e in zip(starts, ends)))
+    return tuple(terms.index[s + 1:e] for s, e in zip(starts, starts[1:] + [len(terms.index)]))
 
 
 class ContextSample:
@@ -121,12 +110,12 @@ class ContextSample:
     - `sizes`: the four relations' term counts.
 
     The arrays are read-only. `terms`, one Terms per relation in vocabulary ids
-    and (patient, hour) pairs, and the NodeId fields are built from them on
-    first access.
+    and (patient, hour) pairs, is built from them on first access; each neg_*
+    field holds, per positive, the indices of its negatives as slices of `terms`
+    (neg_temporal the temporal positive's alone, or () without one).
     """
 
-    __slots__ = ("center", "columns", "rows", "target", "sizes", "n_labs", "window", "_terms",
-                 "_views")
+    __slots__ = ("center", "columns", "rows", "target", "sizes", "n_labs", "window", "_terms")
 
     def __init__(self, center: tuple[int, int], columns: np.ndarray, rows: np.ndarray,
                  target: np.ndarray, sizes: tuple[int, int, int, int], n_labs: int, window: int):
@@ -137,7 +126,7 @@ class ContextSample:
         self.sizes = sizes
         self.n_labs = n_labs
         self.window = window
-        self._terms = self._views = None
+        self._terms = None
 
     @property
     def terms(self) -> tuple:
@@ -153,20 +142,10 @@ class ContextSample:
                            Terms(pairs[copatients:], y[hours:]))
         return self._terms
 
-    def _view(self, relation: int):
-        if self._views is None:
-            self._views = tuple(_nodes_from_terms(t, node_type)
-                                for t, node_type in zip(self.terms, _TERM_TYPES))
-        return self._views[relation]
-
-    pos_labs = property(lambda self: self._view(0)[0])
-    neg_labs = property(lambda self: self._view(0)[1])
-    pos_diagnoses = property(lambda self: self._view(1)[0])
-    neg_diagnoses = property(lambda self: self._view(1)[1])
-    pos_patients = property(lambda self: self._view(2)[0])
-    neg_patients = property(lambda self: self._view(2)[1])
-    pos_temporal = property(lambda self: next(iter(self._view(3)[0]), None))
-    neg_temporal = property(lambda self: next(iter(self._view(3)[1]), ()))
+    neg_labs = property(lambda self: _negative_groups(self.terms[0]))
+    neg_diagnoses = property(lambda self: _negative_groups(self.terms[1]))
+    neg_patients = property(lambda self: _negative_groups(self.terms[2]))
+    neg_temporal = property(lambda self: next(iter(_negative_groups(self.terms[3])), ()))
 
     def n_positives(self) -> int:
         return int(np.count_nonzero(self.target == 1.0))

@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hgm_ehr.graph import NodeId, NodeType, build_graph
+from hgm_ehr.graph import NodeType, build_graph
 from hgm_ehr.hgm import PARAM_FIELDS
 from hgm_ehr.ingest import LabNormalizer, PatientRecord, Vocabulary, bin_events, event_array
 from hgm_ehr.sampler import Terms
 
-from oracles import context_from_terms, exact_softmax_loss
+from oracles import NodeId, context_from_terms, exact_softmax_loss
 
 
 def traced_peak(fn, *args):
@@ -54,6 +54,18 @@ def terms_from_nodes(positives, negatives, node_type):
     if node_type is NodeType.PATIENT_HOUR:
         index = index.reshape(-1, 2)
     return Terms(index, np.array(target, dtype=float))
+
+
+def cells(terms, target):
+    """The indices of the terms with this target: ids, or (patient, hour) tuples."""
+    return [tuple(i) if isinstance(i, list) else i
+            for i in terms.index[terms.target == target].tolist()]
+
+
+def positives(context, relation):
+    """The context's positives of one relation, in term order: relation 0 tested,
+    1 diagnosed (ids), 2 co-patient, 3 temporal ((patient, hour) tuples)."""
+    return cells(context.terms[relation], 1.0)
 
 
 def make_context(graph, center, pos_labs=(), neg_labs=(), pos_diagnoses=(), neg_diagnoses=(),

@@ -3,6 +3,8 @@
 These moved here from src/hgm_ehr, unedited, once no pipeline stage called
 them:
 
+- `NodeId`, a node as its type and index, which `neighbors` and
+  `exact_softmax_loss` take;
 - `neighbors`, every node's one-hop neighbors as NodeId lists, read from the
   graph's masks;
 - `context_from_terms`, a ContextSample built from four Terms by the chunk
@@ -23,13 +25,19 @@ rounding.
 from __future__ import annotations
 
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from hgm_ehr.cnn import CnnParams, _batch_backward
-from hgm_ehr.graph import HeteroGraph, NodeId, NodeType
+from hgm_ehr.graph import HeteroGraph, NodeType
 from hgm_ehr.hgm import ACTIVATIONS, PARAM_FIELDS, HgmParams, _sigmoid_act
 from hgm_ehr.sampler import ContextSample, _contexts
+
+
+class NodeId(NamedTuple):
+    type: NodeType
+    index: "int | tuple[int, int]"
 
 
 def neighbors(graph: HeteroGraph, node: NodeId, target_type: NodeType) -> list[NodeId]:

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import re
@@ -568,6 +569,25 @@ class TestTrainEvalCommands:
         assert "window 6h fold 0" in capsys.readouterr().err
         assert not list(out.glob("report_*.json"))
 
+    @pytest.mark.parametrize("folds, named", [
+        (None, "'folds' is missing or not an object"),
+        (["w6_f0"], "'folds' is missing or not an object"),
+        ({"w6_f0": 7}, "fingerprint 'w6_f0' is not a string"),
+    ], ids=["missing_folds", "list_folds", "int_fingerprint"])
+    def test_eval_names_a_malformed_fingerprint_file(self, trained_checkpoints, tmp_path, capsys,
+                                                     folds, named):
+        out, cfg_path = trained_checkpoints(tmp_path)
+        path = out / "fold_fingerprints.json"
+        obj = json.loads(path.read_text())
+        if folds is None:
+            del obj["folds"]
+        else:
+            obj["folds"] = folds
+        path.write_text(json.dumps(obj))
+        assert main(["eval", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"hgm-ehr: error: {path}: {named}\n"
+        assert not list(out.glob("report_*.json"))
+
     @pytest.mark.parametrize("command", ["synth", "train", "eval"])
     def test_jobs_belongs_to_run_only(self, tmp_path, capsys, command):
         cfg_path = write_config(tmp_path / "run.ini", tmp_path / "out")
@@ -676,6 +696,24 @@ dir = out
         assert "FileNotFoundError" in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("hgm-ehr: error:")]
         assert errors == ["hgm-ehr: error: config file not found: " + str(tmp_path / "absent.ini")]
+
+    def test_each_call_applies_its_log_level(self, tmp_path, monkeypatch, caplog):
+        # two calls in one process, each failing on a missing config: the second,
+        # under debug, logs its traceback to the handler pytest installed (caplog's)
+        root = logging.getLogger()
+        level, config = root.level, str(tmp_path / "absent.ini")
+        try:
+            monkeypatch.setenv("HGM_EHR_LOG", "warning")
+            assert main(["run", "--config", config]) == 1
+            assert root.level == logging.WARNING and not caplog.records
+            monkeypatch.setenv("HGM_EHR_LOG", "debug")
+            assert main(["run", "--config", config]) == 1
+            assert root.level == logging.DEBUG
+        finally:
+            root.setLevel(level)
+        assert caplog.handler in root.handlers
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG and record.exc_info[0] is FileNotFoundError
 
     def test_unknown_log_level_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HGM_EHR_LOG", "loud")

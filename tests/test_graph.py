@@ -3,11 +3,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, build_graph
+from hgm_ehr.graph import HeteroGraph, NodeType, build_graph
 from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
 
 from conftest import binned_graph, make_record, toy_records, toy_vocab, unit_normalizer
-from oracles import neighbors
+from oracles import NodeId, neighbors
 
 
 def ph(p, h):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hgm_ehr import hgm
-from hgm_ehr.graph import NodeId, NodeType
+from hgm_ehr.graph import NodeType
 from hgm_ehr.hgm import (ACTIVATIONS, PARAM_FIELDS, HgmParams, HgmTrainConfig, embed_hours,
                          init_params, load_params, ns_grad, ns_loss, save_params, train_hgm)
 from hgm_ehr.ingest import GenConfig, bin_events, generate_synthetic, synthetic_vocabulary
@@ -16,7 +16,7 @@ from hgm_ehr.seeds import derive_seed
 
 import oracles
 from conftest import binned_graph, make_context, make_record, toy_vocab, unit_normalizer
-from oracles import Relation, exact_softmax_loss, neighbors, softmax_context_loss
+from oracles import NodeId, Relation, exact_softmax_loss, neighbors, softmax_context_loss
 from test_sampler import awkward_graphs, desk_fold_0, edge_case_graphs
 
 
@@ -115,23 +115,21 @@ class TestNsLoss:
             ctx = sampler.sample_context(*center.index)
             c_u = act(params.w_p @ graph.values[center.index])
 
-            def pair_loss(node, positive, r_tt=0.0):
+            def pair_loss(relation, index, positive):
                 # the pair's translated dot product; a co-patient pair translates by zero
-                if node.type is NodeType.LAB:
-                    s = float((act(params.w_i[:, node.index]) + params.r_ip) @ c_u)
-                elif node.type is NodeType.DIAGNOSIS:
-                    s = float((c_u + params.r_pd) @ act(params.w_d[:, node.index]))
+                if relation == 0:
+                    s = float((act(params.w_i[:, index]) + params.r_ip) @ c_u)
+                elif relation == 1:
+                    s = float((c_u + params.r_pd) @ act(params.w_d[:, index]))
                 else:
-                    s = float((c_u + r_tt) @ act(params.w_p @ graph.values[node.index]))
+                    r_tt = params.r_tt if relation == 3 else 0.0
+                    s = float((c_u + r_tt) @ act(params.w_p @ graph.values[tuple(index)]))
                 return -math.log(1.0 / (1.0 + math.exp(s if not positive else -s)))
 
-            expected = 0.0
-            for pos, negs in zip(ctx.pos_labs + ctx.pos_diagnoses + ctx.pos_patients,
-                                 ctx.neg_labs + ctx.neg_diagnoses + ctx.neg_patients):
-                expected += pair_loss(pos, True) + sum(pair_loss(n, False) for n in negs)
-            if ctx.pos_temporal is not None:
-                expected += pair_loss(ctx.pos_temporal, True, params.r_tt)
-                expected += sum(pair_loss(n, False, params.r_tt) for n in ctx.neg_temporal)
+            # every term of the four relations (tested, diagnosed, co-patient, temporal)
+            expected = sum(pair_loss(relation, index, y == 1.0)
+                           for relation, terms in enumerate(ctx.terms)
+                           for index, y in zip(terms.index.tolist(), terms.target.tolist()))
             assert ns_loss(params, graph, ctx) == pytest.approx(expected, rel=1e-10)
 
     def test_nonnegative(self, shared_dx_graph):

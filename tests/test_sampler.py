@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -8,15 +9,16 @@ import pytest
 
 import hgm_ehr.sampler as sampler_module
 from hgm_ehr.evaluate import plan_folds
-from hgm_ehr.graph import HeteroGraph, NodeId, NodeType, build_graph
+from hgm_ehr.graph import HeteroGraph, NodeType, build_graph
 from hgm_ehr.hgm import train_hgm
 from hgm_ehr.ingest import (GenConfig, bin_events, fit_normalizer, generate_synthetic,
                             synthetic_vocabulary)
 from hgm_ehr.sampler import Sampler, SamplerConfig, UntrainableCenterError
 from hgm_ehr.seeds import derive_seed
 
-from conftest import binned_graph, make_context, make_record, toy_vocab, traced_peak
-from oracles import neighbors
+from conftest import (binned_graph, cells, make_context, make_record, positives, toy_vocab,
+                      traced_peak)
+from oracles import NodeId, neighbors
 
 
 def ph(p, h):
@@ -27,21 +29,20 @@ def test_default_context_shape(shared_dx_graph):
     graph, _, _ = shared_dx_graph
     sampler = Sampler(graph, SamplerConfig(), 1)
     ctx = sampler.sample_context(0, 1)
-    assert len(ctx.pos_diagnoses) == 10
-    assert len(ctx.pos_labs) == 10
-    assert len(ctx.pos_patients) == 10
-    assert ctx.pos_temporal == ph(0, 0)
+    # 10 lab and 10 diagnosis positives, each followed by its 5 negatives
+    for tested_or_diagnosed in ctx.terms[:2]:
+        assert tested_or_diagnosed.target.tolist() == ([1.0] + [0.0] * 5) * 10
+    assert len(positives(ctx, 2)) == 10
+    assert positives(ctx, 3) == [(0, 0)]
     assert ctx.n_positives() == 31
-    for negs in ctx.neg_diagnoses + ctx.neg_labs:
-        assert len(negs) == 5
 
 
 def test_hour_zero_has_no_temporal_positive(shared_dx_graph):
     graph, _, _ = shared_dx_graph
     sampler = Sampler(graph, SamplerConfig(), 1)
     ctx = sampler.sample_context(0, 0)
-    assert ctx.pos_temporal is None
-    assert ctx.neg_temporal == ()
+    assert positives(ctx, 3) == []
+    assert cells(ctx.terms[3], 0.0) == []
 
 
 def test_single_neighbor_repeats(shared_dx_graph):
@@ -49,9 +50,8 @@ def test_single_neighbor_repeats(shared_dx_graph):
     sampler = Sampler(graph, SamplerConfig(), 2)
     # p2 has exactly one diagnosis and one tested lab at hour 0
     ctx = sampler.sample_context(2, 0)
-    assert set(ctx.pos_diagnoses) == {NodeId(NodeType.DIAGNOSIS, 3)}
-    assert len(ctx.pos_diagnoses) == 10
-    assert set(ctx.pos_labs) == {NodeId(NodeType.LAB, 3)}
+    assert positives(ctx, 1) == [3] * 10
+    assert set(positives(ctx, 0)) == {3}
 
 
 def test_untrainable_center_raises():
@@ -69,8 +69,8 @@ def test_copatients_come_from_sampled_diagnoses(shared_dx_graph):
     ctx = sampler.sample_context(0, 0)
     # p0's only shareable diagnosis is 1 (carried by p1); diagnosis 0 has no
     # other carrier, so every co-patient must belong to p1
-    assert len(ctx.pos_patients) == 10
-    assert all(n.index[0] == 1 for n in ctx.pos_patients)
+    assert len(positives(ctx, 2)) == 10
+    assert all(q == 1 for q, _ in positives(ctx, 2))
 
 
 def test_copatient_pool_may_be_empty():
@@ -79,8 +79,8 @@ def test_copatient_pool_may_be_empty():
     graph = binned_graph(records, toy_vocab(), 2)
     sampler = Sampler(graph, SamplerConfig(), 0)
     ctx = sampler.sample_context(0, 0)
-    assert ctx.pos_patients == ()
-    assert ctx.neg_patients == ()
+    assert positives(ctx, 2) == []
+    assert cells(ctx.terms[2], 0.0) == []
 
 
 class TestSampleNegatives:
@@ -176,23 +176,17 @@ def test_positives_are_neighbors_negatives_are_not():
             dx_neighbors = {n.index for n in neighbors(graph, center, NodeType.DIAGNOSIS)}
             lab_neighbors = {n.index for n in neighbors(graph, center, NodeType.LAB)}
             ph_neighbors = {n.index for n in neighbors(graph, center, NodeType.PATIENT_HOUR)}
-            for pos in ctx.pos_diagnoses:
-                assert pos.index in dx_neighbors
-            for pos in ctx.pos_labs:
-                assert pos.index in lab_neighbors
-            for pos in ctx.pos_patients:
-                assert pos.index in ph_neighbors
-            if ctx.pos_temporal is not None:
-                assert ctx.pos_temporal.index == (p, h - 1)
-            for negs in ctx.neg_diagnoses:
-                assert all(n.index not in dx_neighbors for n in negs)
-            for negs in ctx.neg_labs:
-                assert all(n.index not in lab_neighbors for n in negs)
+            tested, diagnosed, copatient, temporal = ctx.terms
+            assert set(cells(diagnosed, 1.0)) <= dx_neighbors
+            assert set(cells(tested, 1.0)) <= lab_neighbors
+            assert set(cells(copatient, 1.0)) <= ph_neighbors
+            assert set(cells(temporal, 1.0)) <= {(p, h - 1)}
+            assert not set(cells(diagnosed, 0.0)) & dx_neighbors
+            assert not set(cells(tested, 0.0)) & lab_neighbors
             sharing = sharing_patients(graph, center)
-            for negs in list(ctx.neg_patients) + [ctx.neg_temporal]:
-                for n in negs:
-                    assert n.index[0] != p
-                    assert n.index[0] not in sharing
+            for q, _ in cells(copatient, 0.0) + cells(temporal, 0.0):
+                assert q != p
+                assert q not in sharing
     assert checked > 10
 
 
@@ -304,15 +298,16 @@ def test_context_views_round_trip():
         neg_patients=((ph(2, 1), ph(2, 0)),), neg_temporal=(ph(3, 2),),
     )
     ctx = make_context(graph, center, **kwargs)
-    for name, value in kwargs.items():
-        assert getattr(ctx, name) == value
+    # every node given comes back in its relation's terms, each positive
+    # followed by its negatives
+    assert [(terms.index.tolist(), terms.target.tolist()) for terms in ctx.terms] == [
+        ([1, 2, 0], [1.0, 0.0, 1.0]),
+        ([2, 0, 4], [1.0, 0.0, 0.0]),
+        ([[1, 0], [2, 1], [2, 0]], [1.0, 0.0, 0.0]),
+        ([[0, 0], [3, 2]], [1.0, 0.0])]
     assert ctx.n_positives() == 5
     assert ctx == make_context(graph, center, **kwargs)
     assert ctx != make_context(graph, center, **dict(kwargs, neg_temporal=()))
-    tested = ctx.terms[0]
-    assert tested.index.tolist() == [1, 2, 0]
-    assert tested.target.tolist() == [1.0, 0.0, 1.0]
-    assert ctx.terms[3].index.tolist() == [[0, 0], [3, 2]]
     with pytest.raises(ValueError, match="negative groups"):
         make_context(graph, center, pos_labs=(NodeId(NodeType.LAB, 1),))
 
@@ -535,6 +530,53 @@ def test_desk_fold_0_terms_come_from_the_reference_pools():
         assert_copatients_carry_drawn_diagnoses(pools, center, context)
 
 
+def negative_groups(terms):
+    """Per positive, the indices of the target-0 terms that follow it, up to the next
+    positive: ids, or [patient, hour] lists."""
+    groups = []
+    for index, target in zip(terms.index.tolist(), terms.target.tolist()):
+        if target == 1.0:
+            groups.append([])
+        else:
+            groups[-1].append(index)
+    return groups
+
+
+def assert_probe_contract(context):
+    """What perfbench's term-count probe reads: n_positives() and the neg_* groups
+    together count every term, and each group holds, in order, the negatives that
+    follow its positive in `terms`; neg_temporal is the temporal positive's one
+    group, or () without one."""
+    groups = (context.neg_labs, context.neg_diagnoses, context.neg_patients)
+    assert (context.n_positives() + sum(len(group) for gs in groups for group in gs)
+            + len(context.neg_temporal)) == len(context.target)
+    *expected, temporal = [negative_groups(terms) for terms in context.terms]
+    assert [[group.tolist() for group in gs] for gs in groups] == expected
+    if temporal:
+        assert [context.neg_temporal.tolist()] == temporal
+    else:
+        assert type(context.neg_temporal) is tuple and not context.neg_temporal
+
+
+def test_negative_groups_count_every_term():
+    graph, experiment, seed = desk_fold_0()
+    orders = visit_orders(graph, derive_seed(seed, "hgm-shuffle"), 1)
+    first_chunk = itertools.islice(planned_contexts(
+        graph, experiment.hgm.sampler, derive_seed(seed, "hgm-sampler"), orders),
+        sampler_module.CHUNK)
+    cases = [context for _, context in first_chunk]
+    for config in [SamplerConfig()] + [SamplerConfig(*counts) for counts in GATE_COUNTS]:
+        for seed, graph in enumerate(awkward_graphs()):
+            cases += [context for _, context in
+                      planned_contexts(graph, config, seed, visit_orders(graph, seed, 1))]
+    checked = [context for context in cases if context is not None]
+    for context in checked:
+        assert_probe_contract(context)
+    # the cases hold contexts with and without a temporal and a co-patient positive
+    assert {(bool(context.sizes[2]), bool(context.sizes[3])) for context in checked} == \
+        {(False, False), (False, True), (True, False), (True, True)}
+
+
 def chi_square_sf(x, df):
     """P(X >= x) for X chi-square with df degrees of freedom: Q(df / 2, x / 2), from
     Q(1/2, y) = erfc(sqrt(y)), Q(1, y) = exp(-y) and
@@ -575,12 +617,6 @@ def uniform_contexts():
                                            negatives_per_positive=2), 7)
     sampler.plan([(2, 1)] * 3000)
     return [sampler.sample_context(2, 1) for _ in range(3000)]
-
-
-def cells(terms, target):
-    """The indices of the terms with this target: ids, or (patient, hour) tuples."""
-    return [tuple(i) if isinstance(i, list) else i
-            for i in terms.index[terms.target == target].tolist()]
 
 
 @pytest.mark.parametrize("relation", ["tested", "diagnosed", "co-patient", "temporal"])
