@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cnn import CnnTrainConfig, FeatureMode, build_features, predict, train_cnn
-from .graph import build_graph
+from .graph import build_graph, check_diagnoses
 from .hgm import HgmParams, HgmTrainConfig, train_hgm
 from .ingest import Vocabulary, bin_events, check_records, fit_normalizer
 from .seeds import derive_seed
@@ -275,6 +275,7 @@ def run_experiments(records, vocab: Vocabulary, arms, window_hours: int,
         if arm not in ARMS:
             raise ValueError(f"unknown arm {arm!r}; expected one of {sorted(ARMS)}")
     check_records(records, vocab.n_labs)
+    check_diagnoses(records, vocab.n_diagnoses)
     plan = plan_folds(records, config.k_folds, config.seed, window_hours)
     settings = (tuple(arms), window_hours, vocab, config, fit)
 

@@ -39,6 +39,15 @@ class HeteroGraph:
     n_diagnoses = property(lambda self: self.diagnosed.shape[1])
 
 
+def check_diagnoses(records, n_diagnoses: int) -> None:
+    """Refuse the first record with a diagnosis id outside [0, n_diagnoses), naming its patient."""
+    for record in records:
+        for dx in record.diagnoses:
+            if not 0 <= dx < n_diagnoses:
+                raise ValueError(f"patient {record.patient_id!r}: diagnosis id {dx} "
+                                 f"outside vocabulary of size {n_diagnoses}")
+
+
 def build_graph(records, vocab, binned) -> HeteroGraph:
     """Materialize the graph of records from their binned (values, observed) pair.
 
@@ -50,11 +59,9 @@ def build_graph(records, vocab, binned) -> HeteroGraph:
     if n != len(records) or n_labs != vocab.n_labs:
         raise ValueError(f"binned shape {values.shape} does not match {len(records)} records "
                          f"and {vocab.n_labs} labs")
+    check_diagnoses(records, vocab.n_diagnoses)
     diagnosed = np.zeros((n, vocab.n_diagnoses), dtype=bool)
     for p, rec in enumerate(records):
-        for dx in rec.diagnoses:
-            if not 0 <= dx < vocab.n_diagnoses:
-                raise ValueError(f"diagnosis id {dx} outside vocabulary of size {vocab.n_diagnoses}")
         diagnosed[p, list(rec.diagnoses)] = True
 
     return HeteroGraph(values, observed, diagnosed)

@@ -15,17 +15,17 @@ Relation scoring (neighbor side first where translated):
 
 A training step (_loss_and_grad) reads a ContextSample's arrays as the
 sampler prepared them, with no node object and no per-relation loop: the (p, h)
-center; lab and diagnosis terms as columns of the stacked [W_i | W_d],
-gathered in one call and activated once; co-patient and temporal terms as
-rows of graph.values viewed as (patients * hours, labs), gathered in one
-call; and the targets of all four relations in term order. The elementwise
+center; lab and diagnosis terms as columns of [W_i | W_d], the head of
+params.flat, gathered in one call and activated once; co-patient and temporal
+terms as rows of graph.values viewed as (patients * hours, labs), gathered in
+one call; and the targets of all four relations in term order. The elementwise
 tail (sigmoid(s) - y, and the softplus loss from the same exponentials)
 runs once over the four relations' concatenated scores, and the lab and
 diagnosis column gradients come from one bincount over flat (column, row)
 offsets, which adds each cell's terms in term order starting from 0.0, as a
-scatter-add into zeros does. The gradients come back as an HgmParams whose
-six arrays view one flat buffer (_pack); train_hgm keeps its parameters in
-the same layout and updates all six with one subtraction.
+scatter-add into zeros does. Every HgmParams holds its six arrays as views
+of one flat buffer, params.flat; the step returns its gradient as one flat
+array in that layout, and train_hgm updates all six with one subtraction.
 
 Every parameter bit equals that of one pass per relation (the oracle in
 tests/oracles.py); only the loss, one sum, may differ in its last bits.
@@ -95,9 +95,9 @@ MAX_PARAM_ABS = 1e6
 
 @dataclass
 class HgmParams:
-    """Projection matrices (d x input_dim) and relation translation vectors; `flat` is
-    the buffer all six view when _pack built them (train_hgm's parameters and every
-    _loss_and_grad gradient), else None."""
+    """Projection matrices (d x input_dim) and relation translation vectors: six views of one
+    new buffer, `flat` (_views), that the constructor (and so replace, copy and pickle) fills
+    from the given arrays. Write fields in place, never rebind them: the step reads `flat`."""
 
     w_p: np.ndarray
     w_i: np.ndarray
@@ -106,11 +106,24 @@ class HgmParams:
     r_pd: np.ndarray
     r_tt: np.ndarray
     activation: str = "tanh"
-    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        for name in ("w_p", "w_d"):
+            if np.ndim(value := getattr(self, name)) != 2 or not len(value):
+                raise ValueError(f"{name} must be 2-D with a row, got shape {np.shape(value)}")
+        (d, n_labs), n_diagnoses = np.shape(self.w_p), np.shape(self.w_d)[1]
+        self.flat = np.empty((2 * n_labs + n_diagnoses + 3) * d)
+        for name, view in zip(PARAM_FIELDS, _views(self.flat, d, n_labs)):
+            if np.shape(value := getattr(self, name)) != view.shape:
+                raise ValueError(f"{name} has shape {np.shape(value)}, expected {view.shape}")
+            view[...] = value
+            setattr(self, name, view)
+
+    def __reduce__(self):
+        return type(self), (*(getattr(self, name) for name in PARAM_FIELDS), self.activation)
 
     @property
     def d(self) -> int:
@@ -136,32 +149,30 @@ class HgmTrainConfig:
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.min_learning_rate < 0:
-            raise ValueError("min_learning_rate must be >= 0")
+            raise ValueError(f"min_learning_rate must be >= 0, got {self.min_learning_rate}")
         if self.min_learning_rate > self.learning_rate:
-            raise ValueError("min_learning_rate must not exceed learning_rate")
+            raise ValueError(f"min_learning_rate must not exceed learning_rate "
+                             f"{self.learning_rate}, got {self.min_learning_rate}")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}, "
+                             f"got {self.activation!r}")
         if self.d < 2:
-            raise ValueError("embedding dimension must be >= 2")
+            raise ValueError(f"d must be >= 2, got {self.d}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
-def _flat_size(d: int, n_labs: int, n_diagnoses: int) -> int:
-    return (2 * n_labs + n_diagnoses + 3) * d
-
-
-def _pack(flat: np.ndarray, d: int, n_labs: int, n_diagnoses: int, activation: str) -> HgmParams:
-    """HgmParams of six views of one flat buffer of _flat_size: W_i then W_d column by
-    column (a column's d cells adjacent, as _loss_and_grad's bincount lays out its
-    sums), then W_p row by row, r_ip, r_pd and r_tt. One update then serves all six."""
-    columns = (n_labs + n_diagnoses) * d
+def _views(flat: np.ndarray, d: int, n_labs: int) -> tuple:
+    """The six parameter views of a flat buffer, in PARAM_FIELDS order. The buffer holds
+    W_i then W_d column by column (a column's d cells adjacent, as _loss_and_grad's
+    bincount lays out its sums), then W_p row by row, r_ip, r_pd and r_tt."""
+    columns = flat.size - (n_labs + 3) * d
     w_id = flat[:columns].reshape(-1, d).T
     r = flat[columns + d * n_labs:].reshape(3, d)
-    return HgmParams(flat[columns:columns + d * n_labs].reshape(d, n_labs), w_id[:, :n_labs],
-                     w_id[:, n_labs:], r[0], r[1], r[2], activation, flat)
+    return (flat[columns:columns + d * n_labs].reshape(d, n_labs), w_id[:, :n_labs],
+            w_id[:, n_labs:], r[0], r[1], r[2])
 
 
 def init_params(d, n_labs, n_diagnoses, activation="tanh", seed=0) -> HgmParams:
@@ -185,7 +196,7 @@ def _cells(d: int, n_columns: int) -> np.ndarray:
 
 
 def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample):
-    """(loss, gradients, scores, positive mask) of one context, scores in term order."""
+    """(loss, flat gradient in params.flat's layout, scores in term order, positive mask)."""
     act, deriv = ACTIVATIONS[params.activation]
     n_lab, n_dx, n_cp, _ = context.sizes
     n_id = n_lab + n_dx
@@ -193,9 +204,10 @@ def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample
     x_u = graph.values[context.center]
     c_u = act(params.w_p @ x_u)
 
-    # Forward. Lab and diagnosis terms: columns of [W_i | W_d], one gather (F-ordered,
-    # as W_i[:, index] is) and one activation; patient-hour terms: rows of graph.values.
-    c_id = act(np.concatenate((params.w_i.T, params.w_d.T)).take(context.columns, axis=0).T)
+    # Forward. Lab and diagnosis terms: [W_i | W_d] columns, params.flat's head, in one gather
+    # (F-ordered, as W_i[:, index] is) and one activation; patient-hour terms: graph.values rows.
+    columns = params.flat[:(n_labs + params.n_diagnoses) * d].reshape(-1, d)
+    c_id = act(columns.take(context.columns, axis=0).T)
     c_lab, c_dx = c_id[:, :n_lab], c_id[:, n_lab:]
     x_ph = graph.values.reshape(-1, n_labs).take(context.rows, axis=0)
     x_cp, x_tt = x_ph[:n_cp], x_ph[n_cp:]
@@ -219,30 +231,29 @@ def _loss_and_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample
     g = np.where(nonnegative, 1.0, ex) / q - y
     loss = float(np.log(q).sum() + np.where(pos ^ nonnegative, a, 0.0).sum())
 
-    # Backward. The gradients are views of one flat buffer (_pack): the bincount of
+    # Backward. The gradient is one flat array in params.flat's layout: the bincount of
     # the lab and diagnosis terms' (column, row) cells, term by term, fills its head,
     # which adds each cell's terms in term order starting from 0.0, as a scatter-add
     # into zeros does, and leaves its tail zero; the other gradients are written there.
-    n_diagnoses = params.n_diagnoses
     d_id = np.empty((d, n_id), order="F")
     np.multiply(c_u[:, None], g[:n_lab], out=d_id[:, :n_lab])
     np.multiply(c_u_dx[:, None], g[n_lab:n_id], out=d_id[:, n_lab:])
     d_id *= deriv(c_id)
-    cells = _cells(d, n_labs + n_diagnoses).take(context.columns, axis=0).ravel()
-    flat = np.bincount(cells, weights=d_id.T.ravel(), minlength=_flat_size(d, n_labs, n_diagnoses))
-    grads = _pack(flat, d, n_labs, n_diagnoses, params.activation)
+    cells = _cells(d, len(columns)).take(context.columns, axis=0).ravel()
+    grad = np.bincount(cells, weights=d_id.T.ravel(), minlength=params.flat.size)
+    grad_w_p, _, _, grad_r_ip, grad_r_pd, grad_r_tt = _views(grad, d, n_labs)
     # dc_u adds tested, diagnosed, co-patient, then temporal; W_p adds co-patient,
     # then temporal, then center.
     g_cp, g_tt = g[n_id:n_id + n_cp], g[n_id + n_cp:]
-    np.multiply(g[:n_lab].sum(), c_u, out=grads.r_ip)
+    np.multiply(g[:n_lab].sum(), c_u, out=grad_r_ip)
     dc_u = c_lab_t @ g[:n_lab]
-    dc_u += np.matmul(c_dx, g[n_lab:n_id], out=grads.r_pd)
+    dc_u += np.matmul(c_dx, g[n_lab:n_id], out=grad_r_pd)
     dc_u += c_cp @ g_cp
-    dc_u += np.matmul(c_tt, g_tt, out=grads.r_tt)
-    w_p = np.matmul(c_u[:, None] * g_cp * deriv(c_cp), x_cp, out=grads.w_p)
-    w_p += (c_u_tt[:, None] * g_tt * deriv(c_tt)) @ x_tt
-    w_p += (dc_u * deriv(c_u))[:, None] * x_u
-    return loss, grads, s, pos
+    dc_u += np.matmul(c_tt, g_tt, out=grad_r_tt)
+    np.matmul(c_u[:, None] * g_cp * deriv(c_cp), x_cp, out=grad_w_p)
+    grad_w_p += (c_u_tt[:, None] * g_tt * deriv(c_tt)) @ x_tt
+    grad_w_p += (dc_u * deriv(c_u))[:, None] * x_u
+    return loss, grad, s, pos
 
 
 def ns_loss(params: HgmParams, graph: HeteroGraph, context: ContextSample) -> float:
@@ -252,9 +263,9 @@ def ns_loss(params: HgmParams, graph: HeteroGraph, context: ContextSample) -> fl
 
 
 def ns_grad(params: HgmParams, graph: HeteroGraph, context: ContextSample) -> HgmParams:
-    """Exact analytic gradients of ns_loss, shaped as HgmParams; entries
-    untouched by the context are zero."""
-    return _loss_and_grad(params, graph, context)[1]
+    """Exact analytic gradients of ns_loss as HgmParams; entries the context misses are 0."""
+    return HgmParams(*_views(_loss_and_grad(params, graph, context)[1], params.d, params.n_labs),
+                     params.activation)
 
 
 def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, seed: int, on_epoch=None) -> HgmParams:
@@ -268,12 +279,8 @@ def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, seed: int, on_epoch=No
     Raises FloatingPointError when an epoch ends with a non-finite mean loss
     or a parameter entry that is non-finite or above MAX_PARAM_ABS in magnitude.
     """
-    init = init_params(config.d, graph.n_labs, graph.n_diagnoses,
-                       activation=config.activation, seed=derive_seed(seed, "hgm-init"))
-    params = _pack(np.empty(_flat_size(config.d, graph.n_labs, graph.n_diagnoses)), config.d,
-                   graph.n_labs, graph.n_diagnoses, config.activation)
-    for name in PARAM_FIELDS:
-        getattr(params, name)[...] = getattr(init, name)
+    params = init_params(config.d, graph.n_labs, graph.n_diagnoses,
+                         activation=config.activation, seed=derive_seed(seed, "hgm-init"))
     sampler = Sampler(graph, config.sampler, derive_seed(seed, "hgm-sampler"))
     shuffle_rng = np.random.default_rng(derive_seed(seed, "hgm-shuffle"))
     n_centers = graph.n_patients * graph.window_hours
@@ -296,10 +303,10 @@ def train_hgm(graph: HeteroGraph, config: HgmTrainConfig, seed: int, on_epoch=No
             except UntrainableCenterError:
                 skipped += 1
                 continue
-            loss, grads, _, _ = _loss_and_grad(params, graph, context)
+            loss, grad, _, _ = _loss_and_grad(params, graph, context)
             epoch_loss += loss
             n_contexts += 1
-            params.flat -= lr * grads.flat
+            params.flat -= lr * grad
         mean_loss = epoch_loss / max(1, n_contexts)
         # Diverging runs overflow the scores, and so the loss, before the parameters.
         # np.max keeps a NaN entry, which then fails the bound.

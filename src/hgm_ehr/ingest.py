@@ -379,14 +379,13 @@ class GenConfig:
     prevalence: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.n_patients < 1 or self.n_labs < 1 or self.n_diagnoses < 1:
-            raise ValueError("n_patients, n_labs and n_diagnoses must all be >= 1")
-        if self.window_hours < 1:
-            raise ValueError("window_hours must be >= 1")
+        for name in ("n_patients", "n_labs", "n_diagnoses", "window_hours"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.signal <= 1.0:
-            raise ValueError("signal must lie in [0, 1]")
+            raise ValueError(f"signal must lie in [0, 1], got {self.signal}")
         if not 0.0 < self.prevalence < 1.0:
-            raise ValueError("prevalence must lie in (0, 1)")
+            raise ValueError(f"prevalence must lie in (0, 1), got {self.prevalence}")
 
     @property
     def n_risk_labs(self) -> int:

@@ -154,13 +154,13 @@ def trained_checkpoints(tmp_path_factory):
 
 @pytest.mark.parametrize("target, valid, bad, message", [
     (GenConfig, dict(n_patients=5, n_labs=5, n_diagnoses=5, window_hours=6), dict(prevalence=1.0),
-     "prevalence must lie in"),
+     r"^prevalence must lie in \(0, 1\), got 1\.0$"),
     (SamplerConfig, {}, dict(negatives_per_positive=0),
      "negatives_per_positive must be >= 1, got 0"),
-    (HgmTrainConfig, {}, dict(d=1), "embedding dimension must be >= 2"),
+    (HgmTrainConfig, {}, dict(d=1), r"^d must be >= 2, got 1$"),
     (CnnTrainConfig, {}, dict(kernel=0), "kernel must be >= 1, got 0"),
-    (HgmTrainConfig, {}, dict(learning_rate=0.0), r"^learning_rate must be positive$"),
-    (HgmTrainConfig, {}, dict(epochs=-1), r"^epochs must be >= 0$"),
+    (HgmTrainConfig, {}, dict(learning_rate=0.0), r"^learning_rate must be positive, got 0\.0$"),
+    (HgmTrainConfig, {}, dict(epochs=-1), r"^epochs must be >= 0, got -1$"),
     (CnnTrainConfig, {}, dict(learning_rate=0.0), r"^learning_rate must be positive, got 0\.0$"),
 ], ids=["GenConfig", "SamplerConfig", "HgmTrainConfig", "CnnTrainConfig",
         "HgmTrainConfig_learning_rate", "HgmTrainConfig_epochs", "CnnTrainConfig_learning_rate"])
@@ -343,17 +343,23 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("line, edited, named", [
         ("epochs = 2", "epochs = 2\nmin_learning_rate = -1.0",
-         "[hgm] min_learning_rate must be >= 0"),
+         "[hgm] min_learning_rate must be >= 0, got -1.0"),
         ("epochs = 2", "epochs = 2\nmin_learning_rate = 0.5",
-         "[hgm] min_learning_rate must not exceed learning_rate"),
-        ("epochs = 2", "epochs = 2\nactivation = softsign", "[hgm] unknown activation 'softsign'"),
+         "[hgm] min_learning_rate must not exceed learning_rate 0.05, got 0.5"),
+        ("epochs = 2", "epochs = 2\nactivation = softsign",
+         "[hgm] activation must be one of ['relu', 'sigmoid', 'tanh'], got 'softsign'"),
+        ("d = 6", "d = 1", "[hgm] d must be >= 2, got 1"),
         ("filters = 4", "filters = 0", "[cnn] filters must be >= 1, got 0"),
         ("epochs = 4", "epochs = -1", "[cnn] epochs must be >= 0, got -1"),
         ("epochs = 4", "epochs = 4\nbatch_size = 0", "[cnn] batch_size must be >= 1, got 0"),
         ("negatives = 2", "negatives = 0", "[hgm] negatives must be >= 1, got 0"),
-        ("prevalence = 0.4", "prevalence = 1.5", "[data] prevalence must lie in (0, 1)"),
+        ("prevalence = 0.4", "prevalence = 1.5", "[data] prevalence must lie in (0, 1), got 1.5"),
+        ("n_patients = 24", "n_patients = 0", "[data] n_patients must be >= 1, got 0"),
+        ("n_labs = 6", "n_labs = 0", "[data] n_labs must be >= 1, got 0"),
+        ("n_diagnoses = 8", "n_diagnoses = -2", "[data] n_diagnoses must be >= 1, got -2"),
     ], ids=["negative_min_learning_rate", "min_above_learning_rate", "unknown_activation",
-            "cnn_filters", "cnn_epochs", "cnn_batch_size", "hgm_negatives", "data_prevalence"])
+            "hgm_d", "cnn_filters", "cnn_epochs", "cnn_batch_size", "hgm_negatives",
+            "data_prevalence", "data_n_patients", "data_n_labs", "data_n_diagnoses"])
     def test_bad_hgm_value_rejected(self, tmp_path, capsys, line, edited, named):
         path = write_config(tmp_path / "run.ini", tmp_path / "out")
         path.write_text(path.read_text().replace(f"\n{line}\n", f"\n{edited}\n"))

@@ -365,6 +365,22 @@ class TestRunExperiment:
             run_experiments(records, synthetic_vocabulary(cfg), ARMS, 6, fast_config(k=2, seed=3))
         assert calls == []
 
+    @pytest.mark.parametrize("arms", [ARMS, ("CNN",)], ids=["all_arms", "cnn_only"])
+    def test_out_of_vocabulary_diagnosis_names_patient(self, monkeypatch, arms):
+        # p00005 is held out in fold 0: fold 0 used to train fully before fold 1's graph
+        # refused the id, naming no patient, and a CNN-only run accepted the record
+        from hgm_ehr.seeds import derive_seed
+
+        cfg = GenConfig(n_patients=40, n_labs=6, n_diagnoses=8, window_hours=6, prevalence=0.4)
+        records = generate_synthetic(cfg, seed=derive_seed(3, "synth"))
+        next(r for r in records if r.patient_id == "p00005").diagnoses.add(99)
+        calls = []
+        monkeypatch.setattr(evaluate, "train_fold", functools.partial(recorded_train_fold, calls))
+        with pytest.raises(ValueError, match=r"^patient 'p00005': diagnosis id 99 outside "
+                                             r"vocabulary of size 8$"):
+            run_experiments(records, synthetic_vocabulary(cfg), arms, 6, fast_config(k=2, seed=3))
+        assert calls == []
+
     def test_single_class_fold_skipped_with_warning(self, caplog):
         # two deaths placed in two different test folds: those folds are
         # evaluable, the remaining all-negative folds are skipped

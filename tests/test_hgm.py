@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -277,11 +278,10 @@ class TestTrainHgm:
     def test_nan_parameter_raises_with_finite_loss(self, monkeypatch):
         # only one entry of the last parameter turns NaN, and the loss stays finite
         def nan_r_tt(params, graph, context):
-            _, grads, s, pos = loss_and_grad(params, graph, context)
-            for name in PARAM_FIELDS:
-                getattr(grads, name)[...] = 0.0
-            grads.r_tt[0] = np.nan
-            return 1.0, grads, s, pos
+            _, grad, s, pos = loss_and_grad(params, graph, context)
+            grad[...] = 0.0
+            grad[-params.d] = np.nan  # r_tt[0]: r_tt is the flat layout's last d entries
+            return 1.0, grad, s, pos
 
         loss_and_grad = hgm._loss_and_grad
         monkeypatch.setattr(hgm, "_loss_and_grad", nan_r_tt)
@@ -381,6 +381,75 @@ class TestEmbedPatientHour:
         out = embed_hours(params, np.zeros((2, 2, 3)), np.zeros((2, 2, 3), dtype=bool))
         assert np.array_equal(out[:, 0], np.zeros((2, 4)))
         assert np.array_equal(out[:, 1], np.tile(params.r_tt, (2, 1)))
+
+
+class TestParamsLayout:
+    """Every HgmParams holds its six fields as views of one buffer, `flat`: W_i then W_d
+    column by column, then W_p row by row, then r_ip, r_pd and r_tt."""
+
+    @staticmethod
+    def assert_views_flat(params):
+        d, n_labs, n_diagnoses = params.d, params.n_labs, params.n_diagnoses
+        for name in PARAM_FIELDS:
+            assert np.shares_memory(getattr(params, name), params.flat), name
+        params.flat[...] = np.arange(params.flat.size)
+        columns = np.arange((n_labs + n_diagnoses) * d).reshape(-1, d).T
+        tail = np.arange(columns.size, params.flat.size)
+        want = {"w_i": columns[:, :n_labs], "w_d": columns[:, n_labs:],
+                "w_p": tail[:d * n_labs].reshape(d, n_labs), "r_ip": tail[-3 * d:-2 * d],
+                "r_pd": tail[-2 * d:-d], "r_tt": tail[-d:]}
+        assert params.flat.size == (2 * n_labs + n_diagnoses + 3) * d
+        for name in PARAM_FIELDS:
+            assert np.array_equal(getattr(params, name), want[name]), name
+
+    def test_constructor_copies_into_one_buffer(self):
+        given = {name: np.full(getattr(random_params(3, 4, 5), name).shape, 7.0)
+                 for name in PARAM_FIELDS}
+        params = HgmParams(**given, activation="relu")
+        for name in PARAM_FIELDS:
+            assert not np.shares_memory(getattr(params, name), given[name]), name
+        self.assert_views_flat(params)
+        assert all((given[name] == 7.0).all() for name in PARAM_FIELDS)
+
+    def test_init_load_and_replace_view_one_buffer(self, tmp_path):
+        params = random_params(3, 4, 5, seed=1)
+        save_params(params, tmp_path / "hgm.json")
+        loaded = load_params(tmp_path / "hgm.json")
+        replaced = dataclasses.replace(params, w_p=np.ones((3, 4)))
+        assert np.array_equal(replaced.w_i, params.w_i)
+        assert not np.shares_memory(replaced.flat, params.flat)
+        for built in (params, loaded, replaced):
+            self.assert_views_flat(built)
+
+    def test_copies_and_gradients_view_their_own_buffer(self, toy_graph):
+        graph, _, _ = toy_graph
+        params = random_params(3, 3, 3, seed=7)
+        ctx = make_context(graph, (0, 0), pos_labs=(lab_node(0),), neg_labs=((lab_node(2),),))
+        grads = ns_grad(params, graph, ctx)
+        copies = [copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))]
+        for built in copies:
+            assert built.activation == params.activation
+            for name in PARAM_FIELDS:
+                assert np.array_equal(getattr(built, name), getattr(params, name)), name
+        for built in [grads] + copies:
+            assert not np.shares_memory(built.flat, params.flat)
+            self.assert_views_flat(built)
+
+    @pytest.mark.parametrize("name, shape, message", [
+        ("w_p", (3,), r"^w_p must be 2-D with a row, got shape \(3,\)$"),
+        ("w_p", (0, 4), r"^w_p must be 2-D with a row, got shape \(0, 4\)$"),
+        ("w_i", (3, 5), r"^w_i has shape \(3, 5\), expected \(3, 4\)$"),
+        ("w_d", (4, 5), r"^w_d has shape \(4, 5\), expected \(3, 5\)$"),
+        ("r_ip", (4,), r"^r_ip has shape \(4,\), expected \(3,\)$"),
+        ("r_pd", (3, 1), r"^r_pd has shape \(3, 1\), expected \(3,\)$"),
+        ("r_tt", (), r"^r_tt has shape \(\), expected \(3,\)$"),
+        ("w_d", (15,), r"^w_d must be 2-D with a row, got shape \(15,\)$"),
+    ], ids=["w_p", "w_p_no_rows", "w_i", "w_d", "r_ip", "r_pd", "r_tt", "w_d_1d"])
+    def test_wrong_shape_refused_naming_the_field(self, name, shape, message):
+        # w_p's shape (d, n_labs) and w_d's column count set the layout
+        params = random_params(3, 4, 5)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(params, **{name: np.zeros(shape)})
 
 
 class TestCheckpoint:
@@ -618,10 +687,11 @@ class TestNsGradMatchesScatterAdd:
 def assert_step_matches_oracle(params, graph, context):
     """_loss_and_grad equals the oracle step: every gradient bit, the scores and the
     positive mask; the loss, summed from the sigmoid's exponentials, to 1e-12."""
-    loss, grads, scores, positive = hgm._loss_and_grad(params, graph, context)
+    loss, grad, scores, positive = hgm._loss_and_grad(params, graph, context)
     want_loss, want, want_scores, want_positive = oracles.loss_and_grad(params, graph, context)
-    for name in PARAM_FIELDS:
-        assert np.array_equal(getattr(grads, name), getattr(want, name)), name
+    assert grad.shape == params.flat.shape
+    for name, got in zip(PARAM_FIELDS, hgm._views(grad, params.d, params.n_labs)):
+        assert np.array_equal(got, getattr(want, name)), name
     assert np.array_equal(scores, want_scores) and np.array_equal(positive, want_positive)
     assert loss == pytest.approx(want_loss, rel=1e-12)
 

@@ -406,7 +406,7 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             GenConfig(n_patients=5, n_labs=5, n_diagnoses=5, window_hours=6,
                       prevalence=0.0)
-        with pytest.raises(ValueError, match=r"^window_hours must be >= 1$"):
+        with pytest.raises(ValueError, match=r"^window_hours must be >= 1, got 0$"):
             GenConfig(n_patients=5, n_labs=5, n_diagnoses=5, window_hours=0)
 
     def test_events_respect_vocab_and_hours(self):
